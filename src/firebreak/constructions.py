@@ -8,6 +8,7 @@ roughly ``beta^(2*cycles)`` in scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,6 +119,12 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
         raise ValidationError(
             f"parameters beta={beta}, delta={delta} give non-positive head start {s}"
         )
+    factor = 1.0
+    if params.head_start != "auto":
+        target = model.coerce_length(params.head_start, FLOAT)
+        if target <= 0:
+            raise ValidationError(f"head start must be > 0, got {target}")
+        factor = target / s
     a = [s]
     b = [1.0]
     c = [s]
@@ -127,6 +134,12 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
         d.append(beta * b[i])
         a.append((delta + 1) if i == 1 else (delta - 1) * d[i - 2] + (beta + delta) * b[i - 1])
         c.append((2 * beta + 3 * delta - 1) if i == 1 else (delta - 1) * b[i - 1] + (beta + delta) * d[i - 1])
+        if not all(math.isfinite(x[i] * factor) for x in (a, b, c, d)):
+            raise ValidationError(
+                f"lengths overflow the float range at cycle {i + 1} "
+                f"(beta={beta}, delta={delta}, head start {params.head_start}); "
+                f"at most {i} cycles build"
+            )
     if min(a) <= 0 or min(c) <= 0:
         raise ValidationError(
             f"parameters beta={beta}, delta={delta} produce non-positive gaps"
@@ -138,8 +151,5 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
         left=tuple(zip(c, d)),
     )
     if params.head_start != "auto":
-        target = model.coerce_length(params.head_start, FLOAT)
-        if target <= 0:
-            raise ValidationError(f"head start must be > 0, got {target}")
-        system = model.scale(system, target / s)
+        system = model.scale(system, factor)
     return system

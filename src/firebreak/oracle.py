@@ -13,16 +13,27 @@ of the horizontal barrier.
 When barrier coordinates are integer multiples of the cell size the BFS
 arrival times at free nodes agree with the exact geodesic; otherwise
 barriers snap to the nearest column (within half a cell).
+
+The scene allocates the full rectangle of nodes within the horizon, and
+``build_scene`` refuses one that cannot fit in physical memory.  Past that
+allocation every stage costs what it touches: the BFS keeps an explicit
+frontier of node indices, O(nodes reached + levels); sampling gathers the
+nodes next to each barrier point with index arrays; ``compare`` evaluates
+the exact curve at all sample times at once.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import LEFT, RIGHT, BarrierSystem
 from .simulate import PiecewiseLinearCurve
+
+# bytes per grid node: passable and free masks (2), float arrival grid (8), headroom (7)
+_BYTES_PER_NODE = 17
 
 
 @dataclass(frozen=True)
@@ -52,13 +63,21 @@ class GridScene:
 
 def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene:
     """Scene covering everything reachable within the horizon plus a margin."""
-    if cell <= 0 or horizon <= 0:
-        raise ValueError("cell size and horizon must be > 0")
+    if not (cell > 0 and 0 < horizon < np.inf):
+        raise ValueError("cell size and horizon must be > 0 and the horizon finite")
     cell = float(cell)
     horizon = float(horizon)
     steps = int(np.ceil(horizon / cell)) + 2  # margin of two cells all around
     nx = 2 * steps + 1
     ny = steps + 1
+    nodes = nx * ny
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nodes * _BYTES_PER_NODE > memory:
+        raise ValueError(
+            f"a grid of {nodes:,} nodes (cell {cell:g}, horizon {horizon:g}) needs about "
+            f"{nodes * _BYTES_PER_NODE / 2**30:,.1f} GiB, more than the "
+            f"{memory / 2**30:,.1f} GiB of physical memory; use a coarser cell or a shorter horizon"
+        )
     passable = np.ones((ny, nx), dtype=bool)
     scene = GridScene(
         cell=cell,
@@ -81,30 +100,38 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
 
 
 def grid_arrival(scene: GridScene, max_time: float | None = None) -> np.ndarray:
-    """BFS arrival time per node (np.inf where unreachable)."""
-    passable = scene.passable
-    dist = np.full(scene.shape, -1, dtype=np.int64)
-    frontier = np.zeros(scene.shape, dtype=bool)
-    frontier[0, scene.source_col] = True
-    dist[0, scene.source_col] = 0
+    """BFS arrival time per node (np.inf where unreachable).
+
+    Frontier-list BFS on the flat indices of the scene padded with a blocked
+    border, so the neighbour steps +-1 and +-width never wrap.  Each level
+    gathers the frontier's neighbours that are still free and stamps them;
+    the cost is O(nodes reached + levels) beyond allocating the grid.  With
+    ``max_time`` the search stops after level ceil(max_time / cell) + 1.
+    """
+    free = np.pad(scene.passable, 1, constant_values=False)
+    arrival = np.full(free.shape, np.inf)
+    width = free.shape[1]
+    free, flat = free.reshape(-1), arrival.reshape(-1)
+    source = width + scene.source_col + 1
+    free[source] = False
+    flat[source] = 0.0
+    steps = np.array([1, -1, width, -width])
+    frontier = np.array([source])
     max_level = None if max_time is None else int(np.ceil(max_time / scene.cell)) + 1
     level = 0
-    while frontier.any():
+    while frontier.size:
         if max_level is not None and level >= max_level:
             break
-        nxt = np.zeros(scene.shape, dtype=bool)
-        nxt[1:, :] |= frontier[:-1, :]
-        nxt[:-1, :] |= frontier[1:, :]
-        nxt[:, 1:] |= frontier[:, :-1]
-        nxt[:, :-1] |= frontier[:, 1:]
-        nxt &= passable
-        nxt &= dist < 0
         level += 1
-        dist[nxt] = level
-        frontier = nxt
-    arrival = dist.astype(float) * scene.cell
-    arrival[dist < 0] = np.inf
-    return arrival
+        reached = (frontier[:, None] + steps).ravel()
+        reached = reached[free[reached]]
+        # dedupe by scatter: of the copies of a node, exactly one reads its own stamp back
+        order = np.arange(reached.size)
+        flat[reached] = order
+        frontier = reached[flat[reached] == order]
+        free[frontier] = False
+        flat[frontier] = level * scene.cell
+    return arrival[1:-1, 1:-1]
 
 
 def arrival_at(scene: GridScene, arrival: np.ndarray, x: float, y: float) -> float:
@@ -127,15 +154,9 @@ class SampledCurve:
         return "\n".join(lines) + "\n"
 
 
-def _min_neighbor(arrival: np.ndarray, scene: GridScene, rows, cols) -> float:
-    best = np.inf
-    for r in rows:
-        for c in cols:
-            if scene.in_bounds(r, c) and scene.passable[r, c]:
-                a = arrival[r, c]
-                if a < best:
-                    best = a
-    return best
+def _grid_index(coords: np.ndarray, cell: float) -> np.ndarray:
+    """Nearest grid offsets, rounding halves to even as ``GridScene.row``/``col`` do."""
+    return np.rint(coords / cell).astype(np.intp)
 
 
 def grid_consumption(
@@ -148,40 +169,44 @@ def grid_consumption(
     scene = build_scene(system, cell, horizon)
     arrival = grid_arrival(scene, max_time=horizon + 2 * cell)
     head = float(system.head_start)
-    consumed_at = []
+    half = 0.5 * cell
+    # each barrier point is consumed from the nodes at two rows x two columns
+    rows = [np.empty((0, 2), dtype=np.intp)]
+    cols = [np.empty((0, 2), dtype=np.intp)]
 
     for side, sign in ((RIGHT, 1), (LEFT, -1)):
         if side not in sides:
             continue
-        feet = [float(f) for f in system.feet(side)]
-        heights = [float(h) for h in system.heights(side)]
         # vertical barriers: midpoints along the height, flanked by both columns;
         # points with arrival beyond the horizon can never be counted, and
         # arrival >= foot + y, so the sampled stretch is capped accordingly
-        for foot, height in zip(feet, heights):
+        for foot, height in zip(system.feet(side), system.heights(side)):
+            foot, height = float(foot), float(height)
             if foot >= horizon:
                 continue
             col = scene.col(sign * foot)
             reachable = min(height, horizon - foot)
-            n = max(1, int(round(reachable / cell)))
-            for j in range(n):
-                y_mid = (j + 0.5) * cell
-                if y_mid > height:
-                    break
-                rows = (scene.row(y_mid - 0.5 * cell), scene.row(y_mid + 0.5 * cell))
-                consumed_at.append(_min_neighbor(arrival, scene, rows, (col - 1, col + 1)))
-        # ground: midpoints from the head-start boundary out to the horizon
+            y_mid = (np.arange(max(1, int(round(reachable / cell)))) + 0.5) * cell
+            y_mid = y_mid[y_mid <= height]
+            rows.append(np.stack([_grid_index(y_mid - half, cell), _grid_index(y_mid + half, cell)], 1))
+            cols.append(np.broadcast_to([col - 1, col + 1], (y_mid.size, 2)))
+        # ground: midpoints from the head-start boundary out to the horizon, on row 0
         x_max = min(horizon, scene.x_extent - cell)
         n_ground = int(np.floor((x_max - head) / cell))
         start = int(np.floor(head / cell))
-        for j in range(start, start + max(0, n_ground) + 1):
-            x_mid = (j + 0.5) * cell
-            if x_mid < head or x_mid > x_max:
-                continue
-            cols = (scene.col(sign * (x_mid - 0.5 * cell)), scene.col(sign * (x_mid + 0.5 * cell)))
-            consumed_at.append(_min_neighbor(arrival, scene, (0,), cols))
+        x_mid = (np.arange(start, start + max(0, n_ground) + 1) + 0.5) * cell
+        x_mid = x_mid[(x_mid >= head) & (x_mid <= x_max)]
+        rows.append(np.zeros((x_mid.size, 2), dtype=np.intp))
+        cols.append(scene.source_col + np.stack(
+            [_grid_index(sign * (x_mid - half), cell), _grid_index(sign * (x_mid + half), cell)], 1))
 
-    consumed_at = np.sort(np.asarray(consumed_at))
+    r = np.concatenate(rows)[:, :, None]
+    c = np.concatenate(cols)[:, None, :]
+    ny, nx = scene.shape
+    inside = (r >= 0) & (r < ny) & (c >= 0) & (c < nx)
+    r, c = np.where(inside, r, 0), np.where(inside, c, 0)
+    adjacent = np.where(inside & scene.passable[r, c], arrival[r, c], np.inf)
+    consumed_at = np.sort(adjacent.min(axis=(1, 2)))
     times = np.arange(0.0, horizon + 0.5 * cell, cell)
     counts = np.searchsorted(consumed_at, times, side="right")
     return SampledCurve(times=times, values=counts * cell)
@@ -211,6 +236,27 @@ class OracleComparison:
         }
 
 
+def _values_at(curve: PiecewiseLinearCurve, times: np.ndarray) -> np.ndarray:
+    """``float(curve.value_at(t))`` for every t in ``times``, bit for bit.
+
+    Segments are found among the breakpoint times rounded to float.  Rounding
+    is monotone, so that search only misplaces a sample equal to a rounded
+    breakpoint time; those few samples go through ``value_at`` itself.  The
+    rest use value_at's formula and operand order with each exact difference
+    rounded once, as Python's mixed Fraction/float arithmetic does.
+    """
+    pts = curve.points
+    t_at = np.array([float(t) for t, _ in pts])
+    v_at = np.array([float(v) for _, v in pts])
+    dt = np.array([float(t1 - t0) for (t0, _), (t1, _) in zip(pts, pts[1:])])
+    dv = np.array([float(v1 - v0) for (_, v0), (_, v1) in zip(pts, pts[1:])])
+    seg = np.clip(np.searchsorted(t_at, times, side="right") - 1, 0, len(pts) - 2)
+    values = v_at[seg] + dv[seg] * (times - t_at[seg]) / dt[seg]
+    for i in np.flatnonzero(np.isin(times, t_at)):
+        values[i] = float(curve.value_at(times[i]))
+    return values
+
+
 def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float) -> OracleComparison:
     """Max |sampled - exact| over the common sample times, judged against ``tolerance``."""
     lo = float(exact.start)
@@ -218,15 +264,12 @@ def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float
     mask = (sampled.times >= lo) & (sampled.times <= hi)
     if not mask.any():
         raise ValueError("curves share no common time range")
-    worst = -1.0
-    worst_t = lo
-    first_exceedance = None
-    for t, v in zip(sampled.times[mask], sampled.values[mask]):
-        dev = abs(v - float(exact.value_at(t)))
-        if dev > worst:
-            worst, worst_t = dev, float(t)
-        if first_exceedance is None and dev > tolerance:
-            first_exceedance = float(t)
+    times = sampled.times[mask]
+    devs = np.abs(sampled.values[mask] - _values_at(exact, times))
+    i = int(np.argmax(np.where(np.isnan(devs), -1.0, devs)))  # a nan never counts as the worst
+    worst, worst_t = (devs[i], float(times[i])) if devs[i] >= 0 else (-1.0, lo)
+    over = np.flatnonzero(devs > tolerance)
+    first_exceedance = float(times[over[0]]) if over.size else None
     return OracleComparison(
         max_deviation=worst,
         at_time=worst_t,

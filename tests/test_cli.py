@@ -155,6 +155,12 @@ class TestOracle:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
 
+    def test_scene_beyond_physical_memory_is_usage_error(self, doc17, capsys):
+        # 6 cycles of 17/9 over the valid horizon: terabytes of grid at cell 1
+        assert run(["oracle", "--system", str(doc17), "--cell", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "Traceback" not in err
+
 
 class TestOptimize:
     def test_beta_scheme(self, tmp_path, capsys):

@@ -192,3 +192,9 @@ class TestImproved:
             build_improved(InterlacingParams(beta=4.0, delta=-0.1, cycles=3))
         with pytest.raises(ValidationError):
             InterlacingParams(beta=4.0, delta=1.0, cycles=0).resolved()
+
+    def test_float_overflow_names_first_bad_cycle(self, optimum):
+        assert len(build_improved(InterlacingParams(optimum.beta, optimum.delta, cycles=253)).right) == 253
+        params = InterlacingParams(optimum.beta, optimum.delta, cycles=260)
+        with pytest.raises(ValidationError, match=r"overflow .* at cycle 254 .*at most 253 cycles build"):
+            build_improved(params)

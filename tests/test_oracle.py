@@ -1,15 +1,20 @@
 """Grid BFS oracle: arrival exactness, sampled consumption, convergence."""
 
+import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firebreak import (
     RATIONAL,
     BarrierSystem,
     PiecewiseLinearCurve,
+    SampledCurve,
     build_flat,
     build_scene,
     build_seventeen_ninths,
@@ -18,8 +23,9 @@ from firebreak import (
     consumption_tolerance,
     grid_arrival,
     grid_consumption,
+    valid_horizon,
 )
-from firebreak.oracle import arrival_at
+from firebreak.oracle import _values_at, arrival_at
 
 
 def rational(head_start, right=(), left=()):
@@ -111,8 +117,6 @@ class TestGridConsumption:
 class TestCompare:
     def test_identical_curves_zero_deviation(self):
         curve = PiecewiseLinearCurve([(0, 0), (1, 0), (5, 8)])
-        from firebreak import SampledCurve
-
         times = np.arange(0.0, 5.0, 0.25)
         values = np.array([0.0 if t <= 1 else 2 * (t - 1) for t in times])
         result = compare(curve, SampledCurve(times=times, values=values), 0.1)
@@ -124,15 +128,11 @@ class TestCompare:
         curve = PiecewiseLinearCurve([(0, 0), (10, 20)])
         times = np.arange(0.0, 10.0, cell)
         values = 2 * times + 3 * cell  # deliberate 3-cell offset
-        from firebreak import SampledCurve
-
         result = compare(curve, SampledCurve(times=times, values=values), 2 * cell)
         assert not result.passed
         assert result.first_exceedance == 0.0
 
     def test_disjoint_ranges_rejected(self):
-        from firebreak import SampledCurve
-
         curve = PiecewiseLinearCurve([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
             compare(curve, SampledCurve(times=np.array([5.0]), values=np.array([0.0])), 1)
@@ -154,3 +154,181 @@ class TestConvergence:
                 devs.append(compare(exact.total, sampled, 1e9).max_deviation)
             # first-order convergence, with headroom for quantization jitter
             assert devs[1] <= 0.75 * devs[0] + 1e-9
+
+
+class TestMemoryLimit:
+    def test_scene_beyond_physical_memory_rejected_before_allocating(self):
+        # 17/9 at 6 cycles has valid horizon 835551: ~1.4e12 nodes at cell 1
+        system = build_seventeen_ninths(1, cycles=6)
+        with pytest.raises(ValueError, match=r"1,396,300,138,278 nodes \(cell 1, horizon 835551\).*physical memory"):
+            build_scene(system, 1.0, float(valid_horizon(system)))
+
+    def test_non_finite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            build_scene(SINGLE, 1.0, math.inf)
+
+
+# -- properties against plain reference implementations ---------------------------
+
+CELLS = st.sampled_from([1.0, 0.5, 0.25])
+
+
+@st.composite
+def small_systems(draw):
+    """Rational systems with 0-4 verticals per side on the quarter grid, feet >= 1."""
+
+    def side():
+        n = draw(st.integers(0, 4))
+        gaps = draw(st.lists(st.integers(4, 16), min_size=n, max_size=n))
+        heights = draw(st.lists(st.integers(1, 24), min_size=n, max_size=n))
+        return tuple((Fraction(g, 4), Fraction(h, 4)) for g, h in zip(gaps, heights))
+
+    return rational(Fraction(draw(st.integers(1, 8)), 4), right=side(), left=side())
+
+
+def deque_arrival(scene, max_time=None):
+    """Textbook queue BFS over (row, col) nodes, nodes at max_level not expanded."""
+    ny, nx = scene.shape
+    passable = scene.passable.tolist()
+    max_level = None if max_time is None else math.ceil(max_time / scene.cell) + 1
+    level = {(0, scene.source_col): 0}
+    queue = deque(level)
+    while queue:
+        r, c = queue.popleft()
+        k = level[r, c]
+        if max_level is not None and k >= max_level:
+            continue
+        for node in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            if 0 <= node[0] < ny and 0 <= node[1] < nx and passable[node[0]][node[1]] and node not in level:
+                level[node] = k + 1
+                queue.append(node)
+    out = np.full(scene.shape, np.inf)
+    for (r, c), k in level.items():
+        out[r, c] = k * scene.cell
+    return out
+
+
+def scalar_consumption(system, cell, horizon, sides):
+    """Per-point loops: each barrier point at its earliest passable neighbour."""
+    scene = build_scene(system, cell, horizon)
+    arrival = grid_arrival(scene, max_time=horizon + 2 * cell)
+
+    def earliest(rows, cols):
+        return min(
+            (arrival[r, c] for r in rows for c in cols if scene.in_bounds(r, c) and scene.passable[r, c]),
+            default=np.inf,
+        )
+
+    consumed_at = []
+    for side, sign in (("right", 1), ("left", -1)):
+        if side not in sides:
+            continue
+        for foot, height in zip(system.feet(side), system.heights(side)):
+            foot, height = float(foot), float(height)
+            if foot >= horizon:
+                continue
+            col = scene.col(sign * foot)
+            for j in range(max(1, int(round(min(height, horizon - foot) / cell)))):
+                y_mid = (j + 0.5) * cell
+                if y_mid > height:
+                    break
+                rows = (scene.row(y_mid - 0.5 * cell), scene.row(y_mid + 0.5 * cell))
+                consumed_at.append(earliest(rows, (col - 1, col + 1)))
+        head = float(system.head_start)
+        x_max = min(horizon, scene.x_extent - cell)
+        start = int(np.floor(head / cell))
+        for j in range(start, start + max(0, int(np.floor((x_max - head) / cell))) + 1):
+            x_mid = (j + 0.5) * cell
+            if head <= x_mid <= x_max:
+                cols = (scene.col(sign * (x_mid - 0.5 * cell)), scene.col(sign * (x_mid + 0.5 * cell)))
+                consumed_at.append(earliest((0,), cols))
+    consumed_at = np.sort(np.asarray(consumed_at, dtype=float))
+    times = np.arange(0.0, horizon + 0.5 * cell, cell)
+    return np.searchsorted(consumed_at, times, side="right") * cell
+
+
+@st.composite
+def curves(draw):
+    """Rational or float piecewise-linear curves with 2-8 breakpoints."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        step = st.fractions(min_value=Fraction(1, 48), max_value=10, max_denominator=48)
+        t, v = draw(st.fractions(min_value=-5, max_value=5, max_denominator=48)), Fraction(0)
+        rises = st.fractions(min_value=0, max_value=10, max_denominator=48)
+    else:
+        step = st.floats(min_value=1e-3, max_value=10)
+        t, v = draw(st.floats(min_value=-5, max_value=5)), 0.0
+        rises = st.floats(min_value=0, max_value=10)
+    rises = st.one_of(st.just(0), rises)  # flat stretches give tied deviations
+    points = [(t, v)]
+    for _ in range(n - 1):
+        t, v = t + draw(step), v + draw(rises)
+        points.append((t, v))
+    return PiecewiseLinearCurve(points)
+
+
+def loop_compare(exact, sampled, tolerance):
+    """One value_at per sample, first maximum and first exceedance kept in order."""
+    lo, hi = float(exact.start), float(exact.end)
+    mask = (sampled.times >= lo) & (sampled.times <= hi)
+    worst, worst_t, first = -1.0, lo, None
+    for t, v in zip(sampled.times[mask], sampled.values[mask]):
+        dev = abs(v - float(exact.value_at(t)))
+        if dev > worst:
+            worst, worst_t = dev, float(t)
+        if first is None and dev > tolerance:
+            first = float(t)
+    return worst, worst_t, first
+
+
+def bits(x):
+    return None if x is None else float(x).hex()
+
+
+class TestOracleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_systems(), CELLS, st.integers(1, 12),
+           st.one_of(st.none(), st.floats(min_value=0, max_value=3), st.just(1e6)))
+    def test_grid_arrival_matches_queue_bfs(self, system, cell, horizon, max_time):
+        scene = build_scene(system, cell, horizon)
+        got = grid_arrival(scene, max_time=max_time)
+        assert got.shape == scene.shape and got.dtype == np.float64
+        assert np.array_equal(got, deque_arrival(scene, max_time))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_systems(), CELLS, st.integers(1, 12),
+           st.sampled_from([("right", "left"), ("right",), ("left",), ()]))
+    def test_grid_consumption_matches_scalar_sampling(self, system, cell, horizon, sides):
+        got = grid_consumption(system, cell, float(horizon), sides=sides)
+        assert np.array_equal(got.values, scalar_consumption(system, cell, float(horizon), sides))
+
+    @settings(max_examples=150, deadline=None)
+    @given(curves(), st.data())
+    def test_compare_matches_value_at_loop(self, curve, data):
+        lo, hi = float(curve.start), float(curve.end)
+        on_grid = st.sampled_from([float(t) for t, _ in curve] + [lo, hi])
+        times = np.array(data.draw(st.lists(
+            st.one_of(on_grid, st.floats(min_value=lo - 1, max_value=hi + 1)), min_size=1, max_size=30)))
+        values = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0, max_value=100)),
+            min_size=times.size, max_size=times.size)))
+        tolerance = data.draw(st.floats(min_value=0, max_value=20))
+        sampled = SampledCurve(times=times, values=values)
+        mask = (times >= lo) & (times <= hi)
+        try:
+            expected = loop_compare(curve, sampled, tolerance)
+            reference = [float(curve.value_at(t)) for t in times[mask]]
+        except ValueError:
+            # a float-rounded end can fall outside an exact rational domain
+            with pytest.raises(ValueError):
+                compare(curve, sampled, tolerance)
+            return
+        if not mask.any():
+            with pytest.raises(ValueError):
+                compare(curve, sampled, tolerance)
+            return
+        result = compare(curve, sampled, tolerance)
+        assert [bits(x) for x in _values_at(curve, times[mask])] == [bits(x) for x in reference]
+        assert (bits(result.max_deviation), bits(result.at_time), bits(result.first_exceedance)) == tuple(
+            bits(x) for x in expected)
+        assert result.passed is (expected[2] is None)
