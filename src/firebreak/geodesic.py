@@ -17,18 +17,12 @@ exactly +-1 (the front moves at unit speed along any face it consumes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import LEFT, RIGHT, SIDES, BarrierSystem
 
 GROUND = "ground"
 VERTICAL_LEFT = "vertical_left"    # face toward the origin
 VERTICAL_RIGHT = "vertical_right"  # face away from the origin
-
-
-class Point(NamedTuple):
-    x: object
-    y: object
 
 
 def forced_descent(heights, terminal_height):
@@ -54,17 +48,13 @@ def forced_descent(heights, terminal_height):
     return total
 
 
-def _side_of(x) -> str:
-    return RIGHT if x >= 0 else LEFT
-
-
 def geodesic_distance(system: BarrierSystem, point) -> object:
     """Arrival time of the fire at ``point`` (min over faces for on-barrier points)."""
     x, y = point
     if y < 0:
         raise ValueError(f"point must lie in the upper half-plane, got y={y}")
     ax = x if x >= 0 else -x
-    side = _side_of(x)
+    side = RIGHT if x >= 0 else LEFT
     feet = system.feet(side)
     heights = system.heights(side)
     before = [h for pos, h in zip(feet, heights) if pos < ax]
@@ -72,7 +62,6 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
     # points on a vertical barrier see both faces; the top is the pivot
     for pos, h in zip(feet, heights):
         if pos == ax and y <= h:
-            clearance = max(before) if before else 0
             top = pos + h + 2 * forced_descent(before, h)
             over_the_top = top + (h - y)
             return direct if direct <= over_the_top else over_the_top
@@ -144,19 +133,26 @@ def face_arrival_profiles(system: BarrierSystem, side: str, horizon) -> list:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    profiles = []
-    pairs = system.pairs(side)
-    zero = system.zero
+    return [
+        FaceArrivalProfile(side, kind, index, tuple(points))
+        for kind, index, points in side_profiles(system.pairs(side), horizon, system.zero)
+    ]
 
-    pos = zero
-    clearance = zero
+
+def side_profiles(pairs, horizon, zero, far: bool = True) -> list:
+    """(kind, index, points) of every face of one side, truncated at the horizon.
+
+    The clearance/arrival recurrence behind :func:`face_arrival_profiles`,
+    on bare numbers of any one type: Fractions, floats, or the ints of a
+    common integer lattice.  ``far=False`` skips the far faces.
+    """
+    profiles = []
+    pos = clearance = zero
     for i, (gap, height) in enumerate(pairs, start=1):
         foot = pos + gap
-        ground = _clip_points(
-            [(pos, pos + 2 * clearance), (foot, foot + 2 * clearance)], horizon
-        )
+        ground = _clip_points([(pos, pos + 2 * clearance), (foot, foot + 2 * clearance)], horizon)
         if ground:
-            profiles.append(FaceArrivalProfile(side, GROUND, i - 1, tuple(ground)))
+            profiles.append((GROUND, i - 1, ground))
         if clearance <= 0:
             near = [(zero, foot), (height, foot + height)]
         elif clearance >= height:
@@ -168,25 +164,18 @@ def face_arrival_profiles(system: BarrierSystem, side: str, horizon) -> list:
                 (height, foot + height),
             ]
         top_arrival = near[-1][1]
-        far = [(zero, top_arrival + height), (height, top_arrival)]
         near = _clip_points(near, horizon)
         if near:
-            profiles.append(FaceArrivalProfile(side, VERTICAL_LEFT, i, tuple(near)))
-        far = _clip_points(far, horizon)
+            profiles.append((VERTICAL_LEFT, i, near))
         if far:
-            profiles.append(FaceArrivalProfile(side, VERTICAL_RIGHT, i, tuple(far)))
+            far_points = _clip_points([(zero, top_arrival + height), (height, top_arrival)], horizon)
+            if far_points:
+                profiles.append((VERTICAL_RIGHT, i, far_points))
         pos = foot
         clearance = clearance if clearance > height else height
 
     # trailing ray: arrival = x + 2*clearance, truncated where it meets the horizon
     ray_end = horizon - 2 * clearance
     if ray_end > pos:
-        profiles.append(
-            FaceArrivalProfile(
-                side,
-                GROUND,
-                len(pairs),
-                ((pos, pos + 2 * clearance), (ray_end, horizon)),
-            )
-        )
+        profiles.append((GROUND, len(pairs), [(pos, pos + 2 * clearance), (ray_end, horizon)]))
     return profiles

@@ -243,7 +243,9 @@ def _values_at(curve: PiecewiseLinearCurve, times: np.ndarray) -> np.ndarray:
     is monotone, so that search only misplaces a sample equal to a rounded
     breakpoint time; those few samples go through ``value_at`` itself.  The
     rest use value_at's formula and operand order with each exact difference
-    rounded once, as Python's mixed Fraction/float arithmetic does.
+    rounded once, as Python's mixed Fraction/float arithmetic does.  A time
+    that equals a float-rounded end but lies past the exact end is evaluated
+    at that end.
     """
     pts = curve.points
     t_at = np.array([float(t) for t, _ in pts])
@@ -253,7 +255,9 @@ def _values_at(curve: PiecewiseLinearCurve, times: np.ndarray) -> np.ndarray:
     seg = np.clip(np.searchsorted(t_at, times, side="right") - 1, 0, len(pts) - 2)
     values = v_at[seg] + dv[seg] * (times - t_at[seg]) / dt[seg]
     for i in np.flatnonzero(np.isin(times, t_at)):
-        values[i] = float(curve.value_at(times[i]))
+        t = times[i]
+        t = curve.start if t < curve.start else curve.end if t > curve.end else t
+        values[i] = float(curve.value_at(t))
     return values
 
 

@@ -4,14 +4,16 @@ Every barrier point is consumed at the minimum arrival time over the faces
 covering it.  Each face profile is piecewise linear with slopes +-1 in
 arclength, so consumption accumulates as a sum of unit-rate ramps: one ramp
 per monotone profile piece, active between the piece's earliest and latest
-arrival time.  The total consumed length B(t) is therefore piecewise linear
-with integer slopes, and the slope over any stretch equals the number of
-simultaneously active consumption points k.
+arrival time.  B(t) is thus piecewise linear with integer slopes: the number
+k of simultaneously active consumption points.  A near (origin-facing)
+profile is pointwise no later than the far one (their difference shrinks to
+0 at the top), so far faces consume nothing and get no ramps.
 
-The near (origin-facing) profile of a vertical barrier is pointwise no later
-than the far one: their difference is nonincreasing toward the top, where
-both equal the top arrival time.  Far faces thus contribute no consumption
-of their own and are skipped when assembling ramps.
+One sweep over a side's ramps yields its curve and maximal k-intervals; the
+total is the same sweep over both sides' ramps.  A rational system is first
+rescaled by the LCM of its denominators and the horizon's, so ramps, sweeps
+and speed checks run on Python ints; numbers become Fractions again only in
+the public curves and intervals.  Float mode runs the same code at scale 1.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -19,10 +21,12 @@ burned over but adds nothing to B(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
-from .geodesic import GROUND, VERTICAL_RIGHT, face_arrival_profiles
+from .geodesic import GROUND, side_profiles
 from .model import FLOAT, LEFT, RIGHT, SIDES, BarrierSystem, render_number, validate
 
 TOTAL = "total"
@@ -148,47 +152,66 @@ def valid_horizon(system: BarrierSystem):
     fewer than two verticals the last top itself is used; with none there is
     no structural bound and None is returned.
     """
-    bounds = []
-    for side in SIDES:
-        tops = top_arrival_times(system, side)
-        if len(tops) >= 2:
-            bounds.append(tops[-2])
-        elif len(tops) == 1:
-            bounds.append(tops[-1])
+    tops = (top_arrival_times(system, side) for side in SIDES)
+    bounds = [times[max(len(times) - 2, 0)] for times in tops if times]
     return min(bounds) if bounds else None
 
 
 def default_horizon(system: BarrierSystem):
     """Arrival at the earliest side's last top: the natural simulation span."""
-    bounds = []
-    for side in SIDES:
-        tops = top_arrival_times(system, side)
-        if tops:
-            bounds.append(tops[-1])
+    tops = (top_arrival_times(system, side) for side in SIDES)
+    bounds = [times[-1] for times in tops if times]
     return min(bounds) if bounds else None
 
 
-# -- ramp assembly and sweep -----------------------------------------------------
+# -- integer lattice, ramps and sweep ---------------------------------------------
 
 
-def _side_ramps(system: BarrierSystem, side: str, horizon) -> list:
+class _Lattice(NamedTuple):
+    """A system and a horizon as integer numerators over one scale (float mode: as they are)."""
+
+    mode: str
+    zero: object
+    head: object
+    pairs: dict  # side -> (gap, height) pairs
+    horizon: object
+    number: object  # (n, den=1) -> the system number n / (den * scale)
+
+
+def _lattice(system: BarrierSystem, horizon) -> _Lattice:
+    """Rescale by the LCM of all denominators so every coordinate is an int.
+
+    Times and consumed lengths scale together, so Q(t) and feasibility are
+    unchanged; ramps, sweeps and checks then run on Python ints.
+    """
+    pairs = {side: system.pairs(side) for side in SIDES}
+    if system.mode == FLOAT:
+        return _Lattice(FLOAT, 0.0, system.head_start, pairs, horizon, lambda n, den=1: n / den)
+    lengths = [system.head_start, horizon] + [x for side in SIDES for pair in pairs[side] for x in pair]
+    scale = math.lcm(*(x.denominator for x in lengths))
+
+    def on(x):
+        return x.numerator * (scale // x.denominator)
+
+    def number(n, den=1):
+        return Fraction(n) if den * scale == 1 else Fraction(n, den * scale)
+
+    pairs = {side: [(on(g), on(h)) for g, h in pairs[side]] for side in SIDES}
+    return _Lattice(system.mode, 0, on(system.head_start), pairs, on(horizon), number)
+
+
+def _side_ramps(lat: _Lattice, side: str) -> list:
     """Unit-rate consumption ramps (t_lo, t_hi) for one side, head start excluded."""
-    head = system.head_start
+    head = lat.head
     ramps = []
-    for prof in face_arrival_profiles(system, side, horizon):
-        if prof.kind == VERTICAL_RIGHT:
-            continue
-        pts = prof.points
-        if prof.kind == GROUND:
+    for kind, _, pts in side_profiles(lat.pairs[side], lat.horizon, lat.zero, far=False):
+        if kind == GROUND:
             if pts[-1][0] <= head:
                 continue
             if pts[0][0] < head:
                 # ground slope is +1: shift start to the head-start boundary
-                pts = ((head, pts[0][1] + (head - pts[0][0])),) + pts[1:]
-        for (p0, t0), (p1, t1) in zip(pts, pts[1:]):
-            lo, hi = (t0, t1) if t1 >= t0 else (t1, t0)
-            if hi > lo:
-                ramps.append((lo, hi))
+                pts = [(head, pts[0][1] + (head - pts[0][0]))] + pts[1:]
+        ramps.extend((min(t0, t1), max(t0, t1)) for (_, t0), (_, t1) in zip(pts, pts[1:]) if t0 != t1)
     return ramps
 
 
@@ -207,60 +230,41 @@ def _merge_event_times(items: list, mode: str) -> list:
     return merged
 
 
-def _sweep(ramps: list, horizon, side: str, system: BarrierSystem):
-    """Turn ramps into the side curve and its maximal k-intervals."""
-    zero = system.zero
+def _sweep(ramps: list, lat: _Lattice):
+    """Breakpoints of the sum of ``ramps`` up to the horizon, and each segment's k.
+
+    Adjacent segments never share a k: each segment is a maximal k-interval.
+    """
     events = [(lo, +1) for lo, _ in ramps] + [(hi, -1) for _, hi in ramps]
-    merged = _merge_event_times(events, system.mode)
-
-    intervals = []
-    k = 0
-    t_prev = zero
-    for t, delta in merged:
-        if t > t_prev:
-            if intervals and intervals[-1][2] == k:
-                intervals[-1] = (intervals[-1][0], t, k)
-            else:
-                intervals.append((t_prev, t, k))
+    points, slopes, k = [(lat.zero, lat.zero)], [], 0
+    for t, delta in _merge_event_times(events, lat.mode) + [(lat.horizon, 0)]:
+        if t > points[-1][0]:
+            if slopes and slopes[-1] == k:  # same k: extend the last segment
+                del points[-1], slopes[-1]
+            t0, v0 = points[-1]
+            points.append((t, v0 + k * (t - t0)))
+            slopes.append(k)
         k += delta
-        t_prev = t
-    if t_prev < horizon:
-        if intervals and intervals[-1][2] == k:
-            intervals[-1] = (intervals[-1][0], horizon, k)
-        else:
-            intervals.append((t_prev, horizon, k))
-
-    points = [(zero, zero)]
-    total = zero
-    for t0, t1, k in intervals:
-        total = total + k * (t1 - t0)
-        points.append((t1, total))
-    curve = PiecewiseLinearCurve(points)
-    k_intervals = tuple(KInterval(side, t0, t1, k) for t0, t1, k in intervals)
-    return curve, k_intervals
+    return points, slopes
 
 
-def _combine_sides(right, left, right_iv, left_iv, system: BarrierSystem):
-    """Total curve and k-intervals from the two independent side sweeps."""
-    bounds = sorted({t for iv in right_iv + left_iv for t in (iv.t_start, iv.t_end)})
-    intervals = []
-    ri = li = 0
-    for t0, t1 in zip(bounds, bounds[1:]):
-        while right_iv[ri].t_end <= t0 and ri < len(right_iv) - 1:
-            ri += 1
-        while left_iv[li].t_end <= t0 and li < len(left_iv) - 1:
-            li += 1
-        k = right_iv[ri].k + left_iv[li].k
-        if intervals and intervals[-1][2] == k:
-            intervals[-1] = (intervals[-1][0], t1, k)
-        else:
-            intervals.append((t0, t1, k))
-    points = [(system.zero, system.zero)]
-    for t0, t1, k in intervals:
-        points.append((t1, right.value_at(t1) + left.value_at(t1)))
-    curve = PiecewiseLinearCurve(points)
-    k_intervals = tuple(KInterval(TOTAL, t0, t1, k) for t0, t1, k in intervals)
-    return curve, k_intervals
+def _simulation_horizon(system: BarrierSystem, horizon, truncated: bool):
+    """The checked horizon of ``consumption_curve`` and ``check_speed``."""
+    if horizon is None:
+        horizon = default_horizon(system)
+        if horizon is None:
+            raise ValueError("system has no verticals; specify an explicit horizon")
+        truncated = True
+    else:
+        horizon = system.number(horizon)
+    if horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not truncated and (bound := valid_horizon(system)) is not None and horizon > bound:
+        raise ValueError(
+            f"horizon {horizon} exceeds the valid horizon {bound}; "
+            "pass truncated=True to simulate the truncated system anyway"
+        )
+    return horizon
 
 
 def consumption_curve(
@@ -273,25 +277,16 @@ def consumption_curve(
     past that point a longer instance of the same construction would burn
     differently.
     """
-    if horizon is None:
-        horizon = default_horizon(system)
-        if horizon is None:
-            raise ValueError("system has no verticals; specify an explicit horizon")
-        truncated = True
-    else:
-        horizon = system.number(horizon)
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    bound = valid_horizon(system)
-    if bound is not None and horizon > bound and not truncated:
-        raise ValueError(
-            f"horizon {horizon} exceeds the valid horizon {bound}; "
-            "pass truncated=True to simulate the truncated system anyway"
-        )
-    right, right_iv = _sweep(_side_ramps(system, RIGHT, horizon), horizon, RIGHT, system)
-    left, left_iv = _sweep(_side_ramps(system, LEFT, horizon), horizon, LEFT, system)
-    total, total_iv = _combine_sides(right, left, right_iv, left_iv, system)
-    return ConsumptionCurves(total, left, right, right_iv + left_iv + total_iv)
+    lat = _lattice(system, _simulation_horizon(system, horizon, truncated))
+    right, left = _side_ramps(lat, RIGHT), _side_ramps(lat, LEFT)
+    curves, intervals = {}, []
+    for side, ramps in ((RIGHT, right), (LEFT, left), (TOTAL, right + left)):
+        points, slopes = _sweep(ramps, lat)
+        points = [(lat.number(t), lat.number(v)) for t, v in points]
+        curves[side] = PiecewiseLinearCurve(points)
+        segments = zip(points, points[1:])
+        intervals.extend(KInterval(side, t0, t1, k) for ((t0, _), (t1, _)), k in zip(segments, slopes))
+    return ConsumptionCurves(curves[TOTAL], curves[LEFT], curves[RIGHT], tuple(intervals))
 
 
 def side_intervals(curves: ConsumptionCurves, side: str) -> tuple:
@@ -309,8 +304,6 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None, speed=None) ->
     Q(0) is taken as 0.
     """
     pts = curve.points
-    if len(pts) < 2:
-        raise ValueError("empty curve")
     bound = curve.end if valid_horizon is None else valid_horizon
     if bound > curve.end:
         bound = curve.end
@@ -318,31 +311,27 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None, speed=None) ->
         raise ValueError(f"valid horizon {bound} not inside curve domain")
 
     maxima = []
-    sup = None
-    sup_time = None
-
-    def consider(t, q):
-        nonlocal sup, sup_time
-        if sup is None or q > sup:
-            sup, sup_time = q, t
-
+    candidates = []  # (t, Q(t)) at every breakpoint in (0, bound], then at the bound
     for j in range(1, len(pts) - 1):
         t, v = pts[j]
         if t <= 0 or t > bound:
             continue
         q = v / t
-        consider(t, q)
+        candidates.append((t, q))
         t0, v0 = pts[j - 1]
         t1, v1 = pts[j + 1]
         k_in = (v - v0) / (t - t0)
         k_out = (v1 - v) / (t1 - t)
         if k_in > q >= k_out:
             maxima.append((t, q))
-    consider(bound, curve.value_at(bound) / bound)
+    candidates.append((bound, curve.value_at(bound) / bound))
+    sup_time, sup = max(candidates, key=lambda c: c[1])  # the first of equal maxima
 
     feasible = violation = None
     if speed is not None:
-        feasible, violation = _feasibility(curve, speed, bound)
+        hit = _feasibility(pts, speed, bound)
+        feasible = hit is None
+        violation = None if hit is None else hit[0] / hit[1]
     return RatioReport(
         local_maxima=tuple(maxima),
         supremum=sup,
@@ -354,34 +343,45 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None, speed=None) ->
     )
 
 
-def _feasibility(curve: PiecewiseLinearCurve, speed, bound):
-    """B(t) <= speed*t on (0, bound]?  B - speed*t is linear per segment, so
-    checking segment endpoints (plus the bound itself) is exhaustive."""
-    prev_t, prev_v = curve.points[0]
-    for t, v in curve.points[1:]:
-        t_chk, v_chk = (t, v) if t <= bound else (bound, curve.value_at(bound))
-        if v_chk > speed * t_chk:
-            k = (v - prev_v) / (t - prev_t)
-            # first upward crossing of B(t) = speed*t inside (prev_t, t_chk]
-            if prev_v == speed * prev_t:
-                return False, prev_t
-            t_star = (prev_v - k * prev_t) / (speed - k)
-            return False, t_star
-        if t >= bound:
+def _feasibility(points, speed, bound):
+    """Where B(t) <= speed*t first fails on (0, bound]: the crossing time as (num, den), or None.
+
+    B - speed*t is linear per segment, so checking segment ends (plus the
+    bound itself) is exhaustive.  With speed = p/q every test is the
+    cross-multiplied ``q*B > p*t``; that is invariant under a common scaling
+    of t and B, so ``points`` and ``bound`` may be lattice numerators.
+    """
+    p, q = (speed, 1) if isinstance(speed, float) else (speed.numerator, speed.denominator)
+    t0, v0 = points[0]
+    for t1, v1 in points[1:]:
+        if t1 <= bound:
+            over = q * v1 > p * t1
+        else:  # B(bound) = v0 + (v1 - v0) * (bound - t0) / (t1 - t0), compared without dividing
+            over = q * (v0 * (t1 - t0) + (v1 - v0) * (bound - t0)) > p * bound * (t1 - t0)
+        if over:
+            # first upward crossing of B(t) = speed*t inside (t0, min(t1, bound)]
+            if q * v0 == p * t0:
+                return t0, 1
+            return q * (v0 * t1 - v1 * t0), p * (t1 - t0) - q * (v1 - v0)
+        if t1 >= bound:
             break
-        prev_t, prev_v = t, v
-    return True, None
+        t0, v0 = t1, v1
+    return None
 
 
 def check_speed(system: BarrierSystem, speed, horizon=None, truncated: bool = False) -> SpeedCheck:
-    """Feasibility of build speed ``speed``: B(t) <= speed*t up to the horizon."""
+    """Feasibility of build speed ``speed``: B(t) <= speed*t up to the horizon.
+
+    Sweeps only the total, on the integer lattice; no curve objects are built.
+    """
     speed = system.number(speed)
     if speed <= 0:
         raise ValueError(f"speed must be > 0, got {speed}")
-    curves = consumption_curve(system, horizon, truncated=truncated)
-    end = curves.total.end
-    feasible, violation = _feasibility(curves.total, speed, end)
-    return SpeedCheck(feasible=feasible, speed=speed, horizon=end, earliest_violation=violation)
+    horizon = _simulation_horizon(system, horizon, truncated)
+    lat = _lattice(system, horizon)
+    points, _ = _sweep(_side_ramps(lat, RIGHT) + _side_ramps(lat, LEFT), lat)
+    hit = _feasibility(points, speed, lat.horizon)
+    return SpeedCheck(hit is None, speed, horizon, None if hit is None else lat.number(*hit))
 
 
 def ratio_report(system: BarrierSystem, horizon=None, speed=None, truncated: bool = False):
@@ -436,13 +436,23 @@ def curve_to_csv(curves: ConsumptionCurves) -> str:
     k_at = {iv.t_start: iv.k for iv in totals}
     last_k = totals[-1].k if totals else 0
     lines = ["t,B_total,B_left,B_right,k_total"]
-    for t, v in curves.total.points:
+    points = curves.total.points
+    sides = zip(_values_along(curves.left, points), _values_along(curves.right, points))
+    for (t, v), (left, right) in zip(points, sides):
         k = k_at.get(t, last_k)
-        lines.append(
-            f"{float(t)!r},{float(v)!r},{float(curves.left.value_at(t))!r},"
-            f"{float(curves.right.value_at(t))!r},{k}"
-        )
+        lines.append(f"{float(t)!r},{float(v)!r},{float(left)!r},{float(right)!r},{k}")
     return "\n".join(lines) + "\n"
+
+
+def _values_along(curve: PiecewiseLinearCurve, points):
+    """``curve.value_at(t)`` for the increasing t of ``points``, in one walk, bit for bit."""
+    pts = curve.points
+    i = 0
+    for t, _ in points:
+        while i < len(pts) - 2 and pts[i + 1][0] <= t:
+            i += 1
+        (t0, v0), (t1, v1) = pts[i], pts[i + 1]
+        yield v0 if t == t0 else v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 def intervals_to_document(curves: ConsumptionCurves, mode: str) -> dict:

@@ -132,6 +132,12 @@ class TestCompare:
         assert not result.passed
         assert result.first_exceedance == 0.0
 
+    def test_sample_at_float_rounded_end_uses_exact_end(self):
+        # 0.1 rounds above 1/10: the sample is compared against B(1/10) = 1
+        curve = PiecewiseLinearCurve([(0, 0), (Fraction(1, 10), 1)])
+        result = compare(curve, SampledCurve(times=np.array([0.1]), values=np.array([0.0])), 1)
+        assert (result.max_deviation, result.at_time, result.passed) == (1.0, 0.1, True)
+
     def test_disjoint_ranges_rejected(self):
         curve = PiecewiseLinearCurve([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
@@ -267,13 +273,18 @@ def curves(draw):
     return PiecewiseLinearCurve(points)
 
 
+def clamped_value(curve, t):
+    """value_at, with a time past an exact end (a float-rounded end) taken at that end."""
+    return curve.value_at(curve.start if t < curve.start else curve.end if t > curve.end else t)
+
+
 def loop_compare(exact, sampled, tolerance):
     """One value_at per sample, first maximum and first exceedance kept in order."""
     lo, hi = float(exact.start), float(exact.end)
     mask = (sampled.times >= lo) & (sampled.times <= hi)
     worst, worst_t, first = -1.0, lo, None
     for t, v in zip(sampled.times[mask], sampled.values[mask]):
-        dev = abs(v - float(exact.value_at(t)))
+        dev = abs(v - float(clamped_value(exact, t)))
         if dev > worst:
             worst, worst_t = dev, float(t)
         if first is None and dev > tolerance:
@@ -315,14 +326,8 @@ class TestOracleProperties:
         tolerance = data.draw(st.floats(min_value=0, max_value=20))
         sampled = SampledCurve(times=times, values=values)
         mask = (times >= lo) & (times <= hi)
-        try:
-            expected = loop_compare(curve, sampled, tolerance)
-            reference = [float(curve.value_at(t)) for t in times[mask]]
-        except ValueError:
-            # a float-rounded end can fall outside an exact rational domain
-            with pytest.raises(ValueError):
-                compare(curve, sampled, tolerance)
-            return
+        expected = loop_compare(curve, sampled, tolerance)
+        reference = [float(clamped_value(curve, t)) for t in times[mask]]
         if not mask.any():
             with pytest.raises(ValueError):
                 compare(curve, sampled, tolerance)

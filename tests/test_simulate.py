@@ -4,23 +4,35 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firebreak import (
+    FLOAT,
     LEFT,
     RATIONAL,
     RIGHT,
     BarrierSystem,
+    ConsumptionCurves,
+    KInterval,
+    PiecewiseLinearCurve,
     build_flat,
+    build_seventeen_ninths,
     check_speed,
     consumption_curve,
+    curve_to_csv,
+    face_arrival_profiles,
+    normalize_doubling,
     predict_intervals,
     ratio_maxima,
     ratio_report,
+    scale,
     side_intervals,
     top_arrival_times,
     valid_horizon,
 )
-from firebreak.simulate import TOTAL
+from firebreak.geodesic import GROUND, VERTICAL_RIGHT
+from firebreak.simulate import MERGE_RTOL, TOTAL
 
 from conftest import random_rational_system
 
@@ -297,3 +309,180 @@ class TestKIntervalInvariants:
                 assert v == curves.left.value_at(t) + curves.right.value_at(t)
             for slope in curves.total.slopes():
                 assert slope == int(slope) and slope >= 0
+
+
+# -- reference: the Fraction pipeline of two side sweeps plus a combiner ------------
+
+
+def reference_curves(system, horizon):
+    """Side sweeps over face-profile ramps, then one value_at per total breakpoint."""
+    zero = system.zero
+    swept = {}
+    for side in (RIGHT, LEFT):
+        ramps = []
+        for prof in face_arrival_profiles(system, side, horizon):
+            if prof.kind == VERTICAL_RIGHT:
+                continue
+            pts = prof.points
+            if prof.kind == GROUND:
+                if pts[-1][0] <= system.head_start:
+                    continue
+                if pts[0][0] < system.head_start:
+                    pts = ((system.head_start, pts[0][1] + (system.head_start - pts[0][0])),) + pts[1:]
+            for (_, t0), (_, t1) in zip(pts, pts[1:]):
+                if t0 != t1:
+                    ramps.append((min(t0, t1), max(t0, t1)))
+        events = sorted([(lo, 1) for lo, _ in ramps] + [(hi, -1) for _, hi in ramps], key=lambda e: e[0])
+        merged = []
+        for t, delta in events:
+            if merged and (t == merged[-1][0] or (
+                    system.mode == FLOAT and t - merged[-1][0] <= MERGE_RTOL * max(abs(t), 1.0))):
+                merged[-1][1] += delta
+            else:
+                merged.append([t, delta])
+        intervals, k, t_prev = [], 0, zero
+        for t, delta in merged + [[horizon, 0]]:
+            if t > t_prev:
+                if intervals and intervals[-1][2] == k:
+                    intervals[-1] = (intervals[-1][0], t, k)
+                else:
+                    intervals.append((t_prev, t, k))
+            k += delta
+            t_prev = t
+        points, total = [(zero, zero)], zero
+        for t0, t1, k in intervals:
+            total = total + k * (t1 - t0)
+            points.append((t1, total))
+        swept[side] = PiecewiseLinearCurve(points), [KInterval(side, *iv) for iv in intervals]
+
+    (right, right_iv), (left, left_iv) = swept[RIGHT], swept[LEFT]
+    bounds = sorted({t for iv in right_iv + left_iv for t in (iv.t_start, iv.t_end)})
+    intervals, ri, li = [], 0, 0
+    for t0, t1 in zip(bounds, bounds[1:]):
+        while right_iv[ri].t_end <= t0 and ri < len(right_iv) - 1:
+            ri += 1
+        while left_iv[li].t_end <= t0 and li < len(left_iv) - 1:
+            li += 1
+        k = right_iv[ri].k + left_iv[li].k
+        if intervals and intervals[-1][2] == k:
+            intervals[-1] = (intervals[-1][0], t1, k)
+        else:
+            intervals.append((t0, t1, k))
+    total = PiecewiseLinearCurve(
+        [(zero, zero)] + [(t1, right.value_at(t1) + left.value_at(t1)) for _, t1, _ in intervals])
+    total_iv = [KInterval(TOTAL, *iv) for iv in intervals]
+    return ConsumptionCurves(total, left, right, tuple(right_iv + left_iv + total_iv))
+
+
+def reference_csv(curves):
+    """curve_to_csv with two value_at binary searches per row."""
+    totals = side_intervals(curves, TOTAL)
+    k_at = {iv.t_start: iv.k for iv in totals}
+    lines = ["t,B_total,B_left,B_right,k_total"]
+    for t, v in curves.total.points:
+        lines.append(f"{float(t)!r},{float(v)!r},{float(curves.left.value_at(t))!r},"
+                     f"{float(curves.right.value_at(t))!r},{k_at.get(t, totals[-1].k)}")
+    return "\n".join(lines) + "\n"
+
+
+LENGTHS = st.fractions(min_value=Fraction(1, 12), max_value=100, max_denominator=12)
+
+
+@st.composite
+def rational_cases(draw):
+    """A random rational system (maybe normalized) with non-unit denominators and a rational horizon."""
+    side = st.lists(st.tuples(LENGTHS, LENGTHS), max_size=6)
+    system = BarrierSystem(
+        mode=RATIONAL,
+        head_start=draw(st.fractions(min_value=0, max_value=10, max_denominator=12)),
+        right=draw(side),
+        left=draw(side),
+    )
+    if draw(st.booleans()):
+        system = normalize_doubling(system)
+    horizon = draw(st.fractions(min_value=Fraction(1, 7), max_value=1500, max_denominator=7))
+    return system, horizon
+
+
+def as_float(system):
+    return BarrierSystem(
+        mode=FLOAT,
+        head_start=float(system.head_start),
+        right=tuple((float(g), float(h)) for g, h in system.right),
+        left=tuple((float(g), float(h)) for g, h in system.left),
+    )
+
+
+def exact_key(curves):
+    """Everything a ConsumptionCurves holds, with the type of every number."""
+    def typed(x):
+        return type(x).__name__, x
+
+    return (
+        [[(typed(t), typed(v)) for t, v in c.points] for c in (curves.total, curves.left, curves.right)],
+        [(iv.side, typed(iv.t_start), typed(iv.t_end), iv.k) for iv in curves.intervals],
+    )
+
+
+class TestLatticeProperties:
+    @pytest.mark.parametrize("head_start, cycles", [(1, 8), (1, 64), (Fraction(7, 3), 8)])
+    def test_seventeen_ninths_matches_reference(self, head_start, cycles):
+        system = build_seventeen_ninths(head_start, cycles=cycles)
+        curves = consumption_curve(system)
+        assert exact_key(curves) == exact_key(reference_curves(system, curves.total.end))
+
+    @settings(max_examples=120, deadline=None)
+    @given(rational_cases())
+    def test_rational_matches_reference_bit_for_bit(self, case):
+        system, horizon = case
+        curves = consumption_curve(system, horizon, truncated=True)
+        assert exact_key(curves) == exact_key(reference_curves(system, horizon))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_cases(), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+    def test_scale_covariance(self, case, factor):
+        system, horizon = case
+        curves = consumption_curve(system, horizon, truncated=True)
+        scaled = consumption_curve(scale(system, factor), horizon * factor, truncated=True)
+        for a, b in zip((curves.total, curves.left, curves.right), (scaled.total, scaled.left, scaled.right)):
+            assert b.points == tuple((factor * t, factor * v) for t, v in a.points)
+        assert [(iv.side, iv.t_start * factor, iv.t_end * factor, iv.k) for iv in curves.intervals] == [
+            (iv.side, iv.t_start, iv.t_end, iv.k) for iv in scaled.intervals]
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_cases(), st.fractions(min_value=1, max_value=3, max_denominator=20), st.booleans())
+    def test_check_speed_agrees_with_ratio_maxima(self, case, speed, floating):
+        system, horizon = case
+        if floating:
+            system, horizon, speed = as_float(system), float(horizon), float(speed)
+        curves = consumption_curve(system, horizon, truncated=True)
+        verdict = check_speed(system, speed, horizon, truncated=True)
+        report = ratio_maxima(curves.total, curves.total.end, speed=speed)
+        assert verdict.horizon == curves.total.end
+        assert (verdict.feasible, verdict.earliest_violation) == (report.feasible, report.earliest_violation)
+        if not verdict.feasible:
+            t = verdict.earliest_violation
+            assert 0 <= t <= curves.total.end
+            if not floating:  # the first crossing: B(t) = speed * t exactly
+                assert curves.total.value_at(t) == speed * t
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_cases())
+    def test_float_total_matches_reference(self, case):
+        system, horizon = as_float(case[0]), float(case[1])
+        curves = consumption_curve(system, horizon, truncated=True)
+        reference = reference_curves(system, horizon)
+        assert curves.left.points == reference.left.points
+        assert curves.right.points == reference.right.points
+        for t in sorted({t for t, _ in curves.total} | {t for t, _ in reference.total}):
+            got, want = curves.total.value_at(t), reference.total.value_at(t)
+            assert abs(got - want) <= 1e-12 * max(abs(want), t)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rational_cases(), st.booleans())
+    def test_csv_matches_per_row_value_at(self, case, floating):
+        system, horizon = case
+        if floating:
+            system, horizon = as_float(system), float(horizon)
+        curves = consumption_curve(system, horizon, truncated=True)
+        assert curve_to_csv(curves) == reference_csv(curves)
