@@ -5,6 +5,10 @@ system (horizontal barrier along the x-axis plus vertical delaying segments),
 generators for the interlaced constructions that contain the fire at build
 speeds 17/9 and about 1.8771, parameter optimizers, and an independent
 grid-BFS oracle for validation.
+
+The oracle, and with it numpy, loads on first use: ``firebreak.oracle`` or
+any of its names exported here imports it (PEP 562), so everything else
+starts without numpy.
 """
 
 from .model import (
@@ -61,16 +65,6 @@ from .optimize import (
     interlaced_maxima,
     optimize_beta,
     optimize_beta_delta,
-)
-from .oracle import (
-    GridScene,
-    OracleComparison,
-    SampledCurve,
-    build_scene,
-    compare,
-    consumption_tolerance,
-    grid_arrival,
-    grid_consumption,
 )
 
 __version__ = "0.1.0"
@@ -130,3 +124,29 @@ __all__ = [
     "valid_horizon",
     "validate",
 ]
+
+_ORACLE_NAMES = frozenset({
+    "GridScene",
+    "OracleComparison",
+    "SampledCurve",
+    "build_scene",
+    "compare",
+    "consumption_tolerance",
+    "grid_arrival",
+    "grid_consumption",
+})
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        import importlib  # not ``from . import oracle``, which asks this hook again
+
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    # as if the oracle were imported eagerly: its names, no import machinery
+    return sorted(set(globals()) - {"__getattr__", "__dir__", "_ORACLE_NAMES"}
+                  | _ORACLE_NAMES | {"oracle"})

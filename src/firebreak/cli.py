@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import constructions, model, optimize, oracle, simulate
+from . import constructions, model, optimize, simulate
 
 OUTDIR_ENV = "FIREBREAK_OUTDIR"
 
@@ -36,6 +36,39 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _load_system(path: str) -> model.BarrierSystem:
     return model.load(path)
+
+
+def _approx(x) -> str:
+    """``x`` as ``%g`` prints it, also past the float range (``1.23457e+400``).
+
+    A float prints as it is; any other number is rounded exactly to six
+    significant digits, ties to even, without going through float.
+    """
+    if isinstance(x, float):
+        return f"{x:g}"
+    if not x:
+        return "0"
+    sign, x = "-" if x < 0 else "", abs(Fraction(x))
+    exp = len(str(x.numerator)) - len(str(x.denominator))  # floor(log10 x) or one more
+    if x < Fraction(10) ** exp:
+        exp -= 1
+    digits = round(x / Fraction(10) ** (exp - 5))
+    if digits == 10**6:
+        digits, exp = 10**5, exp + 1
+    text = str(digits)
+    if -4 <= exp < 6:
+        text = "0" * -exp + text if exp < 0 else text
+        point = max(exp, 0) + 1
+        return sign + (text[:point] + "." + text[point:]).rstrip("0").rstrip(".")
+    return f"{sign}{(text[0] + '.' + text[1:]).rstrip('0').rstrip('.')}e{exp:+03d}"
+
+
+def _fits_float(x) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _parse_speed(raw: str, system: model.BarrierSystem):
@@ -92,14 +125,24 @@ def cmd_simulate(args) -> int:
     system = _load_system(args.system)
     curves = _simulate(args, system)
     if args.curve_out:
+        try:
+            text = simulate.curve_to_csv(curves)
+        except OverflowError:
+            t = next(t for t, v in curves.total.points if not (_fits_float(t) and _fits_float(v)))
+            print(
+                f"error: curve CSV rows are floats, and the row at t={_approx(t)} overflows "
+                "them; use --intervals-out for exact output",
+                file=sys.stderr,
+            )
+            return 2
         with open(_out_path(args.curve_out), "w", encoding="utf-8") as handle:
-            handle.write(simulate.curve_to_csv(curves))
+            handle.write(text)
         print(f"wrote {args.curve_out}")
     if args.intervals_out:
         _write_json(args.intervals_out, simulate.intervals_to_document(curves, system.mode))
         print(f"wrote {args.intervals_out}")
     end = curves.total.end
-    print(f"simulated to t={float(end):g}; B(end)={float(curves.total.value_at(end)):g}")
+    print(f"simulated to t={_approx(end)}; B(end)={_approx(curves.total.value_at(end))}")
     return 0
 
 
@@ -111,9 +154,9 @@ def cmd_maxima(args) -> int:
         _write_json(args.out, simulate.report_to_document(report, system.mode))
         print(f"wrote {args.out}")
     print(f"local maxima: {len(report.local_maxima)}")
-    for t, q in report.local_maxima:
-        print(f"  t={float(t):g}  Q={float(q):.9f}")
-    print(f"sup Q = {float(report.supremum):.9f} at t={float(report.sup_time):g}")
+    for t, q in report.local_maxima:  # Q = B/t is at most the largest slope: float holds it
+        print(f"  t={_approx(t)}  Q={float(q):.9f}")
+    print(f"sup Q = {float(report.supremum):.9f} at t={_approx(report.sup_time)}")
     return 0
 
 
@@ -135,13 +178,15 @@ def cmd_check(args) -> int:
             },
         )
     if verdict.feasible:
-        print(f"PASS: B(t) <= {args.speed} * t up to t={float(verdict.horizon):g}")
+        print(f"PASS: B(t) <= {args.speed} * t up to t={_approx(verdict.horizon)}")
         return 0
-    print(f"FAIL: earliest violation at t={float(verdict.earliest_violation):g}")
+    print(f"FAIL: earliest violation at t={_approx(verdict.earliest_violation)}")
     return 1
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # the only command that needs numpy
+
     system = _load_system(args.system)
     horizon = _parse_horizon(args, system)
     if horizon is None:
@@ -149,6 +194,9 @@ def cmd_oracle(args) -> int:
         if horizon is None:
             print("error: specify --horizon for systems without verticals", file=sys.stderr)
             return 2
+    if not _fits_float(horizon):
+        print(f"error: horizon {_approx(horizon)} is past the float range of the grid", file=sys.stderr)
+        return 2
     exact = simulate.consumption_curve(system, horizon, truncated=True)
     sampled = oracle.grid_consumption(system, args.cell, float(horizon))
     tolerance = oracle.consumption_tolerance(system, args.cell)

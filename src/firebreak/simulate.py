@@ -101,7 +101,11 @@ class KInterval:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Local maxima and supremum of the consumption ratio Q(t) = B(t)/t."""
+    """Local maxima and supremum of the consumption ratio Q(t) = B(t)/t.
+
+    With ``feasible_for`` set, ``earliest_violation`` is as in ``SpeedCheck``,
+    over (0, valid_horizon].
+    """
 
     local_maxima: tuple
     supremum: object
@@ -114,6 +118,14 @@ class RatioReport:
 
 @dataclass(frozen=True)
 class SpeedCheck:
+    """Whether B(t) <= speed*t holds on (0, horizon], and where it first fails.
+
+    ``earliest_violation`` is the infimum of the times in (0, horizon] where
+    B(t) > speed*t, or None when there are none.  At that time B = speed*t,
+    and B exceeds speed*t just after it.  It is 0 exactly when the violation
+    starts at the origin, which needs zero head start.
+    """
+
     feasible: bool
     speed: object
     horizon: object
@@ -346,6 +358,11 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None, speed=None) ->
 def _feasibility(points, speed, bound):
     """Where B(t) <= speed*t first fails on (0, bound]: the crossing time as (num, den), or None.
 
+    The crossing time is the infimum of the violating times (see
+    ``SpeedCheck``): B = speed*t there, so it is the segment start ``t0``
+    when B already touches speed*t at ``t0``, which at ``t0 = 0`` needs zero
+    head start.
+
     B - speed*t is linear per segment, so checking segment ends (plus the
     bound itself) is exhaustive.  With speed = p/q every test is the
     cross-multiplied ``q*B > p*t``; that is invariant under a common scaling
@@ -373,6 +390,9 @@ def check_speed(system: BarrierSystem, speed, horizon=None, truncated: bool = Fa
     """Feasibility of build speed ``speed``: B(t) <= speed*t up to the horizon.
 
     Sweeps only the total, on the integer lattice; no curve objects are built.
+    ``earliest_violation`` is the infimum of the times in (0, horizon] where
+    B(t) > speed*t; it is 0 when the violation starts at the origin (zero
+    head start).
     """
     speed = system.number(speed)
     if speed <= 0:

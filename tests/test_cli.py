@@ -5,9 +5,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from firebreak import load
-from firebreak.cli import main
+from firebreak import build_seventeen_ninths, load, ratio_report, save
+from firebreak.cli import _approx, main
+from firebreak.simulate import report_to_document
 
 
 def run(argv):
@@ -202,3 +205,59 @@ class TestRoundTrip:
             ]) == 0
             outputs.append(curve.read_bytes() + intervals.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestPastTheFloatRange:
+    """17/9 at 260 cycles: times reach ~1e312, past the largest float."""
+
+    CYCLES = 260
+
+    @pytest.fixture(scope="class")
+    def deep(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("deep") / "deep.json"
+        save(build_seventeen_ninths(1, cycles=self.CYCLES), path)
+        return path
+
+    def test_simulate_summary(self, deep, capsys):
+        assert run(["simulate", "--system", str(deep)]) == 0
+        assert "e+312" in capsys.readouterr().out
+
+    def test_maxima_report_matches_library(self, deep, tmp_path):
+        out = tmp_path / "maxima.json"
+        assert run(["maxima", "--system", str(deep), "--out", str(out)]) == 0
+        _, report = ratio_report(build_seventeen_ninths(1, cycles=self.CYCLES))
+        assert json.loads(out.read_text()) == report_to_document(report, "rational")
+
+    def test_check_passes_at_17_9(self, deep):
+        assert run(["check", "--system", str(deep), "--speed", "17/9"]) == 0
+
+    def test_curve_csv_is_usage_error(self, deep, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        assert run(["simulate", "--system", str(deep), "--curve-out", str(curve)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--intervals-out" in err and "Traceback" not in err
+        assert "e+308" in err  # the first row that overflows
+        assert not curve.exists()
+
+    def test_oracle_horizon_is_usage_error(self, deep, capsys):
+        assert run(["oracle", "--system", str(deep), "--cell", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: horizon 5.86767e+311")
+
+
+class TestApprox:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_percent_g_on_floats(self, x):
+        # a float is exactly a Fraction, and float formatting rounds exactly, ties to even;
+        # + 0.0 turns -0.0, which no Fraction has, into 0.0
+        assert _approx(Fraction(x)) == f"{x + 0.0:g}"
+
+    @pytest.mark.parametrize("x, text", [
+        (Fraction(123456789) * 10**392, "1.23457e+400"),
+        (-Fraction(10) ** 400, "-1e+400"),
+        (Fraction(9999995) * 10**394, "1e+401"),  # 999999.5 rounds to even, up
+        (Fraction(1, 3) / 10**400, "3.33333e-401"),
+        (0, "0"),
+        (3231, "3231"),
+    ])
+    def test_beyond_the_float_range(self, x, text):
+        assert _approx(x) == text

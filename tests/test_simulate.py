@@ -175,6 +175,17 @@ class TestCheckSpeed:
         # equality-at-maximum is reached before t = 18 already
         assert verdict.earliest_violation < 18
 
+    def test_zero_head_start_violates_from_the_origin(self):
+        # B rises at slope 2 from t = 0, so B(t) > t on all of (0, horizon]:
+        # the infimum of the violating times is the origin itself
+        system = rational(0, right=((1, 2),), left=((1, 2),))
+        verdict = check_speed(system, 1, horizon=5, truncated=True)
+        total = consumption_curve(system, 5, truncated=True).total
+        report = ratio_maxima(total, speed=Fraction(1))
+        assert verdict.earliest_violation == report.earliest_violation == 0
+        half = total.points[1][0] / 2
+        assert total.value_at(half) > half
+
     def test_rejects_non_positive_speed(self, sys17):
         with pytest.raises(ValueError):
             check_speed(sys17, 0)
@@ -404,6 +415,29 @@ def rational_cases(draw):
     return system, horizon
 
 
+QUARTERS = st.integers(min_value=1, max_value=400).map(lambda n: Fraction(n, 4))
+
+
+@st.composite
+def speed_cases(draw):
+    """A system on the quarter grid (head start 0 allowed), a horizon and a speed in [1/2, 3].
+
+    Dyadic lengths and speeds keep float mode exact at every breakpoint.
+    """
+    side = st.lists(st.tuples(QUARTERS, QUARTERS), max_size=6)
+    system = BarrierSystem(
+        mode=RATIONAL,
+        head_start=Fraction(draw(st.integers(min_value=0, max_value=40)), 4),
+        right=draw(side),
+        left=draw(side),
+    )
+    if draw(st.booleans()):
+        system = normalize_doubling(system)
+    horizon = Fraction(draw(st.integers(min_value=1, max_value=6000)), 4)
+    speed = Fraction(draw(st.integers(min_value=16, max_value=96)), 32)
+    return system, horizon, speed
+
+
 def as_float(system):
     return BarrierSystem(
         mode=FLOAT,
@@ -465,6 +499,22 @@ class TestLatticeProperties:
             assert 0 <= t <= curves.total.end
             if not floating:  # the first crossing: B(t) = speed * t exactly
                 assert curves.total.value_at(t) == speed * t
+
+    @settings(max_examples=100, deadline=None)
+    @given(speed_cases(), st.sampled_from(["rational", "float", "touching"]))
+    def test_earliest_violation_is_the_first_crossing(self, case, kind):
+        system, horizon, speed = case
+        if kind == "float":
+            system, horizon, speed = as_float(system), float(horizon), float(speed)
+        total = consumption_curve(system, horizon, truncated=True).total
+        if kind == "touching":  # the largest Q at a breakpoint: B touches speed * t, no violation
+            speed = max((v / s for s, v in total.points if v > 0), default=speed)
+        verdict = check_speed(system, speed, horizon, truncated=True)
+        t = horizon if verdict.feasible else verdict.earliest_violation
+        assert all(v <= speed * s for s, v in total.points if s <= t)
+        if not verdict.feasible:  # B exceeds speed * t right after t
+            mid = (t + next(s for s, _ in total.points if s > t)) / 2
+            assert total.value_at(mid) > speed * mid
 
     @settings(max_examples=100, deadline=None)
     @given(rational_cases())
