@@ -34,6 +34,7 @@ from .geodesic import (
     face_arrival_profiles,
     forced_descent,
     geodesic_distance,
+    top_arrival_times,
 )
 from .simulate import (
     ConsumptionCurves,
@@ -49,7 +50,6 @@ from .simulate import (
     ratio_maxima,
     ratio_report,
     side_intervals,
-    top_arrival_times,
     valid_horizon,
 )
 from .constructions import (

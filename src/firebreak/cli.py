@@ -34,10 +34,6 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _load_system(path: str) -> model.BarrierSystem:
-    return model.load(path)
-
-
 def _approx(x) -> str:
     """``x`` as ``%g`` prints it, also past the float range (``1.23457e+400``).
 
@@ -72,18 +68,25 @@ def _fits_float(x) -> bool:
 
 
 def _parse_speed(raw: str, system: model.BarrierSystem):
-    if system.mode == model.RATIONAL:
-        return system.number(raw)
-    try:
-        return float(raw)
-    except ValueError:
-        return float(Fraction(raw))
+    """``raw`` as a number of the system's type; float mode also takes ``p/q``."""
+    if system.mode == model.FLOAT:
+        try:
+            raw = float(raw)
+        except ValueError:
+            raw = Fraction(raw)
+    return system.number(raw)
 
 
 def _parse_horizon(args, system):
     if args.horizon is None:
         return None
     return _parse_speed(args.horizon, system)
+
+
+def _past_valid_horizon(horizon, system):
+    """The valid horizon when an explicit ``horizon`` lies beyond it, else None."""
+    bound = simulate.valid_horizon(system)
+    return bound if horizon is not None and bound is not None and horizon > bound else None
 
 
 def cmd_construct(args) -> int:
@@ -109,9 +112,8 @@ def cmd_construct(args) -> int:
 
 def _simulate(args, system):
     horizon = _parse_horizon(args, system)
-    bound = simulate.valid_horizon(system)
     truncated = args.truncated
-    if horizon is not None and bound is not None and horizon > bound and not truncated:
+    if not truncated and (bound := _past_valid_horizon(horizon, system)) is not None:
         print(
             f"warning: horizon {horizon} exceeds the valid horizon {bound}; "
             "the curve beyond it does not represent the infinite construction",
@@ -122,7 +124,7 @@ def _simulate(args, system):
 
 
 def cmd_simulate(args) -> int:
-    system = _load_system(args.system)
+    system = model.load(args.system)
     curves = _simulate(args, system)
     if args.curve_out:
         try:
@@ -147,7 +149,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_maxima(args) -> int:
-    system = _load_system(args.system)
+    system = model.load(args.system)
     curves = _simulate(args, system)
     report = simulate.ratio_maxima(curves.total, simulate.valid_horizon(system))
     if args.out:
@@ -161,9 +163,16 @@ def cmd_maxima(args) -> int:
 
 
 def cmd_check(args) -> int:
-    system = _load_system(args.system)
+    system = model.load(args.system)
     speed = _parse_speed(args.speed, system)
     horizon = _parse_horizon(args, system)
+    if not args.truncated and (bound := _past_valid_horizon(horizon, system)) is not None:
+        print(
+            f"error: horizon {horizon} exceeds the valid horizon {bound}; "
+            "pass --truncated to check the truncated system anyway",
+            file=sys.stderr,
+        )
+        return 2
     verdict = simulate.check_speed(system, speed, horizon, truncated=args.truncated)
     if args.out:
         _write_json(
@@ -187,7 +196,7 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle  # the only command that needs numpy
 
-    system = _load_system(args.system)
+    system = model.load(args.system)
     horizon = _parse_horizon(args, system)
     if horizon is None:
         horizon = simulate.valid_horizon(system)

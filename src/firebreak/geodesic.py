@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import LEFT, RIGHT, SIDES, BarrierSystem
+from .model import LEFT, RIGHT, BarrierSystem
 
 GROUND = "ground"
 VERTICAL_LEFT = "vertical_left"    # face toward the origin
@@ -55,17 +55,39 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
         raise ValueError(f"point must lie in the upper half-plane, got y={y}")
     ax = x if x >= 0 else -x
     side = RIGHT if x >= 0 else LEFT
-    feet = system.feet(side)
-    heights = system.heights(side)
-    before = [h for pos, h in zip(feet, heights) if pos < ax]
-    direct = ax + y + 2 * forced_descent(before, y)
+    for _, foot, height, clearance, top in _verticals(system.pairs(side), system.zero):
+        if foot is None or foot >= ax:
+            break
+    # up over the clearance and down to y, or straight up: at (foot, height) this is the top
+    direct = ax + 2 * clearance - y if clearance >= y else ax + y
     # points on a vertical barrier see both faces; the top is the pivot
-    for pos, h in zip(feet, heights):
-        if pos == ax and y <= h:
-            top = pos + h + 2 * forced_descent(before, h)
-            over_the_top = top + (h - y)
-            return direct if direct <= over_the_top else over_the_top
+    if foot == ax and y <= height:
+        over_the_top = top + (height - y)
+        return direct if direct <= over_the_top else over_the_top
     return direct
+
+
+def top_arrival_times(system: BarrierSystem, side: str) -> tuple:
+    """Arrival time of the fire at the top of each vertical on one side."""
+    return tuple(top for *_, top in _verticals(system.pairs(side), system.zero))[:-1]  # not the ray
+
+
+def _verticals(pairs, zero):
+    """One side's clearance/top-arrival recurrence, on Fractions, floats or lattice ints.
+
+    Yields ``(previous foot, foot, height, clearance, top)`` per vertical:
+    the front meets its near face at the clearance, the tallest height
+    before it, and reaches its top at ``top``.  A last entry ``(last foot,
+    None, None, clearance, None)`` stands for the trailing ray.
+    """
+    pos = clearance = zero
+    for gap, height in pairs:
+        foot = pos + gap
+        top = foot + 2 * clearance - height if clearance >= height else foot + height
+        yield pos, foot, height, clearance, top
+        pos = foot
+        clearance = clearance if clearance > height else height
+    yield pos, None, None, clearance, None
 
 
 @dataclass(frozen=True)
@@ -129,53 +151,41 @@ def face_arrival_profiles(system: BarrierSystem, side: str, horizon) -> list:
     including the stretch under the head start and the trailing ray, has a
     single upward-sloping profile.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    pairs = system.pairs(side)  # rejects an unknown side
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     return [
         FaceArrivalProfile(side, kind, index, tuple(points))
-        for kind, index, points in side_profiles(system.pairs(side), horizon, system.zero)
+        for kind, index, points in side_profiles(pairs, horizon, system.zero)
     ]
 
 
 def side_profiles(pairs, horizon, zero, far: bool = True) -> list:
     """(kind, index, points) of every face of one side, truncated at the horizon.
 
-    The clearance/arrival recurrence behind :func:`face_arrival_profiles`,
-    on bare numbers of any one type: Fractions, floats, or the ints of a
-    common integer lattice.  ``far=False`` skips the far faces.
+    The builder behind :func:`face_arrival_profiles`, on bare numbers of
+    any one type (see :func:`_verticals`).  ``far=False`` skips the far faces.
     """
     profiles = []
-    pos = clearance = zero
-    for i, (gap, height) in enumerate(pairs, start=1):
-        foot = pos + gap
+    for i, (pos, foot, height, clearance, top) in enumerate(_verticals(pairs, zero)):
+        if foot is None:
+            break
         ground = _clip_points([(pos, pos + 2 * clearance), (foot, foot + 2 * clearance)], horizon)
         if ground:
-            profiles.append((GROUND, i - 1, ground))
-        if clearance <= 0:
-            near = [(zero, foot), (height, foot + height)]
-        elif clearance >= height:
-            near = [(zero, foot + 2 * clearance), (height, foot + 2 * clearance - height)]
-        else:
-            near = [
-                (zero, foot + 2 * clearance),
-                (clearance, foot + clearance),
-                (height, foot + height),
-            ]
-        top_arrival = near[-1][1]
+            profiles.append((GROUND, i, ground))
+        near = [(zero, foot + 2 * clearance), (height, top)]
+        if 0 < clearance < height:  # the front meets the face at the clearance height
+            near.insert(1, (clearance, foot + clearance))
         near = _clip_points(near, horizon)
         if near:
-            profiles.append((VERTICAL_LEFT, i, near))
+            profiles.append((VERTICAL_LEFT, i + 1, near))
         if far:
-            far_points = _clip_points([(zero, top_arrival + height), (height, top_arrival)], horizon)
+            far_points = _clip_points([(zero, top + height), (height, top)], horizon)
             if far_points:
-                profiles.append((VERTICAL_RIGHT, i, far_points))
-        pos = foot
-        clearance = clearance if clearance > height else height
+                profiles.append((VERTICAL_RIGHT, i + 1, far_points))
 
     # trailing ray: arrival = x + 2*clearance, truncated where it meets the horizon
     ray_end = horizon - 2 * clearance
     if ray_end > pos:
-        profiles.append((GROUND, len(pairs), [(pos, pos + 2 * clearance), (ray_end, horizon)]))
+        profiles.append((GROUND, i, [(pos, pos + 2 * clearance), (ray_end, horizon)]))
     return profiles

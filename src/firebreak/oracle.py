@@ -65,6 +65,8 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
     """Scene covering everything reachable within the horizon plus a margin."""
     if not (cell > 0 and 0 < horizon < np.inf):
         raise ValueError("cell size and horizon must be > 0 and the horizon finite")
+    if cell > horizon:
+        raise ValueError(f"cell {cell:g} is larger than the horizon {horizon:g}")
     cell = float(cell)
     horizon = float(horizon)
     steps = int(np.ceil(horizon / cell)) + 2  # margin of two cells all around

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geodesic import GROUND, side_profiles
+from .geodesic import GROUND, side_profiles, top_arrival_times
 from .model import FLOAT, LEFT, RIGHT, SIDES, BarrierSystem, render_number, validate
 
 TOTAL = "total"
@@ -142,18 +142,11 @@ class ConsumptionCurves(NamedTuple):
 # -- horizons ------------------------------------------------------------------
 
 
-def top_arrival_times(system: BarrierSystem, side: str) -> tuple:
-    """Arrival time of the fire at the top of each vertical on one side."""
-    times = []
-    pos = system.zero
-    clearance = system.zero
-    for gap, height in system.pairs(side):
-        pos = pos + gap
-        drop = clearance - height
-        times.append(pos + height + (2 * drop if drop > 0 else system.zero))
-        if height > clearance:
-            clearance = height
-    return tuple(times)
+def _earliest_top(system: BarrierSystem, back: int):
+    """The earliest over the sides of each side's ``back``-th top from the end (its first when fewer)."""
+    tops = (top_arrival_times(system, side) for side in SIDES)
+    bounds = [times[max(len(times) - back, 0)] for times in tops if times]
+    return min(bounds) if bounds else None
 
 
 def valid_horizon(system: BarrierSystem):
@@ -164,16 +157,12 @@ def valid_horizon(system: BarrierSystem):
     fewer than two verticals the last top itself is used; with none there is
     no structural bound and None is returned.
     """
-    tops = (top_arrival_times(system, side) for side in SIDES)
-    bounds = [times[max(len(times) - 2, 0)] for times in tops if times]
-    return min(bounds) if bounds else None
+    return _earliest_top(system, 2)
 
 
 def default_horizon(system: BarrierSystem):
     """Arrival at the earliest side's last top: the natural simulation span."""
-    tops = (top_arrival_times(system, side) for side in SIDES)
-    bounds = [times[-1] for times in tops if times]
-    return min(bounds) if bounds else None
+    return _earliest_top(system, 1)
 
 
 # -- integer lattice, ramps and sweep ---------------------------------------------
@@ -426,6 +415,7 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
     gap, a 3-interval of the same height again, and a closing 1-interval up
     the next barrier.  Zero-length entries are dropped.
     """
+    pairs = system.pairs(side)  # rejects an unknown side before the report is read
     report = validate(system)
     side_check = report.right if side == RIGHT else report.left
     if not side_check.conditions7:
@@ -433,7 +423,6 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
             f"{side} side violates the growth conditions at barrier "
             f"{side_check.conditions7_violation}"
         )
-    pairs = system.pairs(side)
     if not 1 <= index <= len(pairs) - 1:
         raise ValueError(f"cycle index must be in [1, {len(pairs) - 1}], got {index}")
     height = pairs[index - 1][1]

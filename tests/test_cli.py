@@ -65,6 +65,14 @@ def doc17(tmp_path):
 
 
 @pytest.fixture()
+def doc3(tmp_path):
+    """17/9 at 3 cycles: valid horizon 171."""
+    out = tmp_path / "doc3.json"
+    run(["construct", "--type", "seventeen-ninths", "--headstart", "1", "--cycles", "3", "--out", str(out)])
+    return out
+
+
+@pytest.fixture()
 def flatdoc(tmp_path):
     out = tmp_path / "flat.json"
     run(["construct", "--type", "flat", "--headstart", "1", "--out", str(out)])
@@ -107,6 +115,13 @@ class TestSimulate:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["simulate", "--system", str(tmp_path / "nope.json")]) == 2
 
+    def test_non_finite_horizon_fails_before_the_warning(self, tmp_path, capsys):
+        doc = tmp_path / "improved.json"
+        run(["construct", "--type", "improved", "--cycles", "3", "--out", str(doc)])
+        capsys.readouterr()
+        assert run(["simulate", "--system", str(doc), "--horizon", "inf"]) == 2
+        assert capsys.readouterr().err == "error: non-finite length inf\n"
+
 
 class TestMaxima:
     def test_report_json(self, doc17, tmp_path):
@@ -142,6 +157,14 @@ class TestCheck:
     def test_flat_fail_below_two(self, flatdoc):
         assert run(["check", "--system", str(flatdoc), "--speed", "1.9", "--horizon", "100"]) == 1
 
+    def test_horizon_past_valid_names_the_flag(self, doc3, capsys):
+        check = ["check", "--system", str(doc3), "--speed", "17/9", "--horizon", "200"]
+        assert run(check) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the valid horizon 171" in err and "--truncated" in err
+        assert "truncated=True" not in err
+        assert run(check + ["--truncated"]) == 0
+
 
 class TestOracle:
     def test_flat_scene_passes(self, flatdoc):
@@ -163,6 +186,12 @@ class TestOracle:
         assert run(["oracle", "--system", str(doc17), "--cell", "1"]) == 2
         err = capsys.readouterr().err
         assert "physical memory" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", ["1e308", "inf"])
+    def test_cell_larger_than_horizon_is_usage_error(self, doc3, capsys, cell):
+        assert run(["oracle", "--system", str(doc3), "--cell", cell]) == 2
+        err = capsys.readouterr().err
+        assert f"cell {float(cell):g} is larger than the horizon 171" in err
 
 
 class TestOptimize:

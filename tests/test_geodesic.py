@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firebreak import (
+    FLOAT,
     RATIONAL,
     BarrierSystem,
     build_scene,
@@ -221,3 +224,91 @@ class TestGridAgreement:
                     continue
                 observed = arrival_at(scene, arr, float(x), float(y))
                 assert abs(observed - float(exact)) <= tol
+
+
+# -- one recurrence behind profiles, top arrivals and distances ----------------------
+
+NUMBERS = {
+    RATIONAL: st.integers(min_value=0, max_value=2400).map(lambda n: Fraction(n, 12)),
+    FLOAT: st.floats(min_value=0, max_value=200),
+}
+LENGTHS = {
+    RATIONAL: st.integers(min_value=1, max_value=1200).map(lambda n: Fraction(n, 12)),
+    FLOAT: st.floats(min_value=0.01, max_value=100),
+}
+MODES = pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+
+
+@st.composite
+def systems(draw, mode):
+    side = st.lists(st.tuples(LENGTHS[mode], LENGTHS[mode]), max_size=6)
+    return BarrierSystem(mode=mode, head_start=draw(NUMBERS[mode]), right=draw(side), left=draw(side))
+
+
+def descent_distance(system, point):
+    """The closed form |x| + y + 2 * forced_descent over the heights before |x|, min over faces."""
+    x, y = point
+    ax = x if x >= 0 else -x
+    side = "right" if x >= 0 else "left"
+    feet, heights = system.feet(side), system.heights(side)
+    before = [h for pos, h in zip(feet, heights) if pos < ax]
+    direct = ax + y + 2 * forced_descent(before, y)
+    for pos, h in zip(feet, heights):
+        if pos == ax and y <= h:
+            over_the_top = pos + h + 2 * forced_descent(before, h) + (h - y)
+            return direct if direct <= over_the_top else over_the_top
+    return direct
+
+
+def verticals(system):
+    """(signed foot, height, top arrival) of every vertical."""
+    return [
+        (sign * foot, height, top)
+        for side, sign in (("right", 1), ("left", -1))
+        for foot, height, top in zip(system.feet(side), system.heights(side), top_arrival_times(system, side))
+    ]
+
+
+def typed(x):
+    return type(x).__name__, x
+
+
+class TestSingleRecurrence:
+    @MODES
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_top_arrival_ends_the_near_face(self, mode, data):
+        system = data.draw(systems(mode))
+        horizon = data.draw(LENGTHS[mode]) * data.draw(st.sampled_from([1, 4, 20]))
+        for side in ("right", "left"):
+            near = {p.index: p for p in face_arrival_profiles(system, side, horizon) if p.kind == "vertical_left"}
+            for i, (height, top) in enumerate(zip(system.heights(side), top_arrival_times(system, side)), start=1):
+                if top <= horizon:
+                    assert tuple(map(typed, near[i].points[-1])) == (typed(height), typed(top))
+
+    @MODES
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_distance_to_a_top_is_its_arrival(self, mode, data):
+        system = data.draw(systems(mode))
+        for x, height, top in verticals(system):
+            assert typed(geodesic_distance(system, (x, height))) == typed(top)
+
+    @MODES
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_distance_matches_forced_descent_form(self, mode, data):
+        system = data.draw(systems(mode))
+        on_vertical = [(x, height) for x, height, _ in verticals(system)]
+        for _ in range(8):
+            if on_vertical and data.draw(st.booleans()):
+                x, height = data.draw(st.sampled_from(on_vertical))
+                y = data.draw(st.sampled_from([system.zero, height]) | NUMBERS[mode])
+            else:
+                x = data.draw(NUMBERS[mode]) * data.draw(st.sampled_from([1, -1]))
+                y = data.draw(NUMBERS[mode])
+            got, want = geodesic_distance(system, (x, y)), descent_distance(system, (x, y))
+            if mode == RATIONAL:
+                assert typed(got) == typed(want)
+            else:
+                assert got == pytest.approx(want, rel=1e-15, abs=0)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -172,6 +173,11 @@ class TestMemoryLimit:
     def test_non_finite_horizon_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             build_scene(SINGLE, 1.0, math.inf)
+
+    @pytest.mark.parametrize("cell", [1e308, math.inf, 10.5])
+    def test_cell_larger_than_horizon_rejected(self, cell):
+        with pytest.raises(ValueError, match=re.escape(f"cell {cell:g} is larger than the horizon 10")):
+            build_scene(SINGLE, cell, 10.0)
 
 
 # -- properties against plain reference implementations ---------------------------

@@ -254,6 +254,12 @@ class TestPredictIntervals:
         with pytest.raises(ValueError, match="growth conditions"):
             predict_intervals(system, RIGHT, 1)
 
+    def test_rejects_unknown_side_before_reading_the_report(self):
+        # the left side violates the growth conditions; "up" must not be read as left
+        system = rational(1, right=((1, 17), (34, 136)), left=((2, 4), (5, 6)))
+        with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'up'"):
+            predict_intervals(system, "up", 1)
+
     def test_rejects_out_of_range_index(self, sys17):
         with pytest.raises(ValueError, match="cycle index"):
             predict_intervals(sys17, RIGHT, 8)
