@@ -77,16 +77,18 @@ def _parse_speed(raw: str, system: model.BarrierSystem):
     return system.number(raw)
 
 
-def _parse_horizon(args, system):
+def _horizon(args, system):
+    """``--horizon`` as a system number, or None; past the valid horizon only with ``--truncated``."""
     if args.horizon is None:
         return None
-    return _parse_speed(args.horizon, system)
-
-
-def _past_valid_horizon(horizon, system):
-    """The valid horizon when an explicit ``horizon`` lies beyond it, else None."""
+    horizon = _parse_speed(args.horizon, system)
     bound = simulate.valid_horizon(system)
-    return bound if horizon is not None and bound is not None and horizon > bound else None
+    if not args.truncated and bound is not None and horizon > bound:
+        raise ValueError(
+            f"horizon {horizon} exceeds the valid horizon {bound}; "
+            "pass --truncated to run the truncated system anyway"
+        )
+    return horizon
 
 
 def cmd_construct(args) -> int:
@@ -111,16 +113,7 @@ def cmd_construct(args) -> int:
 
 
 def _simulate(args, system):
-    horizon = _parse_horizon(args, system)
-    truncated = args.truncated
-    if not truncated and (bound := _past_valid_horizon(horizon, system)) is not None:
-        print(
-            f"warning: horizon {horizon} exceeds the valid horizon {bound}; "
-            "the curve beyond it does not represent the infinite construction",
-            file=sys.stderr,
-        )
-        truncated = True
-    return simulate.consumption_curve(system, horizon, truncated=truncated)
+    return simulate.consumption_curve(system, _horizon(args, system), truncated=args.truncated)
 
 
 def cmd_simulate(args) -> int:
@@ -165,15 +158,7 @@ def cmd_maxima(args) -> int:
 def cmd_check(args) -> int:
     system = model.load(args.system)
     speed = _parse_speed(args.speed, system)
-    horizon = _parse_horizon(args, system)
-    if not args.truncated and (bound := _past_valid_horizon(horizon, system)) is not None:
-        print(
-            f"error: horizon {horizon} exceeds the valid horizon {bound}; "
-            "pass --truncated to check the truncated system anyway",
-            file=sys.stderr,
-        )
-        return 2
-    verdict = simulate.check_speed(system, speed, horizon, truncated=args.truncated)
+    verdict = simulate.check_speed(system, speed, _horizon(args, system), truncated=args.truncated)
     if args.out:
         _write_json(
             args.out,
@@ -197,12 +182,11 @@ def cmd_oracle(args) -> int:
     from . import oracle  # the only command that needs numpy
 
     system = model.load(args.system)
-    horizon = _parse_horizon(args, system)
+    # the grid checks the truncated system itself, so any horizon is allowed
+    horizon = simulate.valid_horizon(system) if args.horizon is None else _parse_speed(args.horizon, system)
     if horizon is None:
-        horizon = simulate.valid_horizon(system)
-        if horizon is None:
-            print("error: specify --horizon for systems without verticals", file=sys.stderr)
-            return 2
+        print("error: specify --horizon for systems without verticals", file=sys.stderr)
+        return 2
     if not _fits_float(horizon):
         print(f"error: horizon {_approx(horizon)} is past the float range of the grid", file=sys.stderr)
         return 2

@@ -115,10 +115,6 @@ class FaceArrivalProfile:
                 return t0 + (t1 - t0) * (param - p0) / (p1 - p0)
         return pts[-1][1]
 
-    @property
-    def length(self):
-        return self.points[-1][0] - self.points[0][0]
-
 
 def _clip_points(points: list, horizon) -> list | None:
     """Restrict a piecewise-linear (param, time) chain to time <= horizon."""

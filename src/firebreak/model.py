@@ -72,7 +72,7 @@ def coerce_length(value, mode: str) -> Number:
     if mode == FLOAT:
         try:
             result = float(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"cannot coerce {value!r} to float") from exc
         if not math.isfinite(result):
             raise ValidationError(f"non-finite length {value!r}")
@@ -147,13 +147,6 @@ class BarrierSystem:
             out.append(pos)
         return tuple(out)
 
-    def cumulative_heights(self, side: str) -> tuple:
-        out, tot = [], self.zero
-        for _, h in self.pairs(side):
-            tot = tot + h
-            out.append(tot)
-        return tuple(out)
-
     @property
     def zero(self) -> Number:
         return Fraction(0) if self.mode == RATIONAL else 0.0
@@ -179,13 +172,12 @@ class SideCheck:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    is_positive: bool
     right: SideCheck
     left: SideCheck
 
     @property
     def all_ok(self) -> bool:
-        return self.is_positive and self.right.ok and self.left.ok
+        return self.right.ok and self.left.ok
 
 
 def _check_side(pairs: Sequence[tuple]) -> SideCheck:
@@ -205,22 +197,15 @@ def _check_side(pairs: Sequence[tuple]) -> SideCheck:
 
 
 def validate(system: BarrierSystem) -> ValidationReport:
-    """Report positivity, doubling, and growth-condition status per side.
+    """Report doubling and growth-condition status per side.
 
     Doubling means each vertical is more than twice as long as its
     predecessor on the same side.  The growth conditions additionally
     require each gap to be at least the previous height (with >= 2x height
-    growth instead of strictly more than 2x).
+    growth instead of strictly more than 2x).  Positivity needs no report:
+    ``BarrierSystem`` rejects non-positive lengths.
     """
-    # positivity is enforced at construction; re-derive for the report
-    positive = system.head_start >= 0 and all(
-        g > 0 and h > 0 for side in SIDES for g, h in system.pairs(side)
-    )
-    return ValidationReport(
-        is_positive=positive,
-        right=_check_side(system.right),
-        left=_check_side(system.left),
-    )
+    return ValidationReport(right=_check_side(system.right), left=_check_side(system.left))
 
 
 # -- doubling normalization -----------------------------------------------------

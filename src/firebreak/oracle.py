@@ -42,7 +42,6 @@ class GridScene:
 
     cell: float
     x_extent: float           # covers [-x_extent, x_extent]
-    y_extent: float           # covers [0, y_extent]
     passable: np.ndarray      # bool, shape (ny, nx), row 0 is the ground
     source_col: int           # column index of x = 0
 
@@ -84,7 +83,6 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
     scene = GridScene(
         cell=cell,
         x_extent=steps * cell,
-        y_extent=steps * cell,
         passable=passable,
         source_col=steps,
     )
@@ -149,11 +147,6 @@ class SampledCurve:
 
     times: np.ndarray
     values: np.ndarray
-
-    def to_csv(self) -> str:
-        lines = ["t,B_sampled"]
-        lines.extend(f"{t!r},{v!r}" for t, v in zip(self.times, self.values))
-        return "\n".join(lines) + "\n"
 
 
 def _grid_index(coords: np.ndarray, cell: float) -> np.ndarray:

@@ -22,7 +22,7 @@ burned over but adds nothing to B(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -297,7 +297,7 @@ def side_intervals(curves: ConsumptionCurves, side: str) -> tuple:
 # -- consumption ratio -----------------------------------------------------------
 
 
-def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None, speed=None) -> RatioReport:
+def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport:
     """Local maxima and supremum of Q(t) = B(t)/t over (0, valid_horizon].
 
     Q is monotone between breakpoints, so a breakpoint is a local maximum
@@ -327,51 +327,29 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None, speed=None) ->
             maxima.append((t, q))
     candidates.append((bound, curve.value_at(bound) / bound))
     sup_time, sup = max(candidates, key=lambda c: c[1])  # the first of equal maxima
-
-    feasible = violation = None
-    if speed is not None:
-        hit = _feasibility(pts, speed, bound)
-        feasible = hit is None
-        violation = None if hit is None else hit[0] / hit[1]
-    return RatioReport(
-        local_maxima=tuple(maxima),
-        supremum=sup,
-        sup_time=sup_time,
-        valid_horizon=bound,
-        feasible_for=speed,
-        feasible=feasible,
-        earliest_violation=violation,
-    )
+    return RatioReport(local_maxima=tuple(maxima), supremum=sup, sup_time=sup_time, valid_horizon=bound)
 
 
-def _feasibility(points, speed, bound):
-    """Where B(t) <= speed*t first fails on (0, bound]: the crossing time as (num, den), or None.
+def _feasibility(points, speed):
+    """Where B(t) <= speed*t first fails on (0, end]: the crossing time as (num, den), or None.
 
     The crossing time is the infimum of the violating times (see
     ``SpeedCheck``): B = speed*t there, so it is the segment start ``t0``
     when B already touches speed*t at ``t0``, which at ``t0 = 0`` needs zero
     head start.
 
-    B - speed*t is linear per segment, so checking segment ends (plus the
-    bound itself) is exhaustive.  With speed = p/q every test is the
-    cross-multiplied ``q*B > p*t``; that is invariant under a common scaling
-    of t and B, so ``points`` and ``bound`` may be lattice numerators.
+    B - speed*t is linear per segment, so checking segment ends is
+    exhaustive.  With speed = p/q every test is the cross-multiplied
+    ``q*B > p*t``; that is invariant under a common scaling of t and B, so
+    ``points`` may be lattice numerators.
     """
     p, q = (speed, 1) if isinstance(speed, float) else (speed.numerator, speed.denominator)
-    t0, v0 = points[0]
-    for t1, v1 in points[1:]:
-        if t1 <= bound:
-            over = q * v1 > p * t1
-        else:  # B(bound) = v0 + (v1 - v0) * (bound - t0) / (t1 - t0), compared without dividing
-            over = q * (v0 * (t1 - t0) + (v1 - v0) * (bound - t0)) > p * bound * (t1 - t0)
-        if over:
-            # first upward crossing of B(t) = speed*t inside (t0, min(t1, bound)]
+    for (t0, v0), (t1, v1) in zip(points, points[1:]):
+        if q * v1 > p * t1:
+            # first upward crossing of B(t) = speed*t inside (t0, t1]
             if q * v0 == p * t0:
                 return t0, 1
             return q * (v0 * t1 - v1 * t0), p * (t1 - t0) - q * (v1 - v0)
-        if t1 >= bound:
-            break
-        t0, v0 = t1, v1
     return None
 
 
@@ -389,17 +367,26 @@ def check_speed(system: BarrierSystem, speed, horizon=None, truncated: bool = Fa
     horizon = _simulation_horizon(system, horizon, truncated)
     lat = _lattice(system, horizon)
     points, _ = _sweep(_side_ramps(lat, RIGHT) + _side_ramps(lat, LEFT), lat)
-    hit = _feasibility(points, speed, lat.horizon)
+    hit = _feasibility(points, speed)
     return SpeedCheck(hit is None, speed, horizon, None if hit is None else lat.number(*hit))
 
 
 def ratio_report(system: BarrierSystem, horizon=None, speed=None, truncated: bool = False):
-    """Convenience wrapper: simulate, then analyze Q over the valid horizon."""
+    """Simulate, then analyze Q over the valid horizon.
+
+    With ``speed``, the report's feasibility fields are ``check_speed`` over
+    the report's valid horizon.
+    """
     curves = consumption_curve(system, horizon, truncated=truncated)
-    bound = valid_horizon(system)
+    report = ratio_maxima(curves.total, valid_horizon(system))
     if speed is not None:
-        speed = system.number(speed)
-    report = ratio_maxima(curves.total, bound, speed=speed)
+        verdict = check_speed(system, speed, report.valid_horizon, truncated=True)
+        report = replace(
+            report,
+            feasible_for=verdict.speed,
+            feasible=verdict.feasible,
+            earliest_violation=verdict.earliest_violation,
+        )
     return curves, report
 
 
@@ -441,14 +428,11 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
 
 def curve_to_csv(curves: ConsumptionCurves) -> str:
     """Breakpoint rows of the total curve: t, B_total, B_left, B_right, k_total."""
-    totals = side_intervals(curves, TOTAL)
-    k_at = {iv.t_start: iv.k for iv in totals}
-    last_k = totals[-1].k if totals else 0
+    ks = [iv.k for iv in side_intervals(curves, TOTAL)]  # one per segment; the last row repeats the last
     lines = ["t,B_total,B_left,B_right,k_total"]
     points = curves.total.points
     sides = zip(_values_along(curves.left, points), _values_along(curves.right, points))
-    for (t, v), (left, right) in zip(points, sides):
-        k = k_at.get(t, last_k)
+    for (t, v), (left, right), k in zip(points, sides, ks + ks[-1:]):
         lines.append(f"{float(t)!r},{float(v)!r},{float(left)!r},{float(right)!r},{k}")
     return "\n".join(lines) + "\n"
 

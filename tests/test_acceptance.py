@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -123,7 +124,7 @@ def test_criterion_5_consumed_equals_built_at_tops():
     checked = 0
     for side, curve in ((RIGHT, curves.right), (LEFT, curves.left)):
         feet = system.feet(side)
-        built = system.cumulative_heights(side)
+        built = accumulate(system.heights(side))
         for top, foot, tall in zip(top_arrival_times(system, side), feet, built):
             if top > curve.end:
                 continue

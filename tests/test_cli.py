@@ -108,9 +108,13 @@ class TestSimulate:
         first = doc["right"][1]
         assert (first["t_start"], first["t_end"], first["k"]) == ("1", "18", 1)
 
-    def test_truncated_horizon_warns(self, doc17, capsys):
-        assert run(["simulate", "--system", str(doc17), "--horizon", "10000000000"]) == 0
-        assert "valid horizon" in capsys.readouterr().err
+    def test_horizon_past_valid_is_usage_error(self, doc3, capsys):
+        for command in ("simulate", "maxima"):
+            argv = [command, "--system", str(doc3), "--horizon", "200"]
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: horizon 200 exceeds the valid horizon 171") and "--truncated" in err
+            assert run(argv + ["--truncated"]) == 0
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["simulate", "--system", str(tmp_path / "nope.json")]) == 2
@@ -164,6 +168,15 @@ class TestCheck:
         assert "exceeds the valid horizon 171" in err and "--truncated" in err
         assert "truncated=True" not in err
         assert run(check + ["--truncated"]) == 0
+
+    def test_number_past_the_float_range_is_usage_error(self, tmp_path, capsys):
+        doc = tmp_path / "improved.json"
+        run(["construct", "--type", "improved", "--cycles", "3", "--out", str(doc)])
+        capsys.readouterr()
+        huge = f"{10**400}/3"
+        for argv in (["check", "--speed", huge], ["simulate", "--horizon", huge, "--truncated"]):
+            assert run(argv + ["--system", str(doc)]) == 2
+            assert capsys.readouterr().err.startswith("error: cannot coerce Fraction(1000")
 
 
 class TestOracle:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -58,7 +59,7 @@ class TestConstruction:
     def test_prefix_sums(self):
         system = rational(1, right=((1, 17), (34, 136)))
         assert system.feet("right") == (1, 35)
-        assert system.cumulative_heights("right") == (17, 153)
+        assert tuple(accumulate(system.heights("right"))) == (17, 153)
 
 
 class TestValidate:
@@ -216,3 +217,8 @@ class TestCoerce:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             coerce_length(1, "decimal")
+
+    @pytest.mark.parametrize("value", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_past_the_float_range_rejected(self, value):
+        with pytest.raises(ValidationError, match="cannot coerce"):
+            coerce_length(value, FLOAT)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -79,7 +80,7 @@ class TestConsumptionCurve:
         s = sys17.head_start
         for side, curve in ((RIGHT, curves.right), (LEFT, curves.left)):
             feet = sys17.feet(side)
-            cum = sys17.cumulative_heights(side)
+            cum = accumulate(sys17.heights(side))
             for top, foot, built in zip(top_arrival_times(sys17, side), feet, cum):
                 if top > curve.end:
                     continue
@@ -180,8 +181,8 @@ class TestCheckSpeed:
         # the infimum of the violating times is the origin itself
         system = rational(0, right=((1, 2),), left=((1, 2),))
         verdict = check_speed(system, 1, horizon=5, truncated=True)
-        total = consumption_curve(system, 5, truncated=True).total
-        report = ratio_maxima(total, speed=Fraction(1))
+        curves, report = ratio_report(system, 5, speed=1, truncated=True)
+        total = curves.total
         assert verdict.earliest_violation == report.earliest_violation == 0
         half = total.points[1][0] / 2
         assert total.value_at(half) > half
@@ -294,7 +295,7 @@ class TestKIntervalInvariants:
         def check(system, curves):
             s = system.head_start
             for side, curve in ((RIGHT, curves.right), (LEFT, curves.left)):
-                cum = system.cumulative_heights(side)
+                cum = tuple(accumulate(system.heights(side)))
                 for i, top in enumerate(top_arrival_times(system, side)):
                     if top > curve.end or i == 0:
                         continue
@@ -402,6 +403,29 @@ def reference_csv(curves):
     return "\n".join(lines) + "\n"
 
 
+def reference_feasibility(points, speed, bound):
+    """Where B(t) <= speed*t first fails on (0, bound], scanning a public curve's points.
+
+    Returns the crossing time, or None.  Inside a segment that ends past
+    ``bound``, B(bound) is interpolated and compared without dividing.
+    """
+    p, q = (speed, 1) if isinstance(speed, float) else (speed.numerator, speed.denominator)
+    t0, v0 = points[0]
+    for t1, v1 in points[1:]:
+        if t1 <= bound:
+            over = q * v1 > p * t1
+        else:
+            over = q * (v0 * (t1 - t0) + (v1 - v0) * (bound - t0)) > p * bound * (t1 - t0)
+        if over:
+            if q * v0 == p * t0:
+                return t0 / 1
+            return q * (v0 * t1 - v1 * t0) / (p * (t1 - t0) - q * (v1 - v0))
+        if t1 >= bound:
+            break
+        t0, v0 = t1, v1
+    return None
+
+
 LENGTHS = st.fractions(min_value=Fraction(1, 12), max_value=100, max_denominator=12)
 
 
@@ -453,11 +477,12 @@ def as_float(system):
     )
 
 
+def typed(x):
+    return type(x).__name__, x
+
+
 def exact_key(curves):
     """Everything a ConsumptionCurves holds, with the type of every number."""
-    def typed(x):
-        return type(x).__name__, x
-
     return (
         [[(typed(t), typed(v)) for t, v in c.points] for c in (curves.total, curves.left, curves.right)],
         [(iv.side, typed(iv.t_start), typed(iv.t_end), iv.k) for iv in curves.intervals],
@@ -491,20 +516,35 @@ class TestLatticeProperties:
 
     @settings(max_examples=80, deadline=None)
     @given(rational_cases(), st.fractions(min_value=1, max_value=3, max_denominator=20), st.booleans())
-    def test_check_speed_agrees_with_ratio_maxima(self, case, speed, floating):
+    def test_check_speed_agrees_with_a_curve_scan(self, case, speed, floating):
         system, horizon = case
         if floating:
             system, horizon, speed = as_float(system), float(horizon), float(speed)
         curves = consumption_curve(system, horizon, truncated=True)
         verdict = check_speed(system, speed, horizon, truncated=True)
-        report = ratio_maxima(curves.total, curves.total.end, speed=speed)
+        violation = reference_feasibility(curves.total.points, speed, curves.total.end)
         assert verdict.horizon == curves.total.end
-        assert (verdict.feasible, verdict.earliest_violation) == (report.feasible, report.earliest_violation)
+        assert (verdict.feasible, typed(verdict.earliest_violation)) == (violation is None, typed(violation))
         if not verdict.feasible:
             t = verdict.earliest_violation
             assert 0 <= t <= curves.total.end
             if not floating:  # the first crossing: B(t) = speed * t exactly
                 assert curves.total.value_at(t) == speed * t
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_cases(), st.fractions(min_value=1, max_value=3, max_denominator=20), st.booleans())
+    def test_ratio_report_speed_is_check_speed_over_the_valid_horizon(self, case, speed, floating):
+        system, horizon = case
+        if floating:
+            system, horizon, speed = as_float(system), float(horizon), float(speed)
+        curves, report = ratio_report(system, horizon, speed=speed, truncated=True)
+        verdict = check_speed(system, speed, report.valid_horizon, truncated=True)
+        got = (report.feasible_for, report.feasible, report.earliest_violation)
+        want = (verdict.speed, verdict.feasible, verdict.earliest_violation)
+        assert [typed(x) for x in got] == [typed(x) for x in want]
+        # the scan of the longer curve up to the valid horizon agrees, bit for bit
+        violation = reference_feasibility(curves.total.points, system.number(speed), report.valid_horizon)
+        assert typed(report.earliest_violation) == typed(violation)
 
     @settings(max_examples=100, deadline=None)
     @given(speed_cases(), st.sampled_from(["rational", "float", "touching"]))
