@@ -1,13 +1,14 @@
 """Command-line entry point: construct, simulate, maxima, check, oracle, optimize.
 
 Exit codes: 0 success / PASS, 1 FAIL (speed violation or oracle tolerance
-exceeded), 2 usage error.  Relative output paths are resolved against
-$FIREBREAK_OUTDIR when it is set.
+exceeded), 2 usage error: a bad argument or document, or an OS error on a
+path.  Relative output paths are resolved against $FIREBREAK_OUTDIR when set.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import constructions, model, optimize, simulate
+from .model import approx
 
 OUTDIR_ENV = "FIREBREAK_OUTDIR"
 
@@ -29,34 +31,7 @@ def _out_path(raw: str) -> Path:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(_out_path(path), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def _approx(x) -> str:
-    """``x`` as ``%g`` prints it, also past the float range (``1.23457e+400``).
-
-    A float prints as it is; any other number is rounded exactly to six
-    significant digits, ties to even, without going through float.
-    """
-    if isinstance(x, float):
-        return f"{x:g}"
-    if not x:
-        return "0"
-    sign, x = "-" if x < 0 else "", abs(Fraction(x))
-    exp = len(str(x.numerator)) - len(str(x.denominator))  # floor(log10 x) or one more
-    if x < Fraction(10) ** exp:
-        exp -= 1
-    digits = round(x / Fraction(10) ** (exp - 5))
-    if digits == 10**6:
-        digits, exp = 10**5, exp + 1
-    text = str(digits)
-    if -4 <= exp < 6:
-        text = "0" * -exp + text if exp < 0 else text
-        point = max(exp, 0) + 1
-        return sign + (text[:point] + "." + text[point:]).rstrip("0").rstrip(".")
-    return f"{sign}{(text[0] + '.' + text[1:]).rstrip('0').rstrip('.')}e{exp:+03d}"
+    _out_path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _fits_float(x) -> bool:
@@ -85,10 +60,27 @@ def _horizon(args, system):
     bound = simulate.valid_horizon(system)
     if not args.truncated and bound is not None and horizon > bound:
         raise ValueError(
-            f"horizon {horizon} exceeds the valid horizon {bound}; "
+            f"horizon {approx(horizon)} exceeds the valid horizon {approx(bound)}; "
             "pass --truncated to run the truncated system anyway"
         )
     return horizon
+
+
+def _check_cycles(head_start, cycles: int) -> None:
+    """Refuse, before building, 17/9 cycles whose longest length ``str`` cannot write.
+
+    That is the last left height, ``34 p 16^(cycles - 1)`` over the head
+    start's denominator (``p`` its numerator); 0 digits means no limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    p = model.coerce_length(head_start, model.RATIONAL).numerator
+    if limit and p > 0:
+        most = (((10**limit - 1) // (34 * p)).bit_length() - 1) // 4 + 1
+        if cycles > most:
+            raise ValueError(
+                f"--cycles {cycles} makes numbers of more than {limit} digits, too long to "
+                f"write; the largest cycle count at this head start is {most}"
+            )
 
 
 def cmd_construct(args) -> int:
@@ -96,8 +88,9 @@ def cmd_construct(args) -> int:
     if kind == "flat":
         system = constructions.build_flat(args.headstart)
     elif kind == "seventeen-ninths":
+        _check_cycles(args.headstart, args.cycles)
         system = constructions.build_seventeen_ninths(args.headstart, cycles=args.cycles)
-    elif kind == "improved":
+    else:  # improved; argparse restricts the choices
         params = constructions.InterlacingParams(
             beta=args.beta,
             delta=args.delta,
@@ -105,53 +98,43 @@ def cmd_construct(args) -> int:
             head_start="auto" if args.headstart is None else float(args.headstart),
         )
         system = constructions.build_improved(params)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
     model.save(system, _out_path(args.out))
     print(f"wrote {args.out} ({kind}, mode={system.mode})")
     return 0
 
 
-def _simulate(args, system):
-    return simulate.consumption_curve(system, _horizon(args, system), truncated=args.truncated)
-
-
 def cmd_simulate(args) -> int:
     system = model.load(args.system)
-    curves = _simulate(args, system)
+    curves = simulate.consumption_curve(system, _horizon(args, system), truncated=args.truncated)
     if args.curve_out:
         try:
             text = simulate.curve_to_csv(curves)
         except OverflowError:
             t = next(t for t, v in curves.total.points if not (_fits_float(t) and _fits_float(v)))
-            print(
-                f"error: curve CSV rows are floats, and the row at t={_approx(t)} overflows "
-                "them; use --intervals-out for exact output",
-                file=sys.stderr,
-            )
-            return 2
-        with open(_out_path(args.curve_out), "w", encoding="utf-8") as handle:
-            handle.write(text)
+            raise ValueError(
+                f"curve CSV rows are floats, and the row at t={approx(t)} overflows "
+                "them; use --intervals-out for exact output"
+            ) from None
+        _out_path(args.curve_out).write_text(text, encoding="utf-8")
         print(f"wrote {args.curve_out}")
     if args.intervals_out:
         _write_json(args.intervals_out, simulate.intervals_to_document(curves, system.mode))
         print(f"wrote {args.intervals_out}")
     end = curves.total.end
-    print(f"simulated to t={_approx(end)}; B(end)={_approx(curves.total.value_at(end))}")
+    print(f"simulated to t={approx(end)}; B(end)={approx(curves.total.value_at(end))}")
     return 0
 
 
 def cmd_maxima(args) -> int:
     system = model.load(args.system)
-    curves = _simulate(args, system)
-    report = simulate.ratio_maxima(curves.total, simulate.valid_horizon(system))
+    _, report = simulate.ratio_report(system, _horizon(args, system), truncated=args.truncated)
     if args.out:
         _write_json(args.out, simulate.report_to_document(report, system.mode))
         print(f"wrote {args.out}")
     print(f"local maxima: {len(report.local_maxima)}")
     for t, q in report.local_maxima:  # Q = B/t is at most the largest slope: float holds it
-        print(f"  t={_approx(t)}  Q={float(q):.9f}")
-    print(f"sup Q = {float(report.supremum):.9f} at t={_approx(report.sup_time)}")
+        print(f"  t={approx(t)}  Q={float(q):.9f}")
+    print(f"sup Q = {float(report.supremum):.9f} at t={approx(report.sup_time)}")
     return 0
 
 
@@ -166,15 +149,13 @@ def cmd_check(args) -> int:
                 "speed": model.render_number(verdict.speed, system.mode),
                 "horizon": model.render_number(verdict.horizon, system.mode),
                 "feasible": verdict.feasible,
-                "earliest_violation": None
-                if verdict.earliest_violation is None
-                else model.render_number(verdict.earliest_violation, system.mode),
+                "earliest_violation": model.render_number(verdict.earliest_violation, system.mode),
             },
         )
     if verdict.feasible:
-        print(f"PASS: B(t) <= {args.speed} * t up to t={_approx(verdict.horizon)}")
+        print(f"PASS: B(t) <= {args.speed} * t up to t={approx(verdict.horizon)}")
         return 0
-    print(f"FAIL: earliest violation at t={_approx(verdict.earliest_violation)}")
+    print(f"FAIL: earliest violation at t={approx(verdict.earliest_violation)}")
     return 1
 
 
@@ -185,17 +166,15 @@ def cmd_oracle(args) -> int:
     # the grid checks the truncated system itself, so any horizon is allowed
     horizon = simulate.valid_horizon(system) if args.horizon is None else _parse_speed(args.horizon, system)
     if horizon is None:
-        print("error: specify --horizon for systems without verticals", file=sys.stderr)
-        return 2
+        raise ValueError("specify --horizon for systems without verticals")
     if not _fits_float(horizon):
-        print(f"error: horizon {_approx(horizon)} is past the float range of the grid", file=sys.stderr)
-        return 2
+        raise ValueError(f"horizon {approx(horizon)} is past the float range of the grid")
     exact = simulate.consumption_curve(system, horizon, truncated=True)
     sampled = oracle.grid_consumption(system, args.cell, float(horizon))
     tolerance = oracle.consumption_tolerance(system, args.cell)
     result = oracle.compare(exact.total, sampled, tolerance)
     if args.out:
-        _write_json(args.out, result.to_document())
+        _write_json(args.out, dataclasses.asdict(result))
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{status}: max deviation {result.max_deviation:g} at t={result.at_time:g} "
@@ -205,10 +184,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.scheme == "beta":
-        opt = optimize.optimize_beta()
-    else:
-        opt = optimize.optimize_beta_delta()
+    opt = optimize.optimize_beta() if args.scheme == "beta" else optimize.optimize_beta_delta()
     payload = optimize.optimum_to_document(opt)
     if args.out:
         _write_json(args.out, payload)
@@ -232,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None, help="improved: growth factor")
     p.add_argument("--delta", type=float, default=None, help="improved: shift factor")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_construct, fixup=_fixup_construct)
+    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("simulate", help="consumption curve CSV and k-interval JSON")
     p.add_argument("--system", required=True)
@@ -272,26 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fixup_construct(args) -> str | None:
-    if args.type in ("flat", "seventeen-ninths") and args.headstart is None:
-        return "--headstart is required for flat and seventeen-ninths constructions"
-    return None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fixup = getattr(args, "fixup", None)
-    if fixup:
-        message = fixup(args)
-        if message:
-            parser.error(message)  # exits with code 2
+    if args.command == "construct" and args.type != "improved" and args.headstart is None:
+        parser.error("--headstart is required for flat and seventeen-ninths constructions")  # exits 2
     try:
         return args.func(args)
-    except (model.ValidationError, model.DocumentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:  # ValidationError and DocumentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

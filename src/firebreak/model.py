@@ -72,17 +72,14 @@ def coerce_length(value, mode: str) -> Number:
     if mode == FLOAT:
         try:
             result = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
+            raise ValidationError(f"cannot coerce {approx(value)} to float") from exc
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"cannot coerce {value!r} to float") from exc
         if not math.isfinite(result):
             raise ValidationError(f"non-finite length {value!r}")
         return result
     raise ValidationError(f"unknown numeric mode {mode!r}")
-
-
-def _require_finite(x: Number, what: str) -> None:
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValidationError(f"{what} must be finite, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -101,24 +98,28 @@ class BarrierSystem:
     left: tuple
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        object.__setattr__(self, "head_start", coerce_length(self.head_start, self.mode))
-        _require_finite(self.head_start, "head_start")
-        if self.head_start < 0:
-            raise ValidationError(f"head_start must be >= 0, got {self.head_start}")
+        """Coerce every length to the mode's type; the only place a system length is coerced."""
+        mode = self.mode
+        if mode not in MODES:
+            raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+        try:
+            head_start = coerce_length(self.head_start, mode)
+        except ValidationError as exc:
+            raise ValidationError(f"head_start: {exc}") from exc
+        if head_start < 0:
+            raise ValidationError(f"head_start must be >= 0, got {head_start}")
+        object.__setattr__(self, "head_start", head_start)
         for name in SIDES:
-            pairs = getattr(self, name)
             fixed = []
-            for i, pair in enumerate(pairs, start=1):
+            for i, pair in enumerate(getattr(self, name), start=1):
                 try:
                     gap, height = pair
                 except (TypeError, ValueError) as exc:
                     raise ValidationError(f"{name}[{i}] is not a (gap, height) pair") from exc
-                gap = coerce_length(gap, self.mode)
-                height = coerce_length(height, self.mode)
-                _require_finite(gap, f"{name}[{i}] gap")
-                _require_finite(height, f"{name}[{i}] height")
+                try:
+                    gap, height = coerce_length(gap, mode), coerce_length(height, mode)
+                except ValidationError as exc:  # labels only on failure: this loop is hot at 512 cycles
+                    raise ValidationError(f"{name}[{i}]: {exc}") from exc
                 if gap <= 0:
                     raise ValidationError(f"{name}[{i}] gap must be > 0, got {gap}")
                 if height <= 0:
@@ -132,9 +133,6 @@ class BarrierSystem:
         if side not in SIDES:
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         return self.right if side == RIGHT else self.left
-
-    def gaps(self, side: str) -> tuple:
-        return tuple(g for g, _ in self.pairs(side))
 
     def heights(self, side: str) -> tuple:
         return tuple(h for _, h in self.pairs(side))
@@ -316,12 +314,39 @@ def scale(system: BarrierSystem, factor) -> BarrierSystem:
 # -- documents -----------------------------------------------------------------
 
 
-def render_number(value: Number, mode: str):
-    """Render a length for documents: 'p/q' strings in rational mode, floats otherwise."""
+def render_number(value: Number | None, mode: str):
+    """Render a number for documents: 'p/q' strings in rational mode, floats otherwise; None stays None."""
+    if value is None:
+        return None
     if mode == RATIONAL:
         frac = Fraction(value)
         return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
     return float(value)
+
+
+def approx(x) -> str:
+    """``x`` as ``%g`` prints it, also past the float range (``1.23457e+400``).
+
+    A float prints as it is; any other number is rounded exactly to six
+    significant digits, ties to even, without going through float.
+    """
+    if isinstance(x, float):
+        return f"{x:g}"
+    if not x:
+        return "0"
+    sign, x = "-" if x < 0 else "", abs(Fraction(x))
+    exp = len(str(x.numerator)) - len(str(x.denominator))  # floor(log10 x) or one more
+    if x < Fraction(10) ** exp:
+        exp -= 1
+    digits = round(x / Fraction(10) ** (exp - 5))
+    if digits == 10**6:
+        digits, exp = 10**5, exp + 1
+    text = str(digits)
+    if -4 <= exp < 6:
+        text = "0" * -exp + text if exp < 0 else text
+        point = max(exp, 0) + 1
+        return sign + (text[:point] + "." + text[point:]).rstrip("0").rstrip(".")
+    return f"{sign}{(text[0] + '.' + text[1:]).rstrip('0').rstrip('.')}e{exp:+03d}"
 
 
 def to_document(system: BarrierSystem) -> dict:
@@ -340,17 +365,15 @@ def to_document(system: BarrierSystem) -> dict:
     }
 
 
-def _parse_side(entries, keys: tuple, mode: str, side: str) -> tuple:
+def _parse_side(entries, keys: tuple, side: str) -> tuple:
+    """The raw (gap, height) values of one side; ``BarrierSystem`` coerces them."""
     if not isinstance(entries, list):
         raise DocumentError(f"field {side!r} must be a list")
     pairs = []
     for i, entry in enumerate(entries, start=1):
         if not isinstance(entry, dict) or not all(k in entry for k in keys):
             raise DocumentError(f"{side}[{i}] must be an object with keys {keys}")
-        try:
-            pairs.append(tuple(coerce_length(entry[k], mode) for k in keys))
-        except ValidationError as exc:
-            raise DocumentError(f"{side}[{i}]: {exc}") from exc
+        pairs.append(tuple(entry[k] for k in keys))
     return tuple(pairs)
 
 
@@ -361,17 +384,10 @@ def from_document(document: dict) -> BarrierSystem:
     for field in ("mode", "head_start", "right", "left"):
         if field not in document:
             raise DocumentError(f"document missing field {field!r}")
-    mode = document["mode"]
-    if mode not in MODES:
-        raise DocumentError(f"mode must be one of {MODES}, got {mode!r}")
+    right = _parse_side(document["right"], ("a", "b"), "right")
+    left = _parse_side(document["left"], ("c", "d"), "left")
     try:
-        head_start = coerce_length(document["head_start"], mode)
-    except ValidationError as exc:
-        raise DocumentError(f"head_start: {exc}") from exc
-    right = _parse_side(document["right"], ("a", "b"), mode, "right")
-    left = _parse_side(document["left"], ("c", "d"), mode, "left")
-    try:
-        return BarrierSystem(mode=mode, head_start=head_start, right=right, left=left)
+        return BarrierSystem(mode=document["mode"], head_start=document["head_start"], right=right, left=left)
     except ValidationError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -389,8 +405,9 @@ def loads(text: str) -> BarrierSystem:
 
 
 def save(system: BarrierSystem, path) -> None:
+    text = dumps(system)  # rendered before the file opens: a failed render leaves no file
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(system))
+        handle.write(text)
 
 
 def load(path) -> BarrierSystem:

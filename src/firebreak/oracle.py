@@ -221,15 +221,6 @@ class OracleComparison:
     passed: bool
     first_exceedance: float | None = None
 
-    def to_document(self) -> dict:
-        return {
-            "max_deviation": self.max_deviation,
-            "at_time": self.at_time,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "first_exceedance": self.first_exceedance,
-        }
-
 
 def _values_at(curve: PiecewiseLinearCurve, times: np.ndarray) -> np.ndarray:
     """``float(curve.value_at(t))`` for every t in ``times``, bit for bit.

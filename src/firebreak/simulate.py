@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .geodesic import GROUND, side_profiles, top_arrival_times
-from .model import FLOAT, LEFT, RIGHT, SIDES, BarrierSystem, render_number, validate
+from .model import FLOAT, LEFT, RIGHT, SIDES, BarrierSystem, approx, render_number, validate
 
 TOTAL = "total"
 
@@ -81,12 +81,6 @@ class PiecewiseLinearCurve:
         if t == t0:
             return v0
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def slopes(self):
-        return tuple(
-            (v1 - v0) / (t1 - t0)
-            for (t0, v0), (t1, v1) in zip(self.points, self.points[1:])
-        )
 
 
 @dataclass(frozen=True)
@@ -262,7 +256,7 @@ def _simulation_horizon(system: BarrierSystem, horizon, truncated: bool):
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if not truncated and (bound := valid_horizon(system)) is not None and horizon > bound:
         raise ValueError(
-            f"horizon {horizon} exceeds the valid horizon {bound}; "
+            f"horizon {approx(horizon)} exceeds the valid horizon {approx(bound)}; "
             "pass truncated=True to simulate the truncated system anyway"
         )
     return horizon
@@ -305,9 +299,7 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     Q(0) is taken as 0.
     """
     pts = curve.points
-    bound = curve.end if valid_horizon is None else valid_horizon
-    if bound > curve.end:
-        bound = curve.end
+    bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
     if bound <= curve.start:
         raise ValueError(f"valid horizon {bound} not inside curve domain")
 
@@ -463,15 +455,14 @@ def intervals_to_document(curves: ConsumptionCurves, mode: str) -> dict:
 
 
 def report_to_document(report: RatioReport, mode: str) -> dict:
-    def num(x):
-        return None if x is None else render_number(x, mode)
-
     return {
-        "local_maxima": [{"t": num(t), "q": num(q)} for t, q in report.local_maxima],
-        "supremum": num(report.supremum),
-        "sup_time": num(report.sup_time),
-        "valid_horizon": num(report.valid_horizon),
-        "feasible_for": num(report.feasible_for),
+        "local_maxima": [
+            {"t": render_number(t, mode), "q": render_number(q, mode)} for t, q in report.local_maxima
+        ],
+        "supremum": render_number(report.supremum, mode),
+        "sup_time": render_number(report.sup_time, mode),
+        "valid_horizon": render_number(report.valid_horizon, mode),
+        "feasible_for": render_number(report.feasible_for, mode),
         "feasible": report.feasible,
-        "earliest_violation": num(report.earliest_violation),
+        "earliest_violation": render_number(report.earliest_violation, mode),
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,15 @@ def sys17():
 @pytest.fixture(scope="session")
 def sys17_curves(sys17):
     return consumption_curve(sys17)
+
+
+@pytest.fixture()
+def digit_limit():
+    """Python's default limit on the digits ``str`` writes for an int, in force for one test."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
 
 
 @pytest.fixture(scope="session")

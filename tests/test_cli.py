@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from firebreak import build_seventeen_ninths, load, ratio_report, save
-from firebreak.cli import _approx, main
+from firebreak.cli import main
+from firebreak.model import approx
 from firebreak.simulate import report_to_document
 
 
@@ -47,6 +48,17 @@ class TestConstruct:
         with pytest.raises(SystemExit) as excinfo:
             run(["construct", "--type", "flat", "--out", str(tmp_path / "x.json")])
         assert excinfo.value.code == 2
+
+    def test_cycles_past_the_digit_limit_are_refused_before_building(self, tmp_path, capsys, digit_limit):
+        # the last left height, 34 * 10**4000 * 16**(cycles - 1), has 4299 digits at 248 cycles
+        out = tmp_path / "deep.json"
+        argv = ["construct", "--type", "seventeen-ninths", "--headstart", str(10**4000), "--out", str(out)]
+        assert run(argv + ["--cycles", "249"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --cycles 249") and "is 248\n" in err
+        assert not out.exists()
+        assert run(argv + ["--cycles", "248"]) == 0
+        assert len(json.loads(out.read_text())["left"][-1]["d"]) == 4299
 
     def test_outdir_env_applied(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FIREBREAK_OUTDIR", str(tmp_path))
@@ -119,6 +131,12 @@ class TestSimulate:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["simulate", "--system", str(tmp_path / "nope.json")]) == 2
 
+    def test_directory_path_is_usage_error(self, doc3, tmp_path, capsys):
+        for argv in (["--system", str(tmp_path)], ["--system", str(doc3), "--curve-out", str(tmp_path)]):
+            assert run(["simulate"] + argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: [Errno 21] Is a directory") and "Traceback" not in err
+
     def test_non_finite_horizon_fails_before_the_warning(self, tmp_path, capsys):
         doc = tmp_path / "improved.json"
         run(["construct", "--type", "improved", "--cycles", "3", "--out", str(doc)])
@@ -176,7 +194,7 @@ class TestCheck:
         huge = f"{10**400}/3"
         for argv in (["check", "--speed", huge], ["simulate", "--horizon", huge, "--truncated"]):
             assert run(argv + ["--system", str(doc)]) == 2
-            assert capsys.readouterr().err.startswith("error: cannot coerce Fraction(1000")
+            assert capsys.readouterr().err == "error: cannot coerce 3.33333e+399 to float\n"
 
 
 class TestOracle:
@@ -291,7 +309,7 @@ class TestApprox:
     def test_matches_percent_g_on_floats(self, x):
         # a float is exactly a Fraction, and float formatting rounds exactly, ties to even;
         # + 0.0 turns -0.0, which no Fraction has, into 0.0
-        assert _approx(Fraction(x)) == f"{x + 0.0:g}"
+        assert approx(Fraction(x)) == f"{x + 0.0:g}"
 
     @pytest.mark.parametrize("x, text", [
         (Fraction(123456789) * 10**392, "1.23457e+400"),
@@ -302,4 +320,4 @@ class TestApprox:
         (3231, "3231"),
     ])
     def test_beyond_the_float_range(self, x, text):
-        assert _approx(x) == text
+        assert approx(x) == text

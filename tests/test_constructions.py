@@ -56,10 +56,8 @@ class TestFlat:
 
 class TestSeventeenNinths:
     def test_starting_values(self, sys17):
-        a = sys17.gaps(RIGHT)
-        b = sys17.heights(RIGHT)
-        c = sys17.gaps(LEFT)
-        d = sys17.heights(LEFT)
+        a, b = zip(*sys17.pairs(RIGHT))
+        c, d = zip(*sys17.pairs(LEFT))
         assert a[:3] == (1, 34, 1020)
         assert b[:2] == (17, 136)
         assert c[:2] == (1, 238)

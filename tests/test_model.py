@@ -51,6 +51,12 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             BarrierSystem(mode=FLOAT, head_start=1.0, right=((float("inf"), 1.0),), left=())
 
+    def test_coercion_error_names_the_position(self):
+        with pytest.raises(ValidationError, match=r"^right\[1\]: cannot parse rational 'x'$"):
+            BarrierSystem(mode=RATIONAL, head_start=1, right=[("x", 1)], left=())
+        with pytest.raises(ValidationError, match=r"^head_start: cannot parse rational 'y'$"):
+            rational("y")
+
     def test_accepts_fraction_strings(self):
         system = rational("1/2", right=(("3/2", "17"),))
         assert system.head_start == Fraction(1, 2)
@@ -200,6 +206,36 @@ class TestDocuments:
     def test_bad_json_rejected(self):
         with pytest.raises(DocumentError):
             loads("{not json")
+
+    @pytest.mark.parametrize("mode, head_start, right, left, message", [
+        ("rational", "abc", [], [], "head_start: cannot parse rational 'abc'"),
+        ("rational", 0.1, [], [], "head_start: float 0.1 not accepted in rational mode (lossy); "
+                                  "pass an int, Fraction or 'p/q' string"),
+        ("rational", "1", [{"a": "x", "b": "1"}], [], "right[1]: cannot parse rational 'x'"),
+        ("rational", "1", [{"a": "1", "b": "0"}], [], "right[1] height must be > 0, got 0"),
+        ("rational", "1", [], [{"c": "1/0", "d": "1"}], "left[1]: cannot parse rational '1/0'"),
+        ("rational", "-1", [], [], "head_start must be >= 0, got -1"),
+        ("rational", True, [], [], "head_start: not a length: True"),
+        ("float", "inf", [], [], "head_start: non-finite length 'inf'"),
+        ("float", 1, [{"a": "nan", "b": 1}], [], "right[1]: non-finite length 'nan'"),
+        ("rational", "1", [{"a": [1], "b": "1"}], [], "right[1]: cannot coerce [1] to a rational length"),
+        ("rational", "1", [{"a": "1"}], [], "right[1] must be an object with keys ('a', 'b')"),
+        ("float", 1e400, [], [], "head_start: non-finite length inf"),
+        ("rational", None, [], [], "head_start: cannot coerce None to a rational length"),
+        ("rational", "1", {}, [], "field 'right' must be a list"),
+        ("decimal", "1", [], [], "mode must be one of ('rational', 'float'), got 'decimal'"),
+    ])
+    def test_malformed_document_message(self, mode, head_start, right, left, message):
+        doc = {"mode": mode, "head_start": head_start, "right": right, "left": left}
+        with pytest.raises(DocumentError) as excinfo:
+            from_document(doc)
+        assert str(excinfo.value) == message
+
+    def test_library_save_past_the_digit_limit_leaves_no_file(self, tmp_path, digit_limit):
+        path = tmp_path / "huge.json"
+        with pytest.raises(ValueError, match="integer string conversion"):
+            save(rational(1, right=((1, 10**digit_limit),)), path)
+        assert not path.exists()
 
     def test_float_value_survives_round_trip(self):
         system = BarrierSystem(

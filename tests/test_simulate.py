@@ -70,7 +70,8 @@ class TestConsumptionCurve:
 
     def test_integer_slopes_everywhere(self, sys17_curves):
         for curve in (sys17_curves.total, sys17_curves.left, sys17_curves.right):
-            for slope in curve.slopes():
+            for (t0, v0), (t1, v1) in zip(curve.points, curve.points[1:]):
+                slope = (v1 - v0) / (t1 - t0)
                 assert slope == int(slope) and slope >= 0
 
     def test_observation_consumed_equals_built_length(self, sys17):
@@ -325,7 +326,9 @@ class TestKIntervalInvariants:
             curves = consumption_curve(system, horizon, truncated=True)
             for t, v in curves.total.points:
                 assert v == curves.left.value_at(t) + curves.right.value_at(t)
-            for slope in curves.total.slopes():
+            points = curves.total.points
+            for (t0, v0), (t1, v1) in zip(points, points[1:]):
+                slope = (v1 - v0) / (t1 - t0)
                 assert slope == int(slope) and slope >= 0
 
 
