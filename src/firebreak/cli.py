@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import constructions, model, optimize, simulate
@@ -42,21 +41,11 @@ def _fits_float(x) -> bool:
     return True
 
 
-def _parse_speed(raw: str, system: model.BarrierSystem):
-    """``raw`` as a number of the system's type; float mode also takes ``p/q``."""
-    if system.mode == model.FLOAT:
-        try:
-            raw = float(raw)
-        except ValueError:
-            raw = Fraction(raw)
-    return system.number(raw)
-
-
 def _horizon(args, system):
     """``--horizon`` as a system number, or None; past the valid horizon only with ``--truncated``."""
     if args.horizon is None:
         return None
-    horizon = _parse_speed(args.horizon, system)
+    horizon = system.number(args.horizon)
     bound = simulate.valid_horizon(system)
     if not args.truncated and bound is not None and horizon > bound:
         raise ValueError(
@@ -95,7 +84,7 @@ def cmd_construct(args) -> int:
             beta=args.beta,
             delta=args.delta,
             cycles=args.cycles,
-            head_start="auto" if args.headstart is None else float(args.headstart),
+            head_start="auto" if args.headstart is None else args.headstart,
         )
         system = constructions.build_improved(params)
     model.save(system, _out_path(args.out))
@@ -140,7 +129,7 @@ def cmd_maxima(args) -> int:
 
 def cmd_check(args) -> int:
     system = model.load(args.system)
-    speed = _parse_speed(args.speed, system)
+    speed = system.number(args.speed)
     verdict = simulate.check_speed(system, speed, _horizon(args, system), truncated=args.truncated)
     if args.out:
         _write_json(
@@ -164,7 +153,7 @@ def cmd_oracle(args) -> int:
 
     system = model.load(args.system)
     # the grid checks the truncated system itself, so any horizon is allowed
-    horizon = simulate.valid_horizon(system) if args.horizon is None else _parse_speed(args.horizon, system)
+    horizon = simulate.valid_horizon(system) if args.horizon is None else system.number(args.horizon)
     if horizon is None:
         raise ValueError("specify --horizon for systems without verticals")
     if not _fits_float(horizon):

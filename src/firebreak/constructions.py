@@ -80,12 +80,12 @@ class InterlacingParams:
             beta = opt.beta
             if delta is None:
                 delta = opt.delta
-        elif delta is None:
+        if not 2 < beta < math.inf:  # also refuses nan
+            raise ValidationError(f"growth factor must be finite and > 2, got beta={beta}")
+        if delta is None:
             delta = delta_of_beta(beta)
-        if beta <= 2:
-            raise ValidationError(f"growth factor must be > 2, got {beta}")
-        if delta < 0:
-            raise ValidationError(f"shift must be >= 0, got {delta}")
+        if not 0 <= delta < math.inf:
+            raise ValidationError(f"shift must be finite and >= 0, got delta={delta}")
         if self.cycles < 1:
             raise ValidationError(f"cycles must be >= 1, got {self.cycles}")
         return InterlacingParams(beta, delta, self.cycles, self.head_start)

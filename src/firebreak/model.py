@@ -51,7 +51,8 @@ def coerce_length(value, mode: str) -> Number:
     """Coerce ``value`` to the numeric type of ``mode``.
 
     Rational mode accepts ints, Fractions and strings ("p/q", "17", "7.5");
-    floats are rejected as lossy.  Float mode accepts anything float() takes.
+    floats are rejected as lossy.  Float mode accepts anything float() takes,
+    and a "p/q" string, which it reads exactly and rounds once.
     """
     if mode == RATIONAL:
         if isinstance(value, bool):
@@ -70,6 +71,8 @@ def coerce_length(value, mode: str) -> Number:
             )
         raise ValidationError(f"cannot coerce {value!r} to a rational length")
     if mode == FLOAT:
+        if isinstance(value, str) and "/" in value:
+            value = coerce_length(value, RATIONAL)
         try:
             result = float(value)
         except OverflowError as exc:
@@ -315,13 +318,10 @@ def scale(system: BarrierSystem, factor) -> BarrierSystem:
 
 
 def render_number(value: Number | None, mode: str):
-    """Render a number for documents: 'p/q' strings in rational mode, floats otherwise; None stays None."""
+    """A number as documents write it: ``str`` ('n' or 'n/d') in rational mode, else a float; None stays None."""
     if value is None:
         return None
-    if mode == RATIONAL:
-        frac = Fraction(value)
-        return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
-    return float(value)
+    return str(value) if mode == RATIONAL else float(value)
 
 
 def approx(x) -> str:

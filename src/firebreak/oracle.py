@@ -24,12 +24,14 @@ the exact curve at all sample times at once.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .model import LEFT, RIGHT, BarrierSystem
+from .model import LEFT, RIGHT, BarrierSystem, approx
 from .simulate import PiecewiseLinearCurve
 
 # bytes per grid node: passable and free masks (2), float arrival grid (8), headroom (7)
@@ -68,15 +70,17 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
         raise ValueError(f"cell {cell:g} is larger than the horizon {horizon:g}")
     cell = float(cell)
     horizon = float(horizon)
-    steps = int(np.ceil(horizon / cell)) + 2  # margin of two cells all around
+    ratio = horizon / cell  # past the float range (a cell of 5e-324) the exact ratio sizes the refusal
+    steps = math.ceil(ratio if ratio < math.inf else Fraction(horizon) / Fraction(cell)) + 2  # 2-cell margin
     nx = 2 * steps + 1
     ny = steps + 1
     nodes = nx * ny
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nodes * _BYTES_PER_NODE > memory:
+        gib = Fraction(nodes * _BYTES_PER_NODE, 2**30)  # a cell of 1e-300 needs 600 digits of nodes
+        count, gib = (f"{nodes:,}", f"{float(gib):,.1f}") if nodes < 10**15 else (approx(nodes), approx(gib))
         raise ValueError(
-            f"a grid of {nodes:,} nodes (cell {cell:g}, horizon {horizon:g}) needs about "
-            f"{nodes * _BYTES_PER_NODE / 2**30:,.1f} GiB, more than the "
+            f"a grid of {count} nodes (cell {cell:g}, horizon {horizon:g}) needs about {gib} GiB, more than the "
             f"{memory / 2**30:,.1f} GiB of physical memory; use a coarser cell or a shorter horizon"
         )
     passable = np.ones((ny, nx), dtype=bool)
@@ -94,8 +98,12 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
             # block nodes strictly below the top; the top node stays open
             top_row = int(np.floor(float(height) / cell - 1e-9)) + 1
             passable[: min(top_row, ny), col] = False
-    if not passable[0, scene.source_col]:
-        raise ValueError("source node is blocked by a barrier")
+    if not passable[0, scene.source_col]:  # a foot within half a cell of the origin rounds onto it
+        firsts = (sign * float(f) for side, sign in ((RIGHT, 1), (LEFT, -1)) for f in system.feet(side)[:1])
+        x = min(firsts, key=abs)
+        raise ValueError(
+            f"cell {cell:g} rounds the vertical at x={x:g} onto the source node; use a cell below {2 * abs(x):g}"
+        )
     return scene
 
 

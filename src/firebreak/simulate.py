@@ -441,16 +441,12 @@ def _values_along(curve: PiecewiseLinearCurve, points):
 
 
 def intervals_to_document(curves: ConsumptionCurves, mode: str) -> dict:
+    """Each side's k-intervals, one per segment of its curve: every breakpoint time is rendered once."""
     doc = {}
-    for side in (RIGHT, LEFT, TOTAL):
-        doc[side] = [
-            {
-                "t_start": render_number(iv.t_start, mode),
-                "t_end": render_number(iv.t_end, mode),
-                "k": iv.k,
-            }
-            for iv in side_intervals(curves, side)
-        ]
+    for side, curve in ((RIGHT, curves.right), (LEFT, curves.left), (TOTAL, curves.total)):
+        times = [render_number(t, mode) for t, _ in curve.points]
+        intervals = zip(side_intervals(curves, side), times, times[1:])
+        doc[side] = [{"t_start": t0, "t_end": t1, "k": iv.k} for iv, t0, t1 in intervals]
     return doc
 
 

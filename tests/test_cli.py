@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firebreak import build_seventeen_ninths, load, ratio_report, save
@@ -60,6 +60,25 @@ class TestConstruct:
         assert run(argv + ["--cycles", "248"]) == 0
         assert len(json.loads(out.read_text())["left"][-1]["d"]) == 4299
 
+    def test_improved_headstart_reads_a_ratio(self, tmp_path):
+        ratio, decimal = tmp_path / "ratio.json", tmp_path / "decimal.json"
+        base = ["construct", "--type", "improved", "--cycles", "3", "--out"]
+        assert run(base + [str(ratio), "--headstart", "1/3"]) == 0
+        assert run(base + [str(decimal), "--headstart", "0.3333333333333333"]) == 0
+        assert ratio.read_bytes() == decimal.read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--beta", "nan", "growth factor must be finite and > 2, got beta=nan"),
+        ("--beta", "inf", "growth factor must be finite and > 2, got beta=inf"),
+        ("--delta", "nan", "shift must be finite and >= 0, got delta=nan"),
+        ("--delta", "inf", "shift must be finite and >= 0, got delta=inf"),
+    ])
+    def test_non_finite_growth_factor_or_shift_is_refused(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.json"
+        assert run(["construct", "--type", "improved", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_outdir_env_applied(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FIREBREAK_OUTDIR", str(tmp_path))
         assert run(["construct", "--type", "flat", "--headstart", "2", "--out", "sub/flat.json"]) == 0
@@ -88,6 +107,14 @@ def doc3(tmp_path):
 def flatdoc(tmp_path):
     out = tmp_path / "flat.json"
     run(["construct", "--type", "flat", "--headstart", "1", "--out", str(out)])
+    return out
+
+
+@pytest.fixture()
+def imp3(tmp_path):
+    """The improved scheme at 3 cycles: a float document."""
+    out = tmp_path / "imp3.json"
+    run(["construct", "--type", "improved", "--cycles", "3", "--out", str(out)])
     return out
 
 
@@ -142,7 +169,7 @@ class TestSimulate:
         run(["construct", "--type", "improved", "--cycles", "3", "--out", str(doc)])
         capsys.readouterr()
         assert run(["simulate", "--system", str(doc), "--horizon", "inf"]) == 2
-        assert capsys.readouterr().err == "error: non-finite length inf\n"
+        assert capsys.readouterr().err == "error: non-finite length 'inf'\n"
 
 
 class TestMaxima:
@@ -197,6 +224,16 @@ class TestCheck:
             assert capsys.readouterr().err == "error: cannot coerce 3.33333e+399 to float\n"
 
 
+    @pytest.mark.parametrize("argv", [["check", "--speed", "1/0"], ["simulate", "--horizon", "1/0", "--truncated"]])
+    def test_zero_denominator_on_a_float_system_is_usage_error(self, imp3, capsys, argv):
+        assert run(argv + ["--system", str(imp3)]) == 2
+        assert capsys.readouterr().err == "error: cannot parse rational '1/0'\n"
+
+    def test_free_text_speed_on_a_float_system_names_the_float_reader(self, imp3, capsys):
+        assert run(["check", "--system", str(imp3), "--speed", "abc"]) == 2
+        assert capsys.readouterr().err == "error: cannot coerce 'abc' to float\n"
+
+
 class TestOracle:
     def test_flat_scene_passes(self, flatdoc):
         assert run([
@@ -223,6 +260,24 @@ class TestOracle:
         assert run(["oracle", "--system", str(doc3), "--cell", cell]) == 2
         err = capsys.readouterr().err
         assert f"cell {float(cell):g} is larger than the horizon 171" in err
+
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        ("imp3", ["--cell", "0.5"],
+         "cell 0.5 rounds the vertical at x=0.149272 onto the source node; use a cell below 0.298544"),
+        ("doc3", ["--cell", "4", "--horizon", "100"],
+         "cell 4 rounds the vertical at x=1 onto the source node; use a cell below 2"),
+    ])
+    def test_cell_rounding_a_foot_onto_the_source_names_the_bound(self, request, capsys, doc, argv, message):
+        assert run(["oracle", "--system", str(request.getfixturevalue(doc))] + argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cell", ["1e-300", "5e-324"])
+    def test_tiny_cell_is_refused_without_overflow(self, imp3, capsys, cell):
+        assert run(["oracle", "--system", str(imp3), "--cell", cell]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a grid of ") and "physical memory" in err and err.count("\n") == 1
+        assert "e+" in err.split(" nodes")[0]  # the count is printed short, not as 600 digits
 
 
 class TestOptimize:
@@ -302,6 +357,39 @@ class TestPastTheFloatRange:
     def test_oracle_horizon_is_usage_error(self, deep, capsys):
         assert run(["oracle", "--system", str(deep), "--cell", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: horizon 5.86767e+311")
+
+
+NUMBER_TEXT = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10**5), 10**5), st.integers(-3, 10**5)),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1/0", "1e400", "0", "-1", "1e-400", "5e-324"]),
+    st.text(max_size=8),
+)
+
+
+class TestNoTraceback:
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("docs")
+        run(["construct", "--type", "improved", "--cycles", "3", "--out", str(base / "imp3.json")])
+        run(["construct", "--type", "seventeen-ninths", "--headstart", "1", "--cycles", "3",
+             "--out", str(base / "doc3.json")])
+        return base
+
+    @settings(max_examples=40, deadline=None)
+    @given(NUMBER_TEXT)
+    def test_number_arguments_end_in_an_exit_code(self, docs, text):
+        # the --flag=value form keeps a leading "-" from reading as an option; --cell is left out
+        # so that no large grid is allocated
+        commands = [
+            ["construct", "--type", kind, "--cycles", "3", f"--headstart={text}", "--out", str(docs / "out.json")]
+            for kind in ("improved", "seventeen-ninths")
+        ]
+        for doc in ("imp3.json", "doc3.json"):
+            system = ["--system", str(docs / doc)]
+            commands += [["check", f"--speed={text}"] + system, ["simulate", f"--horizon={text}", "--truncated"] + system]
+        for argv in commands:
+            assert run(argv) in (0, 1, 2)
 
 
 class TestApprox:

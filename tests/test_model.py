@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from firebreak import (
     FLOAT,
@@ -21,7 +23,7 @@ from firebreak import (
     to_document,
     validate,
 )
-from firebreak.model import coerce_length, loads, dumps
+from firebreak.model import coerce_length, loads, dumps, render_number
 
 from conftest import random_rational_system
 
@@ -258,3 +260,29 @@ class TestCoerce:
     def test_past_the_float_range_rejected(self, value):
         with pytest.raises(ValidationError, match="cannot coerce"):
             coerce_length(value, FLOAT)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_repr_reads_back_exactly(self, x):
+        assert repr(coerce_length(repr(x), FLOAT)) == repr(x)
+
+    @given(st.integers(-(10**300), 10**300), st.integers(1, 10**300))
+    def test_ratio_string_is_rounded_once_in_float_mode(self, p, q):
+        assert coerce_length(f"{p}/{q}", FLOAT) == float(Fraction(p, q))
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "cannot parse rational '1/0'"),
+        ("abc", "cannot coerce 'abc' to float"),
+        (f"{10**400}/3", "cannot coerce 3.33333e+399 to float"),
+    ], ids=["zero-denominator", "free-text", "past-the-float-range"])
+    def test_float_mode_reader_errors(self, text, message):
+        with pytest.raises(ValidationError) as info:
+            coerce_length(text, FLOAT)
+        assert str(info.value) == message
+
+
+class TestRenderNumber:
+    @given(st.one_of(st.integers(), st.fractions()))
+    def test_rational_text_is_n_or_n_over_d(self, x):
+        frac = Fraction(x)
+        want = str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+        assert render_number(x, RATIONAL) == want

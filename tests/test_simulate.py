@@ -1,5 +1,6 @@
 """Consumption curves, k-intervals, ratio maxima and speed feasibility."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -33,7 +34,8 @@ from firebreak import (
     valid_horizon,
 )
 from firebreak.geodesic import GROUND, VERTICAL_RIGHT
-from firebreak.simulate import MERGE_RTOL, TOTAL
+from firebreak.model import render_number
+from firebreak.simulate import MERGE_RTOL, TOTAL, intervals_to_document
 
 from conftest import random_rational_system
 
@@ -585,3 +587,20 @@ class TestLatticeProperties:
             system, horizon = as_float(system), float(horizon)
         curves = consumption_curve(system, horizon, truncated=True)
         assert curve_to_csv(curves) == reference_csv(curves)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rational_cases(), st.booleans())
+    def test_intervals_document_matches_rendering_each_interval(self, case, floating):
+        system, horizon = case
+        if floating:
+            system, horizon = as_float(system), float(horizon)
+        curves = consumption_curve(system, horizon, truncated=True)
+        mode = system.mode
+        want = {
+            side: [
+                {"t_start": render_number(iv.t_start, mode), "t_end": render_number(iv.t_end, mode), "k": iv.k}
+                for iv in side_intervals(curves, side)
+            ]
+            for side in (RIGHT, LEFT, TOTAL)
+        }
+        assert json.dumps(intervals_to_document(curves, mode)) == json.dumps(want)
