@@ -83,7 +83,12 @@ class InterlacingParams:
         if not 2 < beta < math.inf:  # also refuses nan
             raise ValidationError(f"growth factor must be finite and > 2, got beta={beta}")
         if delta is None:
-            delta = delta_of_beta(beta)
+            try:
+                delta = delta_of_beta(beta)
+            except OverflowError as exc:  # beta**4 past the float range, from beta ~ 1e77 on
+                raise ValidationError(
+                    f"growth factor beta={beta} overflows the shift formula; pass the shift as delta (--delta)"
+                ) from exc
         if not 0 <= delta < math.inf:
             raise ValidationError(f"shift must be finite and >= 0, got delta={delta}")
         if self.cycles < 1:

@@ -11,9 +11,11 @@ profile is pointwise no later than the far one (their difference shrinks to
 
 One sweep over a side's ramps yields its curve and maximal k-intervals; the
 total is the same sweep over both sides' ramps.  A rational system is first
-rescaled by the LCM of its denominators and the horizon's, so ramps, sweeps
-and speed checks run on Python ints; numbers become Fractions again only in
-the public curves and intervals.  Float mode runs the same code at scale 1.
+rescaled by the LCM of its denominators and the horizon's, so the tops behind
+the horizons, ramps, sweeps and speed checks run on Python ints; numbers
+become Fractions again only in the public curves, intervals and horizons.
+Float mode runs the same code at scale 1.  The ratio scan rescales a curve of
+Fractions the same way and divides only for the points it reports.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -22,11 +24,12 @@ burned over but adds nothing to B(t).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geodesic import GROUND, side_profiles, top_arrival_times
+from .geodesic import GROUND, _verticals, side_profiles
 from .model import FLOAT, LEFT, RIGHT, SIDES, BarrierSystem, approx, render_number, validate
 
 TOTAL = "total"
@@ -133,33 +136,7 @@ class ConsumptionCurves(NamedTuple):
     intervals: tuple  # KInterval entries for right, left and total
 
 
-# -- horizons ------------------------------------------------------------------
-
-
-def _earliest_top(system: BarrierSystem, back: int):
-    """The earliest over the sides of each side's ``back``-th top from the end (its first when fewer)."""
-    tops = (top_arrival_times(system, side) for side in SIDES)
-    bounds = [times[max(len(times) - back, 0)] for times in tops if times]
-    return min(bounds) if bounds else None
-
-
-def valid_horizon(system: BarrierSystem):
-    """Time range over which a truncated prefix still matches the infinite system.
-
-    Per side: the arrival time at the top of the last generated vertical
-    minus one full cycle, i.e. the arrival at the second-to-last top.  With
-    fewer than two verticals the last top itself is used; with none there is
-    no structural bound and None is returned.
-    """
-    return _earliest_top(system, 2)
-
-
-def default_horizon(system: BarrierSystem):
-    """Arrival at the earliest side's last top: the natural simulation span."""
-    return _earliest_top(system, 1)
-
-
-# -- integer lattice, ramps and sweep ---------------------------------------------
+# -- integer lattice and horizons -------------------------------------------------
 
 
 class _Lattice(NamedTuple):
@@ -173,17 +150,17 @@ class _Lattice(NamedTuple):
     number: object  # (n, den=1) -> the system number n / (den * scale)
 
 
-def _lattice(system: BarrierSystem, horizon) -> _Lattice:
+def _scaled(system: BarrierSystem, horizon=None) -> _Lattice:
     """Rescale by the LCM of all denominators so every coordinate is an int.
 
     Times and consumed lengths scale together, so Q(t) and feasibility are
-    unchanged; ramps, sweeps and checks then run on Python ints.
+    unchanged; tops, ramps, sweeps and checks then run on Python ints.
     """
     pairs = {side: system.pairs(side) for side in SIDES}
     if system.mode == FLOAT:
         return _Lattice(FLOAT, 0.0, system.head_start, pairs, horizon, lambda n, den=1: n / den)
-    lengths = [system.head_start, horizon] + [x for side in SIDES for pair in pairs[side] for x in pair]
-    scale = math.lcm(*(x.denominator for x in lengths))
+    lengths = [system.head_start] + [x for side in SIDES for pair in pairs[side] for x in pair]
+    scale = math.lcm(*(x.denominator for x in lengths + ([] if horizon is None else [horizon])))
 
     def on(x):
         return x.numerator * (scale // x.denominator)
@@ -192,7 +169,64 @@ def _lattice(system: BarrierSystem, horizon) -> _Lattice:
         return Fraction(n) if den * scale == 1 else Fraction(n, den * scale)
 
     pairs = {side: [(on(g), on(h)) for g, h in pairs[side]] for side in SIDES}
-    return _Lattice(system.mode, 0, on(system.head_start), pairs, on(horizon), number)
+    return _Lattice(system.mode, 0, on(system.head_start), pairs, None if horizon is None else on(horizon), number)
+
+
+def _earliest_top(lat: _Lattice, back: int):
+    """The earliest over the sides of each side's ``back``-th top from the end (its first when fewer)."""
+    tops = ([top for *_, top in _verticals(pairs, lat.zero)][:-1] for pairs in lat.pairs.values())  # not the ray
+    bounds = [times[max(len(times) - back, 0)] for times in tops if times]
+    return min(bounds) if bounds else None
+
+
+def _system_top(system: BarrierSystem, back: int):
+    """``_earliest_top`` of the system's own lattice, as a system number."""
+    lat = _scaled(system)
+    top = _earliest_top(lat, back)
+    return None if top is None else lat.number(top)
+
+
+def valid_horizon(system: BarrierSystem):
+    """Time range over which a truncated prefix still matches the infinite system.
+
+    Per side: the arrival time at the top of the last generated vertical
+    minus one full cycle, i.e. the arrival at the second-to-last top.  With
+    fewer than two verticals the last top itself is used; with none there is
+    no structural bound and None is returned.
+    """
+    return _system_top(system, 2)
+
+
+def default_horizon(system: BarrierSystem):
+    """Arrival at the earliest side's last top: the natural simulation span."""
+    return _system_top(system, 1)
+
+
+def _lattice(system: BarrierSystem, horizon=None, truncated: bool = False) -> _Lattice:
+    """The system on its lattice, with the checked horizon of ``consumption_curve`` and ``check_speed``.
+
+    ``horizon`` defaults to the arrival at the earliest side's last top.  An
+    explicit one must be > 0 and, unless ``truncated``, no later than the
+    valid horizon.
+    """
+    if horizon is None:
+        lat = _scaled(system)
+        if (top := _earliest_top(lat, 1)) is None:
+            raise ValueError("system has no verticals; specify an explicit horizon")
+        return lat._replace(horizon=top)
+    horizon = system.number(horizon)
+    if horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
+    lat = _scaled(system, horizon)
+    if not truncated and (bound := _earliest_top(lat, 2)) is not None and lat.horizon > bound:
+        raise ValueError(
+            f"horizon {approx(horizon)} exceeds the valid horizon {approx(lat.number(bound))}; "
+            "pass truncated=True to simulate the truncated system anyway"
+        )
+    return lat
+
+
+# -- ramps and sweep ----------------------------------------------------------------
 
 
 def _side_ramps(lat: _Lattice, side: str) -> list:
@@ -243,25 +277,6 @@ def _sweep(ramps: list, lat: _Lattice):
     return points, slopes
 
 
-def _simulation_horizon(system: BarrierSystem, horizon, truncated: bool):
-    """The checked horizon of ``consumption_curve`` and ``check_speed``."""
-    if horizon is None:
-        horizon = default_horizon(system)
-        if horizon is None:
-            raise ValueError("system has no verticals; specify an explicit horizon")
-        truncated = True
-    else:
-        horizon = system.number(horizon)
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    if not truncated and (bound := valid_horizon(system)) is not None and horizon > bound:
-        raise ValueError(
-            f"horizon {approx(horizon)} exceeds the valid horizon {approx(bound)}; "
-            "pass truncated=True to simulate the truncated system anyway"
-        )
-    return horizon
-
-
 def consumption_curve(
     system: BarrierSystem, horizon=None, truncated: bool = False
 ) -> ConsumptionCurves:
@@ -272,7 +287,7 @@ def consumption_curve(
     past that point a longer instance of the same construction would burn
     differently.
     """
-    lat = _lattice(system, _simulation_horizon(system, horizon, truncated))
+    lat = _lattice(system, horizon, truncated)
     right, left = _side_ramps(lat, RIGHT), _side_ramps(lat, LEFT)
     curves, intervals = {}, []
     for side, ramps in ((RIGHT, right), (LEFT, left), (TOTAL, right + left)):
@@ -294,32 +309,64 @@ def side_intervals(curves: ConsumptionCurves, side: str) -> tuple:
 def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport:
     """Local maxima and supremum of Q(t) = B(t)/t over (0, valid_horizon].
 
-    Q is monotone between breakpoints, so a breakpoint is a local maximum
-    iff the incoming slope exceeds Q(t) and the outgoing slope does not.
-    Q(0) is taken as 0.
+    The candidates are the breakpoints in (0, valid_horizon] other than the
+    curve's ends.  A candidate (t, v) is a local maximum iff the slope into
+    it from the previous breakpoint (t0, v0) exceeds Q(t), also when t0 <= 0,
+    and the slope out of it does not.  Q(0) plays no part: on a curve through
+    the origin Q is constant on the first segment, so the first candidate is
+    never a maximum from the left.  The supremum is the first largest Q over
+    the candidates, then the bound.
+
+    On Fraction points each test is a cross product on lattice ints (the
+    slope into (t, v) exceeds Q(t) iff v*t0 > v0*t), and v/t is divided only
+    for the reported points.  Other points compare the quotients themselves,
+    which for two ints are rounded floats.
     """
     pts = curve.points
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
     if bound <= curve.start:
         raise ValueError(f"valid horizon {bound} not inside curve domain")
+    times = [t for t, _ in pts]
+    lo, hi = max(bisect_right(times, 0), 1), min(bisect_right(times, bound), len(pts) - 1)  # candidates pts[lo:hi]
+    exact = lo < hi and all(isinstance(x, Fraction) for point in pts[lo - 1 : hi + 1] for x in point)
+    maxima, best = (_cross_product_scan if exact else _quotient_scan)(pts, lo, hi)
+    at_bound = (bound, curve.value_at(bound) / bound)
+    sup_time, sup = best if best is not None and not at_bound[1] > best[1] else at_bound
+    return RatioReport(local_maxima=tuple(maxima), supremum=sup, sup_time=sup_time, valid_horizon=bound)
 
-    maxima = []
-    candidates = []  # (t, Q(t)) at every breakpoint in (0, bound], then at the bound
-    for j in range(1, len(pts) - 1):
-        t, v = pts[j]
-        if t <= 0 or t > bound:
-            continue
+
+def _quotient_scan(pts, lo: int, hi: int):
+    """The local maxima (t, Q) among pts[lo:hi] and the first largest Q there, comparing quotients."""
+    maxima, best = [], None
+    for j in range(lo, hi):
+        (t0, v0), (t, v), (t1, v1) = pts[j - 1 : j + 2]
         q = v / t
-        candidates.append((t, q))
-        t0, v0 = pts[j - 1]
-        t1, v1 = pts[j + 1]
+        if best is None or q > best[1]:
+            best = (t, q)
         k_in = (v - v0) / (t - t0)
         k_out = (v1 - v) / (t1 - t)
         if k_in > q >= k_out:
             maxima.append((t, q))
-    candidates.append((bound, curve.value_at(bound) / bound))
-    sup_time, sup = max(candidates, key=lambda c: c[1])  # the first of equal maxima
-    return RatioReport(local_maxima=tuple(maxima), supremum=sup, sup_time=sup_time, valid_horizon=bound)
+    return maxima, best
+
+
+def _cross_product_scan(pts, lo: int, hi: int):
+    """``_quotient_scan`` for lo < hi on the lattice of Fraction points.
+
+    Only the local maxima and the first and last candidates can hold the first largest Q.
+    """
+    window = pts[lo - 1 : hi + 1]
+    scale = math.lcm(*(x.denominator for point in window for x in point))
+    ts = [t.numerator * (scale // t.denominator) for t, _ in window]
+    vs = [v.numerator * (scale // v.denominator) for _, v in window]
+    rises = [v1 * t0 > v0 * t1 for t0, v0, t1, v1 in zip(ts, vs, ts[1:], vs[1:])]
+    peaks = [i for i in range(1, len(window) - 1) if rises[i - 1] and not rises[i]]
+    best = 1
+    for i in peaks + [len(window) - 2]:
+        if vs[i] * ts[best] > vs[best] * ts[i]:
+            best = i
+    quotients = {i: (window[i][0], window[i][1] / window[i][0]) for i in peaks + [best]}
+    return [quotients[i] for i in peaks], quotients[best]
 
 
 def _feasibility(points, speed):
@@ -356,11 +403,10 @@ def check_speed(system: BarrierSystem, speed, horizon=None, truncated: bool = Fa
     speed = system.number(speed)
     if speed <= 0:
         raise ValueError(f"speed must be > 0, got {speed}")
-    horizon = _simulation_horizon(system, horizon, truncated)
-    lat = _lattice(system, horizon)
+    lat = _lattice(system, horizon, truncated)
     points, _ = _sweep(_side_ramps(lat, RIGHT) + _side_ramps(lat, LEFT), lat)
     hit = _feasibility(points, speed)
-    return SpeedCheck(hit is None, speed, horizon, None if hit is None else lat.number(*hit))
+    return SpeedCheck(hit is None, speed, lat.number(lat.horizon), None if hit is None else lat.number(*hit))
 
 
 def ratio_report(system: BarrierSystem, horizon=None, speed=None, truncated: bool = False):

@@ -72,6 +72,7 @@ class TestConstruct:
         ("--beta", "inf", "growth factor must be finite and > 2, got beta=inf"),
         ("--delta", "nan", "shift must be finite and >= 0, got delta=nan"),
         ("--delta", "inf", "shift must be finite and >= 0, got delta=inf"),
+        ("--beta", "1e300", "growth factor beta=1e+300 overflows the shift formula; pass the shift as delta (--delta)"),
     ])
     def test_non_finite_growth_factor_or_shift_is_refused(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "x.json"

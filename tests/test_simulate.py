@@ -16,13 +16,17 @@ from firebreak import (
     RIGHT,
     BarrierSystem,
     ConsumptionCurves,
+    InterlacingParams,
     KInterval,
     PiecewiseLinearCurve,
+    RatioReport,
     build_flat,
+    build_improved,
     build_seventeen_ninths,
     check_speed,
     consumption_curve,
     curve_to_csv,
+    default_horizon,
     face_arrival_profiles,
     normalize_doubling,
     predict_intervals,
@@ -604,3 +608,189 @@ class TestLatticeProperties:
             for side in (RIGHT, LEFT, TOTAL)
         }
         assert json.dumps(intervals_to_document(curves, mode)) == json.dumps(want)
+
+
+# -- reference: the ratio scan that divides at every breakpoint ----------------------
+
+
+def reference_ratio_maxima(curve, valid_horizon=None):
+    """Q, the incoming and the outgoing slope divided out at every breakpoint in (0, bound]."""
+    pts = curve.points
+    bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
+    if bound <= curve.start:
+        raise ValueError(f"valid horizon {bound} not inside curve domain")
+    maxima = []
+    candidates = []  # (t, Q(t)) at every breakpoint in (0, bound], then at the bound
+    for j in range(1, len(pts) - 1):
+        t, v = pts[j]
+        if t <= 0 or t > bound:
+            continue
+        q = v / t
+        candidates.append((t, q))
+        t0, v0 = pts[j - 1]
+        t1, v1 = pts[j + 1]
+        k_in = (v - v0) / (t - t0)
+        k_out = (v1 - v) / (t1 - t)
+        if k_in > q >= k_out:
+            maxima.append((t, q))
+    candidates.append((bound, curve.value_at(bound) / bound))
+    sup_time, sup = max(candidates, key=lambda c: c[1])  # the first of equal maxima
+    return RatioReport(local_maxima=tuple(maxima), supremum=sup, sup_time=sup_time, valid_horizon=bound)
+
+
+def outcome(f, *args):
+    """``repr`` of the result, or the type and text of the error raised (a bound of 0 divides by 0)."""
+    try:
+        return repr(f(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def ratio_curves(draw):
+    """A nondecreasing curve of at most 12 breakpoints from t <= 0, of ints, Fractions, floats or a mix.
+
+    Small steps make equal ratios common; the first segments may be flat,
+    also from the origin, as under a head start.
+    """
+    kind = draw(st.sampled_from(["int", "fraction", "float", "mixed"]))
+    denominator = 1 if kind == "int" else 3
+    step = st.integers(0, 12 * denominator).map(lambda n: Fraction(n, denominator))
+    t, v = (0, 0) if draw(st.booleans()) else (-draw(step), draw(step) - draw(step))
+    flat = draw(st.integers(0, 2))
+    points = [(t, v)]
+    for i, (dt, dv) in enumerate(draw(st.lists(st.tuples(step.filter(bool), step), min_size=1, max_size=11))):
+        t, v = t + dt, v + (0 if i < flat else dv)
+        points.append((t, v))
+    types = {"int": int, "fraction": Fraction, "float": float}
+    size = 2 * len(points)
+    if kind == "mixed":
+        casts = draw(st.lists(st.sampled_from(list(types.values())), min_size=size, max_size=size))
+    else:
+        casts = [types[kind]] * size
+
+    def cast(to, x):
+        return x if to is int and x.denominator != 1 else to(x)
+
+    cast_points = []
+    for (t, v), to_t, to_v in zip(points, casts[::2], casts[1::2]):
+        t, v = cast(to_t, t), cast(to_v, v)
+        if cast_points and v < cast_points[-1][1]:  # a float rounded below the Fraction before it
+            v = cast_points[-1][1]
+        cast_points.append((t, v))
+    return PiecewiseLinearCurve(cast_points)
+
+
+BOUNDS = st.one_of(
+    st.none(), st.integers(-2, 40), st.integers(-2, 40).map(float), st.fractions(-2, 40, max_denominator=6),
+    st.floats(-2, 40),
+)
+
+
+class TestRatioScanMatchesTheDividingScan:
+    @settings(max_examples=200, deadline=None)
+    @given(ratio_curves(), BOUNDS)
+    def test_random_curves(self, curve, bound):
+        assert outcome(ratio_maxima, curve, bound) == outcome(reference_ratio_maxima, curve, bound)
+
+    @pytest.mark.parametrize("points, bound, maxima, sup, sup_time", [
+        # no local maxima, yet the supremum is at t = 1, not at the bound
+        ([(0, 0), (1, 2), (3, 3)], None, (), 2.0, 1),
+        ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(3))], None,
+         (), Fraction(2), Fraction(1)),
+        # float slopes and quotients disagree: the supremum is no local maximum
+        ([(-2.0, -1.0), (0.0, 1.3333333333333333), (2.0, 1.3333333333333333), (7.0, 4.666666666666667),
+          (8.0, 4.666666666666667), (13.0, 7.166666666666667), (14.0, 8.166666666666668),
+          (15.0, 8.666666666666668)], None, ((14.0, 0.5833333333333334),), 0.6666666666666667, 7.0),
+        # Q is 4/3 on the whole first segment, but 4 / 3 on ints is a float below the Fraction slope 4/3
+        ([(Fraction(0), Fraction(0)), (3, 4), (Fraction(6), Fraction(5))], None,
+         ((3, 1.3333333333333333),), 1.3333333333333333, 3),
+        # Q rises through the last breakpoint before the bound; there Q(bound) only ties it
+        ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(2), Fraction(1)),
+          (Fraction(3), Fraction(3))], 2.0, (), Fraction(1, 2), Fraction(2)),
+    ])
+    def test_pinned_curves(self, points, bound, maxima, sup, sup_time):
+        curve = PiecewiseLinearCurve(points)
+        report = ratio_maxima(curve, bound)
+        assert repr(report) == repr(reference_ratio_maxima(curve, bound))
+        assert [typed(x) for x in (report.supremum, report.sup_time)] == [typed(sup), typed(sup_time)]
+        assert report.local_maxima == maxima
+
+    def test_improved_scheme_at_its_largest_cycle_count(self):
+        # the breakpoints near the valid horizon (~6e305) would overflow any product of two of them
+        system = build_improved(InterlacingParams(cycles=253))
+        curve = consumption_curve(system).total
+        bound = valid_horizon(system)
+        assert repr(ratio_maxima(curve, bound)) == repr(reference_ratio_maxima(curve, bound))
+
+    @pytest.mark.parametrize("head_start, cycles", [(1, 8), (Fraction(7, 3), 8), (1, 64)])
+    def test_seventeen_ninths(self, head_start, cycles):
+        system = build_seventeen_ninths(head_start, cycles=cycles)
+        curve = consumption_curve(system).total
+        for bound in (None, valid_horizon(system), curve.end / 3):
+            assert repr(ratio_maxima(curve, bound)) == repr(reference_ratio_maxima(curve, bound))
+
+
+# -- horizons read from the tops --------------------------------------------------------
+
+
+def seventeen_ninths_thirds(mode):
+    """17/9 at 3 cycles and head start 1/3: valid horizon 57, default horizon 1077."""
+    system = build_seventeen_ninths(Fraction(1, 3), cycles=3)
+    return system if mode == RATIONAL else as_float(system)
+
+
+class TestHorizons:
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("horizon, truncated, message", [
+        (0, False, "horizon must be > 0, got {zero}"),
+        ("-1/2", True, "horizon must be > 0, got {minus_half}"),
+        (Fraction(400, 7), False, "horizon 57.1429 exceeds the valid horizon 57; "
+                                  "pass truncated=True to simulate the truncated system anyway"),
+    ])
+    def test_refused_horizons(self, mode, horizon, truncated, message):
+        system = seventeen_ninths_thirds(mode)
+        zero, minus_half = ("0", "-1/2") if mode == RATIONAL else ("0.0", "-0.5")
+        text = message.format(zero=zero, minus_half=minus_half)
+        with pytest.raises(ValueError) as simulated:
+            consumption_curve(system, horizon, truncated=truncated)
+        with pytest.raises(ValueError) as checked:
+            check_speed(system, 2, horizon, truncated=truncated)
+        assert str(simulated.value) == str(checked.value) == text
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_no_verticals_needs_a_horizon(self, mode):
+        system = build_flat(1, mode=mode)
+        text = "system has no verticals; specify an explicit horizon"
+        with pytest.raises(ValueError) as simulated:
+            consumption_curve(system)
+        with pytest.raises(ValueError) as checked:
+            check_speed(system, 2)
+        assert str(simulated.value) == str(checked.value) == text
+
+    @pytest.mark.parametrize("mode, horizon, want", [
+        (RATIONAL, None, Fraction(1077)),
+        (RATIONAL, 50, Fraction(50)),
+        (RATIONAL, "101/2", Fraction(101, 2)),
+        (RATIONAL, Fraction(400, 7), Fraction(400, 7)),
+        (FLOAT, None, 1077.0),
+        (FLOAT, 50, 50.0),
+        (FLOAT, "101/2", 50.5),
+        (FLOAT, Fraction(400, 7), 57.142857142857146),
+    ])
+    def test_speed_check_horizon(self, mode, horizon, want):
+        system = seventeen_ninths_thirds(mode)
+        verdict = check_speed(system, 2, horizon, truncated=True)
+        total = consumption_curve(system, horizon, truncated=True).total
+        assert typed(verdict.horizon) == typed(total.end) == typed(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rational_cases(), st.booleans())
+    def test_valid_and_default_horizon_are_the_earliest_tops(self, case, floating):
+        system = as_float(case[0]) if floating else case[0]
+        tops = [top_arrival_times(system, side) for side in (RIGHT, LEFT)]
+        tops = [times for times in tops if times]
+        want_valid = min((times[-2] if len(times) > 1 else times[0] for times in tops), default=None)
+        want_default = min((times[-1] for times in tops), default=None)
+        assert typed(valid_horizon(system)) == typed(want_valid)
+        assert typed(default_horizon(system)) == typed(want_default)
