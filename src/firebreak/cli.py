@@ -41,6 +41,17 @@ def _fits_float(x) -> bool:
     return True
 
 
+def _real(raw: str) -> float:
+    """A float argument: ``float()`` text, or "p/q", read exactly and rounded once by ``coerce_length``.
+
+    nan and inf pass, for the library's range checks to name them.
+    """
+    try:
+        return model.coerce_length(raw, model.FLOAT) if "/" in raw else float(raw)
+    except ValueError as exc:  # argparse prints it as a usage error, exit 2
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _horizon(args, system):
     """``--horizon`` as a system number, or None; past the valid horizon only with ``--truncated``."""
     if args.horizon is None:
@@ -194,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, choices=("flat", "seventeen-ninths", "improved"))
     p.add_argument("--headstart", default=None, help="head-start length (improved: rescale target)")
     p.add_argument("--cycles", type=int, default=8)
-    p.add_argument("--beta", type=float, default=None, help="improved: growth factor")
-    p.add_argument("--delta", type=float, default=None, help="improved: shift factor")
+    p.add_argument("--beta", type=_real, default=None, help="improved: growth factor")
+    p.add_argument("--delta", type=_real, default=None, help="improved: shift factor")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
@@ -224,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="compare the exact curve against the grid BFS oracle")
     p.add_argument("--system", required=True)
-    p.add_argument("--cell", type=float, required=True)
+    p.add_argument("--cell", type=_real, required=True)
     p.add_argument("--horizon", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)

@@ -34,28 +34,30 @@ def build_seventeen_ninths(head_start=1, cycles: int = 8) -> BarrierSystem:
         heights right: b_1 = 17 s,             b_{i+1} = 4 d_i     (i >= 1)
         gaps left:     c_1 = s,   c_2 = 238 s, c_{i+1} = 7.5 d_i   (i >= 2)
         heights left:  d_1 = 34 s,             d_{i+1} = 4 b_{i+1} (i >= 1)
+
+    The recurrence runs on the integer coefficients of s/2 (b_i is even, so
+    7.5 b_i is one), and each length is one Fraction.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     s = model.coerce_length(head_start, RATIONAL)
     if s <= 0:
         raise ValidationError(f"head start must be > 0, got {s}")
-    a = [s]
-    b = [17 * s]
-    c = [s]
-    d = [34 * s]
-    seven_half = Fraction(15, 2)
+    a = [2]
+    b = [34]
+    c = [2]
+    d = [68]
     for i in range(1, cycles):
         b.append(4 * d[i - 1])
         d.append(4 * b[i])
-        a.append(34 * s if i == 1 else seven_half * b[i - 1])
-        c.append(238 * s if i == 1 else seven_half * d[i - 1])
-    return BarrierSystem(
-        mode=RATIONAL,
-        head_start=s,
-        right=tuple(zip(a, b)),
-        left=tuple(zip(c, d)),
-    )
+        a.append(68 if i == 1 else 15 * b[i - 1] // 2)
+        c.append(476 if i == 1 else 15 * d[i - 1] // 2)
+    p, q = s.numerator, 2 * s.denominator
+
+    def sides(gaps, heights):
+        return tuple((Fraction(g * p, q), Fraction(h * p, q)) for g, h in zip(gaps, heights))
+
+    return BarrierSystem(mode=RATIONAL, head_start=s, right=sides(a, b), left=sides(c, d))
 
 
 @dataclass(frozen=True)

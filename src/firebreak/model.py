@@ -53,14 +53,26 @@ def coerce_length(value, mode: str) -> Number:
     Rational mode accepts ints, Fractions and strings ("p/q", "17", "7.5");
     floats are rejected as lossy.  Float mode accepts anything float() takes,
     and a "p/q" string, which it reads exactly and rounds once.
+
+    A Fraction is returned as it is, and "p" or "p/q" in ASCII digits, the
+    form documents write, is read with ``int``; any other string goes
+    through ``Fraction(str)``, with the same result.
     """
     if mode == RATIONAL:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, bool):
             raise ValidationError(f"not a length: {value!r}")
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
+            num, slash, den = value.partition("/")
             try:
+                if num.isascii() and num.isdecimal():
+                    if not slash:
+                        return Fraction(int(num))
+                    if den.isascii() and den.isdecimal():
+                        return Fraction(int(num), int(den))
                 return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValidationError(f"cannot parse rational {value!r}") from exc

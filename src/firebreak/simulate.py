@@ -12,10 +12,13 @@ profile is pointwise no later than the far one (their difference shrinks to
 One sweep over a side's ramps yields its curve and maximal k-intervals; the
 total is the same sweep over both sides' ramps.  A rational system is first
 rescaled by the LCM of its denominators and the horizon's, so the tops behind
-the horizons, ramps, sweeps and speed checks run on Python ints; numbers
-become Fractions again only in the public curves, intervals and horizons.
-Float mode runs the same code at scale 1.  The ratio scan rescales a curve of
-Fractions the same way and divides only for the points it reports.
+the horizons, ramps, sweeps, the curves' order checks and speed checks run on
+Python ints.  Fractions are a boundary type: one is made for each number the
+module publishes (curve points, interval ends, horizons), and none is compared
+or combined again in a loop.  Float mode runs the same code at scale 1.  The
+ratio scan and the CSV export rescale curves of Fractions the same way; the
+scan divides only for the points it reports, and each CSV cell is one int
+division.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -45,14 +48,15 @@ class PiecewiseLinearCurve:
 
     def __init__(self, points):
         points = tuple((t, v) for t, v in points)
-        if len(points) < 2:
-            raise ValueError("curve needs at least two breakpoints")
-        for (t0, v0), (t1, v1) in zip(points, points[1:]):
-            if not t1 > t0:
-                raise ValueError(f"breakpoint times must increase: {t0} -> {t1}")
-            if v1 < v0:
-                raise ValueError(f"curve must be nondecreasing: {v0} -> {v1}")
+        _check_breakpoints(points)
         self.points = points
+
+    @classmethod
+    def _checked(cls, points: tuple) -> "PiecewiseLinearCurve":
+        """The curve on ``points``, which ``_check_breakpoints`` passed on some positive rescaling."""
+        curve = cls.__new__(cls)
+        curve.points = points
+        return curve
 
     def __iter__(self):
         return iter(self.points)
@@ -84,6 +88,17 @@ class PiecewiseLinearCurve:
         if t == t0:
             return v0
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def _check_breakpoints(points) -> None:
+    """Refuse fewer than two breakpoints, times that do not increase or values that decrease."""
+    if len(points) < 2:
+        raise ValueError("curve needs at least two breakpoints")
+    for (t0, v0), (t1, v1) in zip(points, points[1:]):
+        if not t1 > t0:
+            raise ValueError(f"breakpoint times must increase: {t0} -> {t1}")
+        if v1 < v0:
+            raise ValueError(f"curve must be nondecreasing: {v0} -> {v1}")
 
 
 @dataclass(frozen=True)
@@ -292,8 +307,9 @@ def consumption_curve(
     curves, intervals = {}, []
     for side, ramps in ((RIGHT, right), (LEFT, left), (TOTAL, right + left)):
         points, slopes = _sweep(ramps, lat)
-        points = [(lat.number(t), lat.number(v)) for t, v in points]
-        curves[side] = PiecewiseLinearCurve(points)
+        _check_breakpoints(points)  # on the lattice: a positive scale keeps both orders
+        points = tuple((lat.number(t), lat.number(v)) for t, v in points)
+        curves[side] = PiecewiseLinearCurve._checked(points)
         segments = zip(points, points[1:])
         intervals.extend(KInterval(side, t0, t1, k) for ((t0, _), (t1, _)), k in zip(segments, slopes))
     return ConsumptionCurves(curves[TOTAL], curves[LEFT], curves[RIGHT], tuple(intervals))
@@ -324,15 +340,32 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     """
     pts = curve.points
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
+    if bound <= 0:
+        raise ValueError(f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]")
     if bound <= curve.start:
         raise ValueError(f"valid horizon {bound} not inside curve domain")
     times = [t for t, _ in pts]
     lo, hi = max(bisect_right(times, 0), 1), min(bisect_right(times, bound), len(pts) - 1)  # candidates pts[lo:hi]
-    exact = lo < hi and all(isinstance(x, Fraction) for point in pts[lo - 1 : hi + 1] for x in point)
-    maxima, best = (_cross_product_scan if exact else _quotient_scan)(pts, lo, hi)
+    window = pts[lo - 1 : hi + 1]
+    lattice = _on_one_scale(window) if lo < hi else None
+    maxima, best = _quotient_scan(pts, lo, hi) if lattice is None else _cross_product_scan(window, lattice[1][0])
     at_bound = (bound, curve.value_at(bound) / bound)
     sup_time, sup = best if best is not None and not at_bound[1] > best[1] else at_bound
     return RatioReport(local_maxima=tuple(maxima), supremum=sup, sup_time=sup_time, valid_horizon=bound)
+
+
+def _on_one_scale(*curves):
+    """Point lists of Fractions as int pairs over the LCM of all their denominators, and that LCM.
+
+    Each int pair divided by the LCM is its point.  None when a coordinate is not a Fraction.
+    """
+    if not all(isinstance(x, Fraction) for points in curves for point in points for x in point):
+        return None
+    scale = math.lcm(*(x.denominator for points in curves for point in points for x in point))
+    return scale, [
+        [(t.numerator * (scale // t.denominator), v.numerator * (scale // v.denominator)) for t, v in points]
+        for points in curves
+    ]
 
 
 def _quotient_scan(pts, lo: int, hi: int):
@@ -350,20 +383,16 @@ def _quotient_scan(pts, lo: int, hi: int):
     return maxima, best
 
 
-def _cross_product_scan(pts, lo: int, hi: int):
-    """``_quotient_scan`` for lo < hi on the lattice of Fraction points.
+def _cross_product_scan(window, ints):
+    """``_quotient_scan`` of the inner points of ``window``, Fraction points given as lattice ``ints``.
 
     Only the local maxima and the first and last candidates can hold the first largest Q.
     """
-    window = pts[lo - 1 : hi + 1]
-    scale = math.lcm(*(x.denominator for point in window for x in point))
-    ts = [t.numerator * (scale // t.denominator) for t, _ in window]
-    vs = [v.numerator * (scale // v.denominator) for _, v in window]
-    rises = [v1 * t0 > v0 * t1 for t0, v0, t1, v1 in zip(ts, vs, ts[1:], vs[1:])]
+    rises = [v1 * t0 > v0 * t1 for (t0, v0), (t1, v1) in zip(ints, ints[1:])]
     peaks = [i for i in range(1, len(window) - 1) if rises[i - 1] and not rises[i]]
     best = 1
     for i in peaks + [len(window) - 2]:
-        if vs[i] * ts[best] > vs[best] * ts[i]:
+        if ints[i][1] * ints[best][0] > ints[best][1] * ints[i][0]:
             best = i
     quotients = {i: (window[i][0], window[i][1] / window[i][0]) for i in peaks + [best]}
     return [quotients[i] for i in peaks], quotients[best]
@@ -465,25 +494,44 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
 
 
 def curve_to_csv(curves: ConsumptionCurves) -> str:
-    """Breakpoint rows of the total curve: t, B_total, B_left, B_right, k_total."""
+    """Breakpoint rows of the total curve: t, B_total, B_left, B_right, k_total.
+
+    Curves of Fractions are read on one lattice of ints, and each cell is one
+    int true division.  That rounds correctly, as ``float(Fraction)`` does, so
+    the rows, and the ``OverflowError`` past the float range, are the same.
+    """
     ks = [iv.k for iv in side_intervals(curves, TOTAL)]  # one per segment; the last row repeats the last
+    ks += ks[-1:]
     lines = ["t,B_total,B_left,B_right,k_total"]
-    points = curves.total.points
-    sides = zip(_values_along(curves.left, points), _values_along(curves.right, points))
-    for (t, v), (left, right), k in zip(points, sides, ks + ks[-1:]):
-        lines.append(f"{float(t)!r},{float(v)!r},{float(left)!r},{float(right)!r},{k}")
+    lattice = _on_one_scale(curves.total.points, curves.left.points, curves.right.points)
+    if lattice is None:
+        points = curves.total.points
+        sides = zip(_values_along(curves.left.points, points), _values_along(curves.right.points, points))
+        for (t, v), (left, right), k in zip(points, sides, ks):
+            lines.append(f"{float(t)!r},{float(v)!r},{float(left)!r},{float(right)!r},{k}")
+    else:
+        scale, (points, left, right) = lattice
+        sides = zip(_values_along(left, points, scale), _values_along(right, points, scale))
+        for (t, v), (left, right), k in zip(points, sides, ks):
+            lines.append(f"{t / scale!r},{v / scale!r},{left!r},{right!r},{k}")
     return "\n".join(lines) + "\n"
 
 
-def _values_along(curve: PiecewiseLinearCurve, points):
-    """``curve.value_at(t)`` for the increasing t of ``points``, in one walk, bit for bit."""
-    pts = curve.points
+def _values_along(pts, points, scale=None):
+    """``value_at(t)`` on the curve ``pts`` for the increasing t of ``points``, in one walk, bit for bit.
+
+    With ``scale``, both are lattice ints, and the value is ``float`` of the
+    curve's own value: one int division by the scale.
+    """
     i = 0
     for t, _ in points:
         while i < len(pts) - 2 and pts[i + 1][0] <= t:
             i += 1
         (t0, v0), (t1, v1) = pts[i], pts[i + 1]
-        yield v0 if t == t0 else v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        if scale is None:
+            yield v0 if t == t0 else v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        else:
+            yield v0 / scale if t == t0 else (v0 * (t1 - t0) + (v1 - v0) * (t - t0)) / ((t1 - t0) * scale)
 
 
 def intervals_to_document(curves: ConsumptionCurves, mode: str) -> dict:

@@ -67,6 +67,13 @@ class TestConstruct:
         assert run(base + [str(decimal), "--headstart", "0.3333333333333333"]) == 0
         assert ratio.read_bytes() == decimal.read_bytes()
 
+    def test_growth_factor_and_shift_read_ratios(self, tmp_path):
+        ratio, decimal = tmp_path / "ratio.json", tmp_path / "decimal.json"
+        base = ["construct", "--type", "improved", "--cycles", "3", "--out"]
+        assert run(base + [str(ratio), "--beta", "7/2", "--delta", "4/3"]) == 0
+        assert run(base + [str(decimal), "--beta", "3.5", "--delta", "1.3333333333333333"]) == 0
+        assert ratio.read_bytes() == decimal.read_bytes()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--beta", "nan", "growth factor must be finite and > 2, got beta=nan"),
         ("--beta", "inf", "growth factor must be finite and > 2, got beta=inf"),
@@ -255,6 +262,20 @@ class TestOracle:
         assert run(["oracle", "--system", str(doc17), "--cell", "1"]) == 2
         err = capsys.readouterr().err
         assert "physical memory" in err and "Traceback" not in err
+
+    def test_cell_reads_a_ratio(self, doc3, tmp_path):
+        ratio, decimal = tmp_path / "ratio.json", tmp_path / "decimal.json"
+        assert run(["oracle", "--system", str(doc3), "--cell", "1/4", "--out", str(ratio)]) == 0
+        assert run(["oracle", "--system", str(doc3), "--cell", "0.25", "--out", str(decimal)]) == 0
+        assert ratio.read_bytes() == decimal.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--cell", "--beta", "--delta"])
+    def test_zero_denominator_is_usage_error(self, doc3, tmp_path, capsys, flag):
+        argv = ["oracle", "--system", str(doc3)] if flag == "--cell" else ["construct", "--type", "improved"]
+        with pytest.raises(SystemExit) as info:
+            run(argv + [flag, "1/0", "--out", str(tmp_path / "x.json")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: cannot parse rational '1/0'\n")
 
     @pytest.mark.parametrize("cell", ["1e308", "inf"])
     def test_cell_larger_than_horizon_is_usage_error(self, doc3, capsys, cell):

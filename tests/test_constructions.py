@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firebreak import (
     LEFT,
@@ -54,7 +56,26 @@ class TestFlat:
             build_flat(0)
 
 
+def reference_seventeen_ninths(s, cycles):
+    """The 17/9 recurrence on Fractions: right and left (gap, height) pairs for head start ``s``."""
+    a, b, c, d = [s], [17 * s], [s], [34 * s]
+    for i in range(1, cycles):
+        b.append(4 * d[i - 1])
+        d.append(4 * b[i])
+        a.append(34 * s if i == 1 else Fraction(15, 2) * b[i - 1])
+        c.append(238 * s if i == 1 else Fraction(15, 2) * d[i - 1])
+    return tuple(zip(a, b)), tuple(zip(c, d))
+
+
 class TestSeventeenNinths:
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).filter(bool), st.integers(1, 40))
+    def test_matches_the_fraction_recurrence(self, head_start, cycles):
+        system = build_seventeen_ninths(head_start, cycles)
+        assert (system.right, system.left) == reference_seventeen_ninths(head_start, cycles)
+        assert system.head_start == head_start
+        assert all(type(x) is Fraction for pair in system.right + system.left for x in pair)
+
     def test_starting_values(self, sys17):
         a, b = zip(*sys17.pairs(RIGHT))
         c, d = zip(*sys17.pairs(LEFT))

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firebreak import (
@@ -278,6 +278,41 @@ class TestCoerce:
         with pytest.raises(ValidationError) as info:
             coerce_length(text, FLOAT)
         assert str(info.value) == message
+
+
+def reference_rational(text):
+    """The rational reader of strings before digit strings were read with ``int``: ``Fraction(text)``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"cannot parse rational {text!r}") from exc
+
+
+def outcome(f, *args):
+    """The result with its type, or the type and text of the error raised."""
+    try:
+        result = f(*args)
+    except ValidationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return type(result), result
+
+
+def small_exponent(text):
+    """At most three digits after the first "e": ``Fraction("1e999999999")`` builds 10**999999999."""
+    _, e, exponent = text.partition("e")
+    return not e or sum(c.isdecimal() for c in exponent) <= 3
+
+
+class TestRationalReader:
+    # digits, signs, separators and exponents that Fraction(str) reads, and non-ASCII digits
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789/+-_ .e\u0663\u00b2", max_size=12).filter(small_exponent))
+    def test_matches_fraction_of_the_string(self, text):
+        assert outcome(coerce_length, text, RATIONAL) == outcome(reference_rational, text)
+
+    @pytest.mark.parametrize("text", ["17", "17/9", "0034/0012", "1/0", "7.5", " 3/4", "+3", "1_000/3", "\u0663/4", "2\u00b2", "3/", "/3", ""])
+    def test_pinned_strings(self, text):
+        assert outcome(coerce_length, text, RATIONAL) == outcome(reference_rational, text)
 
 
 class TestRenderNumber:

@@ -592,6 +592,14 @@ class TestLatticeProperties:
         curves = consumption_curve(system, horizon, truncated=True)
         assert curve_to_csv(curves) == reference_csv(curves)
 
+    def test_csv_past_the_float_range_raises_as_the_reference_does(self):
+        curves = consumption_curve(build_seventeen_ninths(1, 300))
+        with pytest.raises(OverflowError) as want:
+            reference_csv(curves)
+        with pytest.raises(OverflowError) as got:
+            curve_to_csv(curves)
+        assert str(got.value) == str(want.value)
+
     @settings(max_examples=50, deadline=None)
     @given(rational_cases(), st.booleans())
     def test_intervals_document_matches_rendering_each_interval(self, case, floating):
@@ -617,6 +625,8 @@ def reference_ratio_maxima(curve, valid_horizon=None):
     """Q, the incoming and the outgoing slope divided out at every breakpoint in (0, bound]."""
     pts = curve.points
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
+    if bound <= 0:
+        raise ValueError(f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]")
     if bound <= curve.start:
         raise ValueError(f"valid horizon {bound} not inside curve domain")
     maxima = []
@@ -639,7 +649,7 @@ def reference_ratio_maxima(curve, valid_horizon=None):
 
 
 def outcome(f, *args):
-    """``repr`` of the result, or the type and text of the error raised (a bound of 0 divides by 0)."""
+    """``repr`` of the result, or the type and text of the error raised (a bound <= 0 is a ValueError)."""
     try:
         return repr(f(*args))
     except (ValueError, ArithmeticError) as exc:
@@ -715,6 +725,13 @@ class TestRatioScanMatchesTheDividingScan:
         assert repr(report) == repr(reference_ratio_maxima(curve, bound))
         assert [typed(x) for x in (report.supremum, report.sup_time)] == [typed(sup), typed(sup_time)]
         assert report.local_maxima == maxima
+
+    @pytest.mark.parametrize("bound", [0, 0.0, Fraction(-1, 2), -1])
+    def test_a_bound_at_or_before_the_origin_leaves_an_empty_range(self, bound):
+        curve = PiecewiseLinearCurve([(-1, 0), (1, 1)])
+        with pytest.raises(ValueError) as info:
+            ratio_maxima(curve, bound)
+        assert str(info.value) == f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]"
 
     def test_improved_scheme_at_its_largest_cycle_count(self):
         # the breakpoints near the valid horizon (~6e305) would overflow any product of two of them
