@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -56,7 +57,8 @@ def coerce_length(value, mode: str) -> Number:
 
     A Fraction is returned as it is, and "p" or "p/q" in ASCII digits, the
     form documents write, is read with ``int``; any other string goes
-    through ``Fraction(str)``, with the same result.
+    through ``Fraction(str)``, with the same result, unless its exponent
+    would build a power of ten longer than ``sys.get_int_max_str_digits()``.
     """
     if mode == RATIONAL:
         if type(value) is Fraction:
@@ -73,9 +75,17 @@ def coerce_length(value, mode: str) -> Number:
                         return Fraction(int(num))
                     if den.isascii() and den.isdecimal():
                         return Fraction(int(num), int(den))
-                return Fraction(value)
+                # Fraction(str) builds the power of ten in full: 1e999999999 would take hours
+                _, e, exponent = value.lower().rpartition("e")
+                limit = sys.get_int_max_str_digits()
+                if slash or not (e and limit) or abs(int(exponent)) < limit:
+                    return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValidationError(f"cannot parse rational {value!r}") from exc
+            raise ValidationError(
+                f"cannot parse rational {value!r}: its power of ten has more digits than "
+                f"the limit of {limit} (sys.get_int_max_str_digits())"
+            )
         if isinstance(value, float):
             raise ValidationError(
                 f"float {value!r} not accepted in rational mode (lossy); "

@@ -16,9 +16,10 @@ the horizons, ramps, sweeps, the curves' order checks and speed checks run on
 Python ints.  Fractions are a boundary type: one is made for each number the
 module publishes (curve points, interval ends, horizons), and none is compared
 or combined again in a loop.  Float mode runs the same code at scale 1.  The
-ratio scan and the CSV export rescale curves of Fractions the same way; the
-scan divides only for the points it reports, and each CSV cell is one int
-division.
+ratio scan reads any curve, of ints, Fractions, floats or a mix, exactly on
+one lattice of ints and divides only for the points it reports; the CSV
+export reads curves without a float the same way, and each of its cells is
+one int division.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -76,18 +77,24 @@ class PiecewiseLinearCurve:
         pts = self.points
         if not (pts[0][0] <= t <= pts[-1][0]):
             raise ValueError(f"time {t} outside curve domain [{pts[0][0]}, {pts[-1][0]}]")
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        t0, v0 = pts[lo]
-        t1, v1 = pts[hi]
-        if t == t0:
-            return v0
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        hi = min(bisect_right(pts, (t, math.inf)), len(pts) - 1)  # (t, inf) sorts after every breakpoint at t
+        return _between(t, *pts[hi - 1], *pts[hi])
+
+
+def _between(t, t0, v0, t1, v1):
+    """The value at ``t`` on the segment from (t0, v0) to (t1, v1), exact at both ends.
+
+    Floats past about 1e154 overflow ``(v1 - v0) * (t - t0)``; only there
+    is the time step divided first.
+    """
+    if t == t0:
+        return v0
+    if t == t1:
+        return v1
+    rise = (v1 - v0) * (t - t0)
+    if rise == math.inf:
+        return v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
+    return v0 + rise / (t1 - t0)
 
 
 def _check_breakpoints(points) -> None:
@@ -148,7 +155,12 @@ class ConsumptionCurves(NamedTuple):
     total: PiecewiseLinearCurve
     left: PiecewiseLinearCurve
     right: PiecewiseLinearCurve
-    intervals: tuple  # KInterval entries for right, left and total
+    ks: dict  # right, left and total -> the tuple of the k of each segment of that curve
+
+    @property
+    def intervals(self) -> tuple:
+        """KInterval entries for right, left and total."""
+        return tuple(iv for side in self.ks for iv in side_intervals(self, side))
 
 
 # -- integer lattice and horizons -------------------------------------------------
@@ -289,7 +301,7 @@ def _sweep(ramps: list, lat: _Lattice):
             points.append((t, v0 + k * (t - t0)))
             slopes.append(k)
         k += delta
-    return points, slopes
+    return points, tuple(slopes)
 
 
 def consumption_curve(
@@ -304,19 +316,20 @@ def consumption_curve(
     """
     lat = _lattice(system, horizon, truncated)
     right, left = _side_ramps(lat, RIGHT), _side_ramps(lat, LEFT)
-    curves, intervals = {}, []
+    curves, ks = {}, {}
     for side, ramps in ((RIGHT, right), (LEFT, left), (TOTAL, right + left)):
-        points, slopes = _sweep(ramps, lat)
+        points, ks[side] = _sweep(ramps, lat)
         _check_breakpoints(points)  # on the lattice: a positive scale keeps both orders
-        points = tuple((lat.number(t), lat.number(v)) for t, v in points)
-        curves[side] = PiecewiseLinearCurve._checked(points)
-        segments = zip(points, points[1:])
-        intervals.extend(KInterval(side, t0, t1, k) for ((t0, _), (t1, _)), k in zip(segments, slopes))
-    return ConsumptionCurves(curves[TOTAL], curves[LEFT], curves[RIGHT], tuple(intervals))
+        curves[side] = PiecewiseLinearCurve._checked(tuple((lat.number(t), lat.number(v)) for t, v in points))
+    return ConsumptionCurves(curves[TOTAL], curves[LEFT], curves[RIGHT], ks)
 
 
 def side_intervals(curves: ConsumptionCurves, side: str) -> tuple:
-    return tuple(iv for iv in curves.intervals if iv.side == side)
+    """The maximal k-intervals of one side's curve (or the total's): one per segment."""
+    if side not in curves.ks:
+        raise ValueError(f"side must be 'right', 'left' or 'total', got {side!r}")
+    points = getattr(curves, side).points
+    return tuple(KInterval(side, t0, t1, k) for (t0, _), (t1, _), k in zip(points, points[1:], curves.ks[side]))
 
 
 # -- consumption ratio -----------------------------------------------------------
@@ -333,10 +346,10 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     never a maximum from the left.  The supremum is the first largest Q over
     the candidates, then the bound.
 
-    On Fraction points each test is a cross product on lattice ints (the
-    slope into (t, v) exceeds Q(t) iff v*t0 > v0*t), and v/t is divided only
-    for the reported points.  Other points compare the quotients themselves,
-    which for two ints are rounded floats.
+    Every test is exact, whatever the points' types: the points and
+    (bound, B(bound)) are read as ints on one lattice, the slope into (t, v)
+    exceeds Q(t) iff v*t0 > v0*t, and Q(t) > Q(s) iff v*s > w*t.  Q is
+    divided, as v/t in the points' own types, only for the reported points.
     """
     pts = curve.points
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
@@ -344,58 +357,32 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
         raise ValueError(f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]")
     if bound <= curve.start:
         raise ValueError(f"valid horizon {bound} not inside curve domain")
-    times = [t for t, _ in pts]
-    lo, hi = max(bisect_right(times, 0), 1), min(bisect_right(times, bound), len(pts) - 1)  # candidates pts[lo:hi]
-    window = pts[lo - 1 : hi + 1]
-    lattice = _on_one_scale(window) if lo < hi else None
-    maxima, best = _quotient_scan(pts, lo, hi) if lattice is None else _cross_product_scan(window, lattice[1][0])
-    at_bound = (bound, curve.value_at(bound) / bound)
-    sup_time, sup = best if best is not None and not at_bound[1] > best[1] else at_bound
-    return RatioReport(local_maxima=tuple(maxima), supremum=sup, sup_time=sup_time, valid_horizon=bound)
+    lo, hi = max(bisect_right(pts, (0, math.inf)), 1), min(bisect_right(pts, (bound, math.inf)), len(pts) - 1)
+    window = pts[lo - 1 : hi + 1] if lo < hi else ()  # the candidates pts[lo:hi] and their neighbours
+    at_bound = (bound, curve.value_at(bound))
+    _, (ints, [bound_ints]) = _on_one_scale(window, [at_bound])
+    rises = [v1 * t0 > v0 * t1 for (t0, v0), (t1, v1) in zip(ints, ints[1:])]
+    peaks = [i for i in range(1, len(window) - 1) if rises[i - 1] and not rises[i]]
+    # only the first and the last candidate, the local maxima and the bound can hold the first largest Q
+    order = [1, *peaks, len(window) - 2] if window else []
+    (sup_point, (s, w)), *rest = [(window[i], ints[i]) for i in order] + [(at_bound, bound_ints)]
+    for point, (t, v) in rest:
+        if v * s > w * t:
+            sup_point, (s, w) = point, (t, v)
+    sup_time, sup_value = sup_point
+    maxima = tuple((window[i][0], window[i][1] / window[i][0]) for i in peaks)
+    return RatioReport(local_maxima=maxima, supremum=sup_value / sup_time, sup_time=sup_time, valid_horizon=bound)
 
 
 def _on_one_scale(*curves):
-    """Point lists of Fractions as int pairs over the LCM of all their denominators, and that LCM.
+    """Point lists as int pairs over the LCM of all their denominators, and that LCM.
 
-    Each int pair divided by the LCM is its point.  None when a coordinate is not a Fraction.
+    Ints, Fractions and floats all read exactly through ``as_integer_ratio``;
+    each int pair divided by the LCM is its point.
     """
-    if not all(isinstance(x, Fraction) for points in curves for point in points for x in point):
-        return None
-    scale = math.lcm(*(x.denominator for points in curves for point in points for x in point))
-    return scale, [
-        [(t.numerator * (scale // t.denominator), v.numerator * (scale // v.denominator)) for t, v in points]
-        for points in curves
-    ]
-
-
-def _quotient_scan(pts, lo: int, hi: int):
-    """The local maxima (t, Q) among pts[lo:hi] and the first largest Q there, comparing quotients."""
-    maxima, best = [], None
-    for j in range(lo, hi):
-        (t0, v0), (t, v), (t1, v1) = pts[j - 1 : j + 2]
-        q = v / t
-        if best is None or q > best[1]:
-            best = (t, q)
-        k_in = (v - v0) / (t - t0)
-        k_out = (v1 - v) / (t1 - t)
-        if k_in > q >= k_out:
-            maxima.append((t, q))
-    return maxima, best
-
-
-def _cross_product_scan(window, ints):
-    """``_quotient_scan`` of the inner points of ``window``, Fraction points given as lattice ``ints``.
-
-    Only the local maxima and the first and last candidates can hold the first largest Q.
-    """
-    rises = [v1 * t0 > v0 * t1 for (t0, v0), (t1, v1) in zip(ints, ints[1:])]
-    peaks = [i for i in range(1, len(window) - 1) if rises[i - 1] and not rises[i]]
-    best = 1
-    for i in peaks + [len(window) - 2]:
-        if ints[i][1] * ints[best][0] > ints[best][1] * ints[i][0]:
-            best = i
-    quotients = {i: (window[i][0], window[i][1] / window[i][0]) for i in peaks + [best]}
-    return [quotients[i] for i in peaks], quotients[best]
+    ratios = [[(t.as_integer_ratio(), v.as_integer_ratio()) for t, v in points] for points in curves]
+    scale = math.lcm(*(den for points in ratios for (_, dt), (_, dv) in points for den in (dt, dv)))
+    return scale, [[(nt * (scale // dt), nv * (scale // dv)) for (nt, dt), (nv, dv) in points] for points in ratios]
 
 
 def _feasibility(points, speed):
@@ -496,21 +483,22 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
 def curve_to_csv(curves: ConsumptionCurves) -> str:
     """Breakpoint rows of the total curve: t, B_total, B_left, B_right, k_total.
 
-    Curves of Fractions are read on one lattice of ints, and each cell is one
-    int true division.  That rounds correctly, as ``float(Fraction)`` does, so
-    the rows, and the ``OverflowError`` past the float range, are the same.
+    Curves with a float coordinate are walked in floats, as ``value_at``
+    computes.  Other curves are read on one lattice of ints, and each cell is
+    one int true division.  That rounds correctly, as ``float(Fraction)``
+    does, so the rows, and the ``OverflowError`` past the float range, are
+    the same.
     """
-    ks = [iv.k for iv in side_intervals(curves, TOTAL)]  # one per segment; the last row repeats the last
-    ks += ks[-1:]
+    ks = curves.ks[TOTAL] + curves.ks[TOTAL][-1:]  # one per segment; the last row repeats the last
     lines = ["t,B_total,B_left,B_right,k_total"]
-    lattice = _on_one_scale(curves.total.points, curves.left.points, curves.right.points)
-    if lattice is None:
+    all_points = (curves.total.points, curves.left.points, curves.right.points)
+    if any(isinstance(t, float) or isinstance(v, float) for points in all_points for t, v in points):
         points = curves.total.points
         sides = zip(_values_along(curves.left.points, points), _values_along(curves.right.points, points))
         for (t, v), (left, right), k in zip(points, sides, ks):
             lines.append(f"{float(t)!r},{float(v)!r},{float(left)!r},{float(right)!r},{k}")
     else:
-        scale, (points, left, right) = lattice
+        scale, (points, left, right) = _on_one_scale(*all_points)
         sides = zip(_values_along(left, points, scale), _values_along(right, points, scale))
         for (t, v), (left, right), k in zip(points, sides, ks):
             lines.append(f"{t / scale!r},{v / scale!r},{left!r},{right!r},{k}")
@@ -529,7 +517,7 @@ def _values_along(pts, points, scale=None):
             i += 1
         (t0, v0), (t1, v1) = pts[i], pts[i + 1]
         if scale is None:
-            yield v0 if t == t0 else v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+            yield _between(t, t0, v0, t1, v1)
         else:
             yield v0 / scale if t == t0 else (v0 * (t1 - t0) + (v1 - v0) * (t - t0)) / ((t1 - t0) * scale)
 
@@ -537,10 +525,9 @@ def _values_along(pts, points, scale=None):
 def intervals_to_document(curves: ConsumptionCurves, mode: str) -> dict:
     """Each side's k-intervals, one per segment of its curve: every breakpoint time is rendered once."""
     doc = {}
-    for side, curve in ((RIGHT, curves.right), (LEFT, curves.left), (TOTAL, curves.total)):
-        times = [render_number(t, mode) for t, _ in curve.points]
-        intervals = zip(side_intervals(curves, side), times, times[1:])
-        doc[side] = [{"t_start": t0, "t_end": t1, "k": iv.k} for iv, t0, t1 in intervals]
+    for side, ks in curves.ks.items():
+        times = [render_number(t, mode) for t, _ in getattr(curves, side).points]
+        doc[side] = [{"t_start": t0, "t_end": t1, "k": k} for k, t0, t1 in zip(ks, times, times[1:])]
     return doc
 
 

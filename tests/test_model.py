@@ -1,6 +1,7 @@
 """Barrier-system model: validation, normalization, scaling, documents."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -310,9 +311,16 @@ class TestRationalReader:
     def test_matches_fraction_of_the_string(self, text):
         assert outcome(coerce_length, text, RATIONAL) == outcome(reference_rational, text)
 
-    @pytest.mark.parametrize("text", ["17", "17/9", "0034/0012", "1/0", "7.5", " 3/4", "+3", "1_000/3", "\u0663/4", "2\u00b2", "3/", "/3", ""])
+    @pytest.mark.parametrize("text", ["17", "17/9", "0034/0012", "1/0", "7.5", "1.5e3", " 3/4", "+3", "1_000/3", "\u0663/4", "2\u00b2", "3/", "/3", ""])
     def test_pinned_strings(self, text):
         assert outcome(coerce_length, text, RATIONAL) == outcome(reference_rational, text)
+
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000"])
+    def test_huge_exponent_is_refused_naming_the_limit(self, text):
+        with pytest.raises(ValidationError) as info:
+            coerce_length(text, RATIONAL)
+        assert str(info.value) == (f"cannot parse rational {text!r}: its power of ten has more digits than "
+                                   f"the limit of {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())")
 
 
 class TestRenderNumber:

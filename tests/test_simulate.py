@@ -1,6 +1,7 @@
 """Consumption curves, k-intervals, ratio maxima and speed feasibility."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -59,6 +60,11 @@ class TestConsumptionCurve:
         assert intervals == [(0, 1, 0), (1, 18, 1), (18, 35, 0), (35, 40, 1)]
         assert curves.right.value_at(18) == 17
         assert curves.right.value_at(35) == 17
+
+    def test_intervals_of_an_unknown_side_are_refused(self, sys17_curves):
+        with pytest.raises(ValueError) as info:
+            side_intervals(sys17_curves, "up")
+        assert str(info.value) == "side must be 'right', 'left' or 'total', got 'up'"
 
     def test_flat_system_two_ground_fronts(self):
         flat = build_flat(1)
@@ -397,8 +403,9 @@ def reference_curves(system, horizon):
             intervals.append((t0, t1, k))
     total = PiecewiseLinearCurve(
         [(zero, zero)] + [(t1, right.value_at(t1) + left.value_at(t1)) for _, t1, _ in intervals])
-    total_iv = [KInterval(TOTAL, *iv) for iv in intervals]
-    return ConsumptionCurves(total, left, right, tuple(right_iv + left_iv + total_iv))
+    ks = {RIGHT: tuple(iv.k for iv in right_iv), LEFT: tuple(iv.k for iv in left_iv),
+          TOTAL: tuple(k for *_, k in intervals)}
+    return ConsumptionCurves(total, left, right, ks)
 
 
 def reference_csv(curves):
@@ -600,6 +607,18 @@ class TestLatticeProperties:
             curve_to_csv(curves)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("cycles", [128, 253])
+    def test_improved_scheme_values_stay_finite_past_1e154(self, cycles):
+        # there (v1 - v0) * (t - t0) is past the float range: at the end time from 128 cycles, inside from 160
+        curves = consumption_curve(build_improved(InterlacingParams(cycles=cycles)))
+        for curve in (curves.total, curves.left, curves.right):
+            assert curve.value_at(curve.end) == curve.points[-1][1]
+            (t0, v0), (t1, v1) = curve.points[-2:]
+            assert v0 <= curve.value_at((t0 + t1) / 2) <= v1
+        rows = [[float(x) for x in line.split(",")] for line in curve_to_csv(curves).splitlines()[1:]]
+        assert len(rows) == len(curves.total)
+        assert all(math.isfinite(x) for row in rows for x in row)
+
     @settings(max_examples=50, deadline=None)
     @given(rational_cases(), st.booleans())
     def test_intervals_document_matches_rendering_each_interval(self, case, floating):
@@ -622,7 +641,10 @@ class TestLatticeProperties:
 
 
 def reference_ratio_maxima(curve, valid_horizon=None):
-    """Q, the incoming and the outgoing slope divided out at every breakpoint in (0, bound]."""
+    """Q, the incoming and the outgoing slope at every breakpoint in (0, bound], each an exact Fraction.
+
+    The reported Q of a point is its v / t in the points' own types.
+    """
     pts = curve.points
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
     if bound <= 0:
@@ -630,22 +652,23 @@ def reference_ratio_maxima(curve, valid_horizon=None):
     if bound <= curve.start:
         raise ValueError(f"valid horizon {bound} not inside curve domain")
     maxima = []
-    candidates = []  # (t, Q(t)) at every breakpoint in (0, bound], then at the bound
+    candidates = []  # (exact Q, t, v) at every breakpoint in (0, bound], then at the bound
     for j in range(1, len(pts) - 1):
         t, v = pts[j]
         if t <= 0 or t > bound:
             continue
-        q = v / t
-        candidates.append((t, q))
-        t0, v0 = pts[j - 1]
-        t1, v1 = pts[j + 1]
-        k_in = (v - v0) / (t - t0)
-        k_out = (v1 - v) / (t1 - t)
+        (t0, v0), (t1, v1) = [(Fraction(s), Fraction(w)) for s, w in (pts[j - 1], pts[j + 1])]
+        exact_t, exact_v = Fraction(t), Fraction(v)
+        q = exact_v / exact_t
+        candidates.append((q, t, v))
+        k_in = (exact_v - v0) / (exact_t - t0)
+        k_out = (v1 - exact_v) / (t1 - exact_t)
         if k_in > q >= k_out:
-            maxima.append((t, q))
-    candidates.append((bound, curve.value_at(bound) / bound))
-    sup_time, sup = max(candidates, key=lambda c: c[1])  # the first of equal maxima
-    return RatioReport(local_maxima=tuple(maxima), supremum=sup, sup_time=sup_time, valid_horizon=bound)
+            maxima.append((t, v / t))
+    value = curve.value_at(bound)
+    candidates.append((Fraction(value) / Fraction(bound), bound, value))
+    _, sup_time, v = max(candidates, key=lambda c: c[0])  # the first of equal maxima
+    return RatioReport(local_maxima=tuple(maxima), supremum=v / sup_time, sup_time=sup_time, valid_horizon=bound)
 
 
 def outcome(f, *args):
@@ -708,13 +731,14 @@ class TestRatioScanMatchesTheDividingScan:
         ([(0, 0), (1, 2), (3, 3)], None, (), 2.0, 1),
         ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(3))], None,
          (), Fraction(2), Fraction(1)),
-        # float slopes and quotients disagree: the supremum is no local maximum
+        # rounded float slopes and quotients disagree at t = 7, where Q has its exact local maximum
         ([(-2.0, -1.0), (0.0, 1.3333333333333333), (2.0, 1.3333333333333333), (7.0, 4.666666666666667),
           (8.0, 4.666666666666667), (13.0, 7.166666666666667), (14.0, 8.166666666666668),
-          (15.0, 8.666666666666668)], None, ((14.0, 0.5833333333333334),), 0.6666666666666667, 7.0),
-        # Q is 4/3 on the whole first segment, but 4 / 3 on ints is a float below the Fraction slope 4/3
+          (15.0, 8.666666666666668)], None, ((7.0, 0.6666666666666667), (14.0, 0.5833333333333334)),
+         0.6666666666666667, 7.0),
+        # Q is 4/3 on the whole first segment: no local maximum, although 4 / 3 on ints rounds below 4/3
         ([(Fraction(0), Fraction(0)), (3, 4), (Fraction(6), Fraction(5))], None,
-         ((3, 1.3333333333333333),), 1.3333333333333333, 3),
+         (), 1.3333333333333333, 3),
         # Q rises through the last breakpoint before the bound; there Q(bound) only ties it
         ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(2), Fraction(1)),
           (Fraction(3), Fraction(3))], 2.0, (), Fraction(1, 2), Fraction(2)),
@@ -737,8 +761,9 @@ class TestRatioScanMatchesTheDividingScan:
         # the breakpoints near the valid horizon (~6e305) would overflow any product of two of them
         system = build_improved(InterlacingParams(cycles=253))
         curve = consumption_curve(system).total
-        bound = valid_horizon(system)
-        assert repr(ratio_maxima(curve, bound)) == repr(reference_ratio_maxima(curve, bound))
+        (t0, _), (t1, _) = curve.points[-2:]
+        for bound in (valid_horizon(system), (t0 + t1) / 2):  # B(t) inside the last segment is ~1e307
+            assert repr(ratio_maxima(curve, bound)) == repr(reference_ratio_maxima(curve, bound))
 
     @pytest.mark.parametrize("head_start, cycles", [(1, 8), (Fraction(7, 3), 8), (1, 64)])
     def test_seventeen_ninths(self, head_start, cycles):
