@@ -6,147 +6,45 @@ generators for the interlaced constructions that contain the fire at build
 speeds 17/9 and about 1.8771, parameter optimizers, and an independent
 grid-BFS oracle for validation.
 
-The oracle, and with it numpy, loads on first use: ``firebreak.oracle`` or
-any of its names exported here imports it (PEP 562), so everything else
-starts without numpy.
+Every submodule loads on first use (PEP 562): ``import firebreak`` loads none,
+and ``firebreak.simulate`` or one of the names exported here imports the
+submodule that defines it.  So only the oracle loads numpy, and a command of
+the CLI loads only the submodules it runs.
 """
-
-from .model import (
-    FLOAT,
-    LEFT,
-    RATIONAL,
-    RIGHT,
-    BarrierSystem,
-    DocumentError,
-    SideCheck,
-    ValidationError,
-    ValidationReport,
-    from_document,
-    load,
-    normalize_doubling,
-    save,
-    scale,
-    to_document,
-    validate,
-)
-from .geodesic import (
-    FaceArrivalProfile,
-    face_arrival_profiles,
-    forced_descent,
-    geodesic_distance,
-    top_arrival_times,
-)
-from .simulate import (
-    ConsumptionCurves,
-    KInterval,
-    PiecewiseLinearCurve,
-    RatioReport,
-    SpeedCheck,
-    check_speed,
-    consumption_curve,
-    curve_to_csv,
-    default_horizon,
-    predict_intervals,
-    ratio_maxima,
-    ratio_report,
-    side_intervals,
-    valid_horizon,
-)
-from .constructions import (
-    InterlacingParams,
-    build_flat,
-    build_improved,
-    build_seventeen_ninths,
-)
-from .optimize import (
-    Optimum,
-    cycle_ratio,
-    delta_of_beta,
-    interlaced_maxima,
-    optimize_beta,
-    optimize_beta_delta,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarrierSystem",
-    "ConsumptionCurves",
-    "DocumentError",
-    "FLOAT",
-    "FaceArrivalProfile",
-    "GridScene",
-    "InterlacingParams",
-    "KInterval",
-    "LEFT",
-    "Optimum",
-    "OracleComparison",
-    "PiecewiseLinearCurve",
-    "RATIONAL",
-    "RIGHT",
-    "RatioReport",
-    "SampledCurve",
-    "SideCheck",
-    "SpeedCheck",
-    "ValidationError",
-    "ValidationReport",
-    "build_flat",
-    "build_improved",
-    "build_scene",
-    "build_seventeen_ninths",
-    "check_speed",
-    "compare",
-    "consumption_curve",
-    "consumption_tolerance",
-    "curve_to_csv",
-    "cycle_ratio",
-    "default_horizon",
-    "delta_of_beta",
-    "face_arrival_profiles",
-    "forced_descent",
-    "from_document",
-    "geodesic_distance",
-    "grid_arrival",
-    "grid_consumption",
-    "interlaced_maxima",
-    "load",
-    "normalize_doubling",
-    "optimize_beta",
-    "optimize_beta_delta",
-    "predict_intervals",
-    "ratio_maxima",
-    "ratio_report",
-    "save",
-    "scale",
-    "side_intervals",
-    "to_document",
-    "top_arrival_times",
-    "valid_horizon",
-    "validate",
-]
+# the public names each submodule gives the package
+_EXPORTS = {
+    "model": "FLOAT LEFT RATIONAL RIGHT BarrierSystem DocumentError SideCheck ValidationError "
+             "ValidationReport from_document load normalize_doubling save scale to_document validate",
+    "geodesic": "FaceArrivalProfile face_arrival_profiles forced_descent geodesic_distance top_arrival_times",
+    "simulate": "ConsumptionCurves KInterval PiecewiseLinearCurve RatioReport SpeedCheck check_speed "
+                "consumption_curve curve_to_csv default_horizon predict_intervals ratio_maxima "
+                "ratio_report side_intervals valid_horizon",
+    "constructions": "InterlacingParams build_flat build_improved build_seventeen_ninths",
+    "optimize": "Optimum cycle_ratio delta_of_beta interlaced_maxima optimize_beta optimize_beta_delta",
+    "oracle": "GridScene OracleComparison SampledCurve build_scene compare consumption_tolerance "
+              "grid_arrival grid_consumption",
+}
+# name -> the submodule that defines it; a submodule names itself
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names.split())}
 
-_ORACLE_NAMES = frozenset({
-    "GridScene",
-    "OracleComparison",
-    "SampledCurve",
-    "build_scene",
-    "compare",
-    "consumption_tolerance",
-    "grid_arrival",
-    "grid_consumption",
-})
+__all__ = sorted(_HOME.keys() - _EXPORTS.keys())
 
 
 def __getattr__(name):
-    if name == "oracle" or name in _ORACLE_NAMES:
-        import importlib  # not ``from . import oracle``, which asks this hook again
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # not ``from . import x``, which asks this hook again
 
-        oracle = importlib.import_module(".oracle", __name__)
-        return oracle if name == "oracle" else getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{_HOME[name]}", __name__)
+    if name not in _EXPORTS:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups are plain attribute reads
+    return value
 
 
 def __dir__():
-    # as if the oracle were imported eagerly: its names, no import machinery
-    return sorted(set(globals()) - {"__getattr__", "__dir__", "_ORACLE_NAMES"}
-                  | _ORACLE_NAMES | {"oracle"})
+    # as if every submodule were imported eagerly: its names, no import machinery
+    return sorted(set(globals()) - {"__getattr__", "__dir__", "_EXPORTS", "_HOME"} | _HOME.keys())

@@ -1,21 +1,18 @@
 """Command-line entry point: construct, simulate, maxima, check, oracle, optimize.
 
 Exit codes: 0 success / PASS, 1 FAIL (speed violation or oracle tolerance
-exceeded), 2 usage error: a bad argument or document, or an OS error on a
-path.  Relative output paths are resolved against $FIREBREAK_OUTDIR when set.
+exceeded), 2 usage error: a bad argument or document, an OS error on a path,
+or ``oracle`` without numpy.  Relative output paths are resolved against
+$FIREBREAK_OUTDIR when set.  Each command imports only the submodules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-
-from . import constructions, model, optimize, simulate
-from .model import approx
 
 OUTDIR_ENV = "FIREBREAK_OUTDIR"
 
@@ -46,6 +43,8 @@ def _real(raw: str) -> float:
 
     nan and inf pass, for the library's range checks to name them.
     """
+    from . import model
+
     try:
         return model.coerce_length(raw, model.FLOAT) if "/" in raw else float(raw)
     except ValueError as exc:  # argparse prints it as a usage error, exit 2
@@ -54,13 +53,15 @@ def _real(raw: str) -> float:
 
 def _horizon(args, system):
     """``--horizon`` as a system number, or None; past the valid horizon only with ``--truncated``."""
+    from . import model, simulate
+
     if args.horizon is None:
         return None
     horizon = system.number(args.horizon)
     bound = simulate.valid_horizon(system)
     if not args.truncated and bound is not None and horizon > bound:
         raise ValueError(
-            f"horizon {approx(horizon)} exceeds the valid horizon {approx(bound)}; "
+            f"horizon {model.approx(horizon)} exceeds the valid horizon {model.approx(bound)}; "
             "pass --truncated to run the truncated system anyway"
         )
     return horizon
@@ -72,6 +73,8 @@ def _check_cycles(head_start, cycles: int) -> None:
     That is the last left height, ``34 p 16^(cycles - 1)`` over the head
     start's denominator (``p`` its numerator); 0 digits means no limit.
     """
+    from . import model
+
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     p = model.coerce_length(head_start, model.RATIONAL).numerator
     if limit and p > 0:
@@ -84,6 +87,8 @@ def _check_cycles(head_start, cycles: int) -> None:
 
 
 def cmd_construct(args) -> int:
+    from . import constructions, model
+
     kind = args.type
     if kind == "flat":
         system = constructions.build_flat(args.headstart)
@@ -104,6 +109,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import model, simulate
+
     system = model.load(args.system)
     curves = simulate.consumption_curve(system, _horizon(args, system), truncated=args.truncated)
     if args.curve_out:
@@ -112,7 +119,7 @@ def cmd_simulate(args) -> int:
         except OverflowError:
             t = next(t for t, v in curves.total.points if not (_fits_float(t) and _fits_float(v)))
             raise ValueError(
-                f"curve CSV rows are floats, and the row at t={approx(t)} overflows "
+                f"curve CSV rows are floats, and the row at t={model.approx(t)} overflows "
                 "them; use --intervals-out for exact output"
             ) from None
         _out_path(args.curve_out).write_text(text, encoding="utf-8")
@@ -121,11 +128,13 @@ def cmd_simulate(args) -> int:
         _write_json(args.intervals_out, simulate.intervals_to_document(curves, system.mode))
         print(f"wrote {args.intervals_out}")
     end = curves.total.end
-    print(f"simulated to t={approx(end)}; B(end)={approx(curves.total.value_at(end))}")
+    print(f"simulated to t={model.approx(end)}; B(end)={model.approx(curves.total.value_at(end))}")
     return 0
 
 
 def cmd_maxima(args) -> int:
+    from . import model, simulate
+
     system = model.load(args.system)
     _, report = simulate.ratio_report(system, _horizon(args, system), truncated=args.truncated)
     if args.out:
@@ -133,12 +142,14 @@ def cmd_maxima(args) -> int:
         print(f"wrote {args.out}")
     print(f"local maxima: {len(report.local_maxima)}")
     for t, q in report.local_maxima:  # Q = B/t is at most the largest slope: float holds it
-        print(f"  t={approx(t)}  Q={float(q):.9f}")
-    print(f"sup Q = {float(report.supremum):.9f} at t={approx(report.sup_time)}")
+        print(f"  t={model.approx(t)}  Q={float(q):.9f}")
+    print(f"sup Q = {float(report.supremum):.9f} at t={model.approx(report.sup_time)}")
     return 0
 
 
 def cmd_check(args) -> int:
+    from . import model, simulate
+
     system = model.load(args.system)
     speed = system.number(args.speed)
     verdict = simulate.check_speed(system, speed, _horizon(args, system), truncated=args.truncated)
@@ -153,14 +164,23 @@ def cmd_check(args) -> int:
             },
         )
     if verdict.feasible:
-        print(f"PASS: B(t) <= {args.speed} * t up to t={approx(verdict.horizon)}")
+        print(f"PASS: B(t) <= {args.speed} * t up to t={model.approx(verdict.horizon)}")
         return 0
-    print(f"FAIL: earliest violation at t={approx(verdict.earliest_violation)}")
+    print(f"FAIL: earliest violation at t={model.approx(verdict.earliest_violation)}")
     return 1
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle  # the only command that needs numpy
+    from dataclasses import asdict
+
+    from . import model, simulate
+
+    try:
+        from . import oracle  # the only command that needs numpy
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise ValueError("the grid oracle needs numpy, which is not installed") from None
 
     system = model.load(args.system)
     # the grid checks the truncated system itself, so any horizon is allowed
@@ -168,13 +188,13 @@ def cmd_oracle(args) -> int:
     if horizon is None:
         raise ValueError("specify --horizon for systems without verticals")
     if not _fits_float(horizon):
-        raise ValueError(f"horizon {approx(horizon)} is past the float range of the grid")
+        raise ValueError(f"horizon {model.approx(horizon)} is past the float range of the grid")
     exact = simulate.consumption_curve(system, horizon, truncated=True)
     sampled = oracle.grid_consumption(system, args.cell, float(horizon))
     tolerance = oracle.consumption_tolerance(system, args.cell)
     result = oracle.compare(exact.total, sampled, tolerance)
     if args.out:
-        _write_json(args.out, dataclasses.asdict(result))
+        _write_json(args.out, asdict(result))
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{status}: max deviation {result.max_deviation:g} at t={result.at_time:g} "
@@ -184,6 +204,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import optimize
+
     opt = optimize.optimize_beta() if args.scheme == "beta" else optimize.optimize_beta_delta()
     payload = optimize.optimum_to_document(opt)
     if args.out:

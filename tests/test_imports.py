@@ -1,4 +1,5 @@
-"""The oracle, and numpy with it, loads only on first use.
+"""Submodules load on first use: the oracle, and numpy with it, only when asked for,
+and each CLI command only the submodules it runs.
 
 Each check runs in a fresh interpreter, so what this test process has
 already imported does not matter.
@@ -17,7 +18,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def python(code, cwd=None):
-    """Run ``code`` in a fresh interpreter with only ``src`` on the path; fail on any error."""
+    """Stdout of ``code`` run in a fresh interpreter with only ``src`` on the path; fail on any error."""
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         cwd=cwd,
@@ -28,33 +29,78 @@ def python(code, cwd=None):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    return proc.stdout
 
 
-def test_import_does_not_load_numpy():
+def test_import_loads_no_submodule():
     python("""
         import sys
         import firebreak
+        assert [m for m in sys.modules if m.startswith("firebreak")] == ["firebreak"]
         assert "numpy" not in sys.modules
-        assert "firebreak.oracle" not in sys.modules
     """)
 
 
-def test_cli_commands_other_than_oracle_do_not_load_numpy(tmp_path):
+def test_resolved_names_are_cached():
     python("""
-        import sys
+        import firebreak
+        assert "consumption_curve" not in vars(firebreak)
+        curve = firebreak.consumption_curve
+        assert vars(firebreak)["consumption_curve"] is curve is firebreak.simulate.consumption_curve
+    """)
+
+
+SIMULATOR = {"model", "geodesic", "simulate"}
+
+# each command with the firebreak submodules it loads besides ``cli``
+COMMANDS = {
+    "construct": (["construct", "--type", "seventeen-ninths", "--headstart", "1", "--cycles", "4",
+                   "--out", "built.json"], {"model", "constructions", "optimize"}),
+    "simulate": (["simulate", "--system", "s.json", "--curve-out", "c.csv", "--intervals-out", "k.json"],
+                 SIMULATOR),
+    "maxima": (["maxima", "--system", "s.json", "--out", "m.json"], SIMULATOR),
+    "check": (["check", "--system", "s.json", "--speed", "17/9", "--horizon", "20"], SIMULATOR),
+    "oracle": (["oracle", "--system", "s.json", "--cell", "1"], SIMULATOR | {"oracle"}),
+    "optimize": (["optimize", "--scheme", "beta"], {"optimize"}),
+}
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    firebreak.save(firebreak.build_seventeen_ninths(1, cycles=3), tmp_path / "s.json")
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_command_loads_only_what_it_runs(command, workdir):
+    argv, loaded = COMMANDS[command]
+    out = python(f"""
+        import contextlib, io, sys
         from firebreak.cli import main
-        commands = [
-            ["construct", "--type", "seventeen-ninths", "--headstart", "1", "--cycles", "4",
-             "--out", "s.json"],
-            ["simulate", "--system", "s.json", "--curve-out", "c.csv", "--intervals-out", "k.json"],
-            ["maxima", "--system", "s.json", "--out", "m.json"],
-            ["check", "--system", "s.json", "--speed", "17/9"],
-            ["optimize", "--scheme", "beta"],
-        ]
-        for argv in commands:
-            assert main(argv) == 0, argv
-        assert "numpy" not in sys.modules
-    """, cwd=tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main({argv!r}) == 0
+        print(sorted(m for m in sys.modules if m.startswith("firebreak")))
+        print("numpy" in sys.modules)
+    """, cwd=workdir)
+    modules = sorted({"firebreak", "firebreak.cli"} | {f"firebreak.{name}" for name in loaded})
+    assert out.splitlines() == [repr(modules), repr(command == "oracle")]
+
+
+def test_without_numpy_only_the_oracle_refuses(workdir):
+    python(f"""
+        import contextlib, io, sys
+        sys.modules["numpy"] = None  # as if numpy were not installed
+        from firebreak.cli import main
+        for argv in {[argv for argv, _ in COMMANDS.values()]!r}:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if argv[0] == "oracle":
+                assert (code, out.getvalue()) == (2, ""), (code, out.getvalue())
+                assert err.getvalue() == "error: the grid oracle needs numpy, which is not installed\\n"
+            else:
+                assert (code, err.getvalue()) == (0, ""), (argv, code, err.getvalue())
+    """, cwd=workdir)
 
 
 def test_oracle_name_loads_numpy():
