@@ -4,7 +4,8 @@ An exact, event-driven simulator for the consumption curve B(t) of a barrier
 system (horizontal barrier along the x-axis plus vertical delaying segments),
 generators for the interlaced constructions that contain the fire at build
 speeds 17/9 and about 1.8771, parameter optimizers, and an independent
-grid-BFS oracle for validation.
+grid oracle for validation, whose column sweep gives breadth-first-search
+arrivals.
 
 Every submodule loads on first use (PEP 562): ``import firebreak`` loads none,
 and ``firebreak.simulate`` or one of the names exported here imports the

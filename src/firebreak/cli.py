@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("oracle", help="compare the exact curve against the grid BFS oracle")
+    p = sub.add_parser("oracle", help="compare the exact curve against the grid oracle (one column sweep per side)")
     p.add_argument("--system", required=True)
     p.add_argument("--cell", type=_real, required=True)
     p.add_argument("--horizon", default=None)

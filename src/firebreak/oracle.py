@@ -1,25 +1,29 @@
 """Brute-force grid validation of the exact geodesics and consumption curves.
 
 The upper half-plane is discretized with nodes at integer multiples of the
-cell size; the fire source sits at the origin node.  All edge weights equal
-the cell size, so breadth-first search reproduces L1 distances exactly and no
-priority queue is needed.  A vertical barrier blocks every node strictly
-below its top on its grid column (equivalently: every edge incident to an
-interior barrier node), which realizes zero-thickness segments: paths may
-graze the top node but cannot pass through the column below it.  Nodes on
-the ground row stay passable because the fire travels along the upper face
-of the horizontal barrier.
+cell size; the fire source sits at the origin node.  All edges of the
+4-neighbour grid weigh one cell, so the number of steps from the source
+reproduces L1 distances exactly.  A vertical barrier blocks every node
+strictly below its top on its grid column (equivalently: every edge incident
+to an interior barrier node), which realizes zero-thickness segments: paths
+may graze the top node but cannot pass through the column below it.  Nodes
+on the ground row stay passable because the fire travels along the upper
+face of the horizontal barrier.
 
-When barrier coordinates are integer multiples of the cell size the BFS
+When barrier coordinates are integer multiples of the cell size the grid
 arrival times at free nodes agree with the exact geodesic; otherwise
 barriers snap to the nearest column (within half a cell).
 
-The scene allocates the full rectangle of nodes within the horizon, and
-``build_scene`` refuses one that cannot fit in physical memory.  Past that
-allocation every stage costs what it touches: the BFS keeps an explicit
-frontier of node indices, O(nodes reached + levels); sampling gathers the
-nodes next to each barrier point with index arrays; ``compare`` evaluates
-the exact curve at all sample times at once.
+Since each column is blocked only from the ground up, some shortest grid
+path is x-monotone on each side of the source, so arrivals come from one
+sweep over the columns per side instead of a breadth-first search; they
+equal that search's bit for bit.  The scene allocates the full rectangle of
+nodes within the horizon, and ``build_scene`` refuses one that cannot fit
+in physical memory.  Past that allocation every stage costs what it
+touches: the sweep a few numpy calls per run of equal column tops,
+O(verticals), plus writing the grid; sampling gathers the nodes next to
+each barrier point with index arrays; ``compare`` evaluates the exact curve
+at all sample times at once.
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ import numpy as np
 from .model import LEFT, RIGHT, BarrierSystem, approx
 from .simulate import PiecewiseLinearCurve
 
-# bytes per grid node: passable and free masks (2), float arrival grid (8), headroom (7)
+# bytes per grid node: passable mask (1), float arrival grid (8), headroom (8)
 _BYTES_PER_NODE = 17
+# rows or columns a mask of grid_arrival covers at a time, so no mask is grid-sized
+_SLAB = 64
 
 
 @dataclass(frozen=True)
@@ -90,17 +96,21 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
         passable=passable,
         source_col=steps,
     )
+    # lengths compare exactly before they become floats, so lengths past the
+    # float range only mean a foot outside the scene or a fully blocked column
     for side, sign in ((RIGHT, 1), (LEFT, -1)):
         for foot, height in zip(system.feet(side), system.heights(side)):
+            if foot > 2 * scene.x_extent:
+                continue
             col = scene.col(sign * float(foot))
             if not 0 <= col < nx:
                 continue
             # block nodes strictly below the top; the top node stays open
-            top_row = int(np.floor(float(height) / cell - 1e-9)) + 1
+            top_row = ny if height > 2 * ny * cell else int(np.floor(float(height) / cell - 1e-9)) + 1
             passable[: min(top_row, ny), col] = False
     if not passable[0, scene.source_col]:  # a foot within half a cell of the origin rounds onto it
-        firsts = (sign * float(f) for side, sign in ((RIGHT, 1), (LEFT, -1)) for f in system.feet(side)[:1])
-        x = min(firsts, key=abs)
+        firsts = (sign * f for side, sign in ((RIGHT, 1), (LEFT, -1)) for f in system.feet(side)[:1])
+        x = float(min(firsts, key=abs))
         raise ValueError(
             f"cell {cell:g} rounds the vertical at x={x:g} onto the source node; use a cell below {2 * abs(x):g}"
         )
@@ -108,42 +118,67 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
 
 
 def grid_arrival(scene: GridScene, max_time: float | None = None) -> np.ndarray:
-    """BFS arrival time per node (np.inf where unreachable).
+    """Shortest-path arrival time per node on the 4-neighbour grid (np.inf
+    where unreachable), equal bit for bit to a breadth-first search.
 
-    Frontier-list BFS on the flat indices of the scene padded with a blocked
-    border, so the neighbour steps +-1 and +-width never wrap.  Each level
-    gathers the frontier's neighbours that are still free and stamps them;
-    the cost is O(nodes reached + levels) beyond allocating the grid.  With
-    ``max_time`` the search stops after level ceil(max_time / cell) + 1.
+    Every column is blocked from the ground up to a top row and free above
+    it, so a path that leaves a column and comes back can take the free
+    vertical segment between its two visits instead, which is no longer.
+    Some shortest path is therefore x-monotone on each side of the source,
+    and one sweep per side computes the levels: a column takes its
+    predecessor's levels plus one on the rows both share, and the rows where
+    it is free lower down fill downwards from its predecessor's top row.  A
+    run of columns with equal tops adds 1, 2, ... to its first column.  The
+    cost is a few numpy calls per run, O(verticals), plus writing the grid.
+    With ``max_time`` levels past ceil(max_time / cell) + 1, where the search
+    would stop, are np.inf.  A mask whose free rows in some column do not
+    reach the top of the scene in one interval is refused.
     """
-    free = np.pad(scene.passable, 1, constant_values=False)
-    arrival = np.full(free.shape, np.inf)
-    width = free.shape[1]
-    free, flat = free.reshape(-1), arrival.reshape(-1)
-    source = width + scene.source_col + 1
-    free[source] = False
-    flat[source] = 0.0
-    steps = np.array([1, -1, width, -width])
-    frontier = np.array([source])
-    max_level = None if max_time is None else int(np.ceil(max_time / scene.cell)) + 1
-    level = 0
-    while frontier.size:
-        if max_level is not None and level >= max_level:
-            break
-        level += 1
-        reached = (frontier[:, None] + steps).ravel()
-        reached = reached[free[reached]]
-        # dedupe by scatter: of the copies of a node, exactly one reads its own stamp back
-        order = np.arange(reached.size)
-        flat[reached] = order
-        frontier = reached[flat[reached] == order]
-        free[frontier] = False
-        flat[frontier] = level * scene.cell
-    return arrival[1:-1, 1:-1]
+    passable = scene.passable
+    ny, nx = passable.shape
+    for r in range(0, ny - 1, _SLAB):
+        slab = passable[r : r + _SLAB + 1]
+        broken = np.less(slab[1:], slab[:-1]).any(axis=0)  # a free node right below a blocked one
+        if broken.any():
+            raise ValueError(
+                f"column {np.flatnonzero(broken)[0]} of the scene has a free node below a blocked one; "
+                "the sweep needs every column blocked only from the ground up"
+            )
+    top = ny - passable.sum(axis=0, dtype=np.int32)  # the first free row, ny in a fully blocked column
+    source = scene.source_col
+    if top[source]:
+        raise ValueError(f"the source node (row 0, column {source}) is blocked")
+    levels = np.full((nx, ny), np.inf)  # column-major, so each column is contiguous
+    levels[source] = np.arange(ny)
+    for side, tops in ((levels[source:], top[source:]), (levels[source::-1], top[source::-1])):
+        starts = np.flatnonzero(np.diff(tops)) + 1
+        bounds = [0, *starts.tolist(), tops.size]
+        for a, b in zip(bounds, bounds[1:]):
+            row = int(tops[a])
+            if row == ny:  # a fully blocked column cuts off the rest of this side
+                break
+            first = side[a, row:]
+            if a:  # the source column holds its levels already
+                prev = int(tops[a - 1])
+                np.add(side[a - 1, row:], 1, out=first)
+                if row < prev:  # free lower down: fill downwards from the predecessor's top
+                    first[: prev - row] = first[prev - row] + np.arange(prev - row, 0, -1)
+            # written in place: a temporary block would raise the peak memory
+            np.add(first, np.arange(1, b - a)[:, None], out=side[a + 1 : b, row:])
+    # the search's last level; a negative max_time leaves only the source
+    cut = None if max_time is None else max(int(np.ceil(max_time / scene.cell)) + 1, 0)
+    for slab in np.split(levels, range(_SLAB, nx, _SLAB)):
+        if cut is not None:
+            slab[slab > cut] = np.inf
+        slab *= scene.cell
+    return levels.T
 
 
 def arrival_at(scene: GridScene, arrival: np.ndarray, x: float, y: float) -> float:
-    row, col = scene.row(y), scene.col(x)
+    try:
+        row, col = scene.row(y), scene.col(x)
+    except (OverflowError, ValueError):  # inf, nan or past the float range has no grid node
+        row = col = -1
     if not scene.in_bounds(row, col):
         raise ValueError(f"point ({x}, {y}) outside the scene extent")
     return float(arrival[row, col])
@@ -184,9 +219,10 @@ def grid_consumption(
         # points with arrival beyond the horizon can never be counted, and
         # arrival >= foot + y, so the sampled stretch is capped accordingly
         for foot, height in zip(system.feet(side), system.heights(side)):
-            foot, height = float(foot), float(height)
             if foot >= horizon:
                 continue
+            # no sample lies above the horizon, so a taller vertical is cut there
+            foot, height = float(foot), float(min(height, horizon))
             col = scene.col(sign * foot)
             reachable = min(height, horizon - foot)
             y_mid = (np.arange(max(1, int(round(reachable / cell)))) + 0.5) * cell

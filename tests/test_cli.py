@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firebreak import build_seventeen_ninths, load, ratio_report, save
+from firebreak import RATIONAL, BarrierSystem, build_seventeen_ninths, load, ratio_report, save
 from firebreak.cli import main
 from firebreak.model import approx
 from firebreak.simulate import report_to_document
@@ -293,6 +293,14 @@ class TestOracle:
     def test_cell_rounding_a_foot_onto_the_source_names_the_bound(self, request, capsys, doc, argv, message):
         assert run(["oracle", "--system", str(request.getfixturevalue(doc))] + argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("pairs", [((1, 10**340),), ((1, 3), (10**340, 10**341))], ids=["height", "foot"])
+    def test_lengths_past_the_float_range_pass(self, tmp_path, capsys, pairs):
+        # a vertical taller than the scene blocks its whole column; a foot past it is skipped
+        doc = tmp_path / "huge.json"
+        save(BarrierSystem(mode=RATIONAL, head_start=1, right=pairs, left=()), doc)
+        assert run(["oracle", "--system", str(doc), "--cell", "1", "--horizon", "20"]) == 0
+        assert capsys.readouterr().out.startswith("PASS: ")
 
     @pytest.mark.parametrize("cell", ["1e-300", "5e-324"])
     def test_tiny_cell_is_refused_without_overflow(self, imp3, capsys, cell):

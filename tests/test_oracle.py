@@ -1,4 +1,4 @@
-"""Grid BFS oracle: arrival exactness, sampled consumption, convergence."""
+"""Grid oracle: arrival exactness against a queue BFS, sampled consumption, convergence."""
 
 import math
 import random
@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firebreak import (
+    FLOAT,
     RATIONAL,
     BarrierSystem,
+    GridScene,
     PiecewiseLinearCurve,
     SampledCurve,
     build_flat,
@@ -70,6 +72,47 @@ class TestGridArrival:
         hugging = rational("1/10", right=((Fraction(1, 10), 1),))
         with pytest.raises(ValueError, match="source"):
             build_scene(hugging, 0.25, 10)
+
+    def test_vertical_past_the_float_range_blocks_its_column(self):
+        tall = rational(1, right=((2, 10**340),))
+        scene = build_scene(tall, 0.5, 10)
+        arr = grid_arrival(scene)
+        col = scene.col(2)
+        assert not scene.passable[:, col].any()
+        assert np.isinf(arr[:, col:]).all() and np.isfinite(arr[:, :col]).all()
+
+    def test_foot_past_the_float_range_is_outside_the_scene(self):
+        far = rational(1, right=((1, 3), (10**340, 1)))
+        near = rational(1, right=((1, 3),))
+        assert np.array_equal(build_scene(far, 0.5, 10).passable, build_scene(near, 0.5, 10).passable)
+
+    def test_seventeen_ninths_scene_matches_queue_bfs(self):
+        # 17/9 at 3 cycles, cell 1, as in the oracle-grid benchmark and the CLI session
+        system = build_seventeen_ninths(1, cycles=3)
+        max_time = float(valid_horizon(system)) + 2
+        scene = build_scene(system, 1.0, max_time - 2)
+        assert np.array_equal(grid_arrival(scene, max_time=max_time), deque_arrival(scene, max_time))
+
+    @pytest.mark.parametrize("ny, blocked", [(4, 2), (200, 64), (200, 199)])
+    def test_free_node_below_a_blocked_node_refused(self, ny, blocked):
+        passable = np.ones((ny, 5), dtype=bool)
+        passable[blocked, 3] = False  # column 3 is free right below it
+        scene = GridScene(cell=1.0, x_extent=2.0, passable=passable, source_col=2)
+        with pytest.raises(ValueError, match="column 3 of the scene has a free node below a blocked one"):
+            grid_arrival(scene)
+
+    def test_blocked_source_refused(self):
+        passable = np.ones((4, 5), dtype=bool)
+        passable[0, 2] = False
+        scene = GridScene(cell=1.0, x_extent=2.0, passable=passable, source_col=2)
+        with pytest.raises(ValueError, match=r"source node \(row 0, column 2\) is blocked"):
+            grid_arrival(scene)
+
+    @pytest.mark.parametrize("x, y", [(1e308, 0), (0, math.inf), (math.nan, 0), (-math.inf, 1), (0, 1e308)])
+    def test_point_past_the_float_range_is_outside_the_scene(self, x, y):
+        scene = build_scene(SINGLE, 0.25, 10)
+        with pytest.raises(ValueError, match="outside the scene extent"):
+            arrival_at(scene, grid_arrival(scene), x, y)
 
     def test_oracle_never_beats_exact_geodesic(self):
         # grid paths are a restricted class: arrival >= exact - 2h
@@ -187,15 +230,24 @@ CELLS = st.sampled_from([1.0, 0.5, 0.25])
 
 @st.composite
 def small_systems(draw):
-    """Rational systems with 0-4 verticals per side on the quarter grid, feet >= 1."""
+    """Rational or float systems with 0-4 verticals per side on the quarter grid.
+
+    The first foot is at least 1, so no cell of the strategies rounds it onto
+    the source.  Later gaps from a quarter up snap verticals onto the same or
+    adjacent columns, and a height of 1000 stands taller than every scene.
+    """
+    mode = draw(st.sampled_from([RATIONAL, FLOAT]))
+    quarters = (lambda n: Fraction(n, 4)) if mode == RATIONAL else (lambda n: n / 4)
 
     def side():
         n = draw(st.integers(0, 4))
-        gaps = draw(st.lists(st.integers(4, 16), min_size=n, max_size=n))
-        heights = draw(st.lists(st.integers(1, 24), min_size=n, max_size=n))
-        return tuple((Fraction(g, 4), Fraction(h, 4)) for g, h in zip(gaps, heights))
+        gaps = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+        heights = draw(st.lists(st.one_of(st.integers(1, 24), st.just(4000)), min_size=n, max_size=n))
+        gaps[:1] = [max(4, g) for g in gaps[:1]]
+        return tuple((quarters(g), quarters(h)) for g, h in zip(gaps, heights))
 
-    return rational(Fraction(draw(st.integers(1, 8)), 4), right=side(), left=side())
+    head_start = quarters(draw(st.integers(1, 8)))
+    return BarrierSystem(mode=mode, head_start=head_start, right=side(), left=side())
 
 
 def deque_arrival(scene, max_time=None):
@@ -303,9 +355,9 @@ def bits(x):
 
 
 class TestOracleProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12),
-           st.one_of(st.none(), st.floats(min_value=0, max_value=3), st.just(1e6)))
+           st.one_of(st.none(), st.floats(min_value=0, max_value=16), st.just(1e6)))
     def test_grid_arrival_matches_queue_bfs(self, system, cell, horizon, max_time):
         scene = build_scene(system, cell, horizon)
         got = grid_arrival(scene, max_time=max_time)
