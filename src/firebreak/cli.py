@@ -171,8 +171,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from dataclasses import asdict
-
     from . import model, simulate
 
     try:
@@ -194,7 +192,7 @@ def cmd_oracle(args) -> int:
     tolerance = oracle.consumption_tolerance(system, args.cell)
     result = oracle.compare(exact.total, sampled, tolerance)
     if args.out:
-        _write_json(args.out, asdict(result))
+        _write_json(args.out, result._asdict())
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{status}: max deviation {result.max_deviation:g} at t={result.at_time:g} "

@@ -9,8 +9,8 @@ roughly ``beta^(2*cycles)`` in scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import FLOAT, RATIONAL, BarrierSystem, ValidationError
 from .optimize import delta_of_beta, interlaced_maxima, optimize_beta_delta
@@ -60,8 +60,7 @@ def build_seventeen_ninths(head_start=1, cycles: int = 8) -> BarrierSystem:
     return BarrierSystem(mode=RATIONAL, head_start=s, right=sides(a, b), left=sides(c, d))
 
 
-@dataclass(frozen=True)
-class InterlacingParams:
+class InterlacingParams(NamedTuple):
     """Parameters of the shifted interlacing: growth factor, shift, truncation.
 
     ``beta``/``delta`` default to the optimizer's output; ``head_start``

@@ -16,7 +16,7 @@ exactly +-1 (the front moves at unit speed along any face it consumes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import LEFT, RIGHT, BarrierSystem
 
@@ -90,8 +90,7 @@ def _verticals(pairs, zero):
     yield pos, None, None, clearance, None
 
 
-@dataclass(frozen=True)
-class FaceArrivalProfile:
+class FaceArrivalProfile(NamedTuple):
     """Arrival time along one face as a piecewise-linear function of arclength.
 
     ``points`` maps the arclength parameter (height for vertical faces,

@@ -17,7 +17,8 @@ Two numeric modes:
 * ``"float"`` -- binary floats; downstream comparisons use small relative
   tolerances.
 
-All types are immutable values and all operations are pure functions.
+All types are immutable ``NamedTuple`` records and all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 Number = Union[Fraction, float]
 
@@ -107,36 +108,32 @@ def coerce_length(value, mode: str) -> Number:
     raise ValidationError(f"unknown numeric mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class BarrierSystem:
+class BarrierSystem(namedtuple("BarrierSystem", "mode head_start right left")):
     """Immutable description of a barrier system.
 
     ``right`` and ``left`` hold (gap, height) pairs; all numbers share the
     numeric type implied by ``mode``.  Gaps and heights must be positive and
     ``head_start`` nonnegative; zero-height verticals are rejected rather
-    than ignored.
+    than ignored.  Every way of building one validates: the constructor,
+    ``_make``, ``_replace`` and unpickling.
     """
 
-    mode: str
-    head_start: Number
-    right: tuple
-    left: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mode: str, head_start: Number, right: tuple, left: tuple):
         """Coerce every length to the mode's type; the only place a system length is coerced."""
-        mode = self.mode
         if mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
         try:
-            head_start = coerce_length(self.head_start, mode)
+            head_start = coerce_length(head_start, mode)
         except ValidationError as exc:
             raise ValidationError(f"head_start: {exc}") from exc
         if head_start < 0:
             raise ValidationError(f"head_start must be >= 0, got {head_start}")
-        object.__setattr__(self, "head_start", head_start)
-        for name in SIDES:
+        sides = []
+        for name, pairs in zip(SIDES, (right, left)):
             fixed = []
-            for i, pair in enumerate(getattr(self, name), start=1):
+            for i, pair in enumerate(pairs, start=1):
                 try:
                     gap, height = pair
                 except (TypeError, ValueError) as exc:
@@ -150,7 +147,16 @@ class BarrierSystem:
                 if height <= 0:
                     raise ValidationError(f"{name}[{i}] height must be > 0, got {height}")
                 fixed.append((gap, height))
-            object.__setattr__(self, name, tuple(fixed))
+            sides.append(tuple(fixed))
+        return super().__new__(cls, mode, head_start, *sides)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so ``_make`` and ``_replace`` validate too."""
+        return cls(*iterable)
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would call tuple.__new__ directly
+        return type(self), tuple(self)
 
     # -- structural accessors -------------------------------------------------
 
@@ -179,8 +185,7 @@ class BarrierSystem:
         return coerce_length(value, self.mode)
 
 
-@dataclass(frozen=True)
-class SideCheck:
+class SideCheck(NamedTuple):
     """Doubling / growth-condition status of one side."""
 
     doubling: bool
@@ -193,8 +198,7 @@ class SideCheck:
         return self.doubling and self.conditions7
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     right: SideCheck
     left: SideCheck
 

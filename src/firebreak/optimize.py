@@ -7,14 +7,13 @@ rational simulation pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 INV_PHI = (math.sqrt(5) - 1) / 2
 INV_PHI_SQ = (3 - math.sqrt(5)) / 2
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(NamedTuple):
     beta: float
     v: float
     delta: float | None = None

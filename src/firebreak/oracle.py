@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ _BYTES_PER_NODE = 17
 _SLAB = 64
 
 
-@dataclass(frozen=True)
-class GridScene:
+class GridScene(NamedTuple):
     """Discretized upper half-plane: passability mask plus indexing metadata."""
 
     cell: float
@@ -131,9 +130,13 @@ def grid_arrival(scene: GridScene, max_time: float | None = None) -> np.ndarray:
     run of columns with equal tops adds 1, 2, ... to its first column.  The
     cost is a few numpy calls per run, O(verticals), plus writing the grid.
     With ``max_time`` levels past ceil(max_time / cell) + 1, where the search
-    would stop, are np.inf.  A mask whose free rows in some column do not
+    would stop, are np.inf; an infinite ``max_time`` is no cut-off, as None
+    is, and nan is refused.  A mask whose free rows in some column do not
     reach the top of the scene in one interval is refused.
     """
+    steps = math.inf if max_time is None else max_time / scene.cell
+    if math.isnan(steps):
+        raise ValueError(f"max_time must be a number or None, got {max_time!r}")
     passable = scene.passable
     ny, nx = passable.shape
     for r in range(0, ny - 1, _SLAB):
@@ -165,8 +168,8 @@ def grid_arrival(scene: GridScene, max_time: float | None = None) -> np.ndarray:
                     first[: prev - row] = first[prev - row] + np.arange(prev - row, 0, -1)
             # written in place: a temporary block would raise the peak memory
             np.add(first, np.arange(1, b - a)[:, None], out=side[a + 1 : b, row:])
-    # the search's last level; a negative max_time leaves only the source
-    cut = None if max_time is None else max(int(np.ceil(max_time / scene.cell)) + 1, 0)
+    # the search's last level; a max_time of -cell or less leaves only the source
+    cut = None if steps == math.inf else math.ceil(max(steps, -1)) + 1
     for slab in np.split(levels, range(_SLAB, nx, _SLAB)):
         if cut is not None:
             slab[slab > cut] = np.inf
@@ -184,8 +187,7 @@ def arrival_at(scene: GridScene, arrival: np.ndarray, x: float, y: float) -> flo
     return float(arrival[row, col])
 
 
-@dataclass(frozen=True)
-class SampledCurve:
+class SampledCurve(NamedTuple):
     """Consumption curve sampled on the grid: values[i] estimates B(times[i])."""
 
     times: np.ndarray
@@ -257,8 +259,7 @@ def consumption_tolerance(system: BarrierSystem, cell: float) -> float:
     return 2.0 * cell * (faces + 2)
 
 
-@dataclass(frozen=True)
-class OracleComparison:
+class OracleComparison(NamedTuple):
     max_deviation: float
     at_time: float
     tolerance: float

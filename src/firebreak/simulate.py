@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -108,8 +107,7 @@ def _check_breakpoints(points) -> None:
             raise ValueError(f"curve must be nondecreasing: {v0} -> {v1}")
 
 
-@dataclass(frozen=True)
-class KInterval:
+class KInterval(NamedTuple):
     """Maximal time interval with a constant number of consumption points."""
 
     side: str
@@ -118,8 +116,7 @@ class KInterval:
     k: int
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """Local maxima and supremum of the consumption ratio Q(t) = B(t)/t.
 
     With ``feasible_for`` set, ``earliest_violation`` is as in ``SpeedCheck``,
@@ -135,8 +132,7 @@ class RatioReport:
     earliest_violation: object = None
 
 
-@dataclass(frozen=True)
-class SpeedCheck:
+class SpeedCheck(NamedTuple):
     """Whether B(t) <= speed*t holds on (0, horizon], and where it first fails.
 
     ``earliest_violation`` is the infimum of the times in (0, horizon] where
@@ -435,8 +431,7 @@ def ratio_report(system: BarrierSystem, horizon=None, speed=None, truncated: boo
     report = ratio_maxima(curves.total, valid_horizon(system))
     if speed is not None:
         verdict = check_speed(system, speed, report.valid_horizon, truncated=True)
-        report = replace(
-            report,
+        report = report._replace(
             feasible_for=verdict.speed,
             feasible=verdict.feasible,
             earliest_violation=verdict.earliest_violation,

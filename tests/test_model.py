@@ -1,10 +1,12 @@
-"""Barrier-system model: validation, normalization, scaling, documents."""
+"""Barrier-system model: validation, normalization, scaling, documents, records."""
 
+import pickle
 import random
 import sys
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,21 @@ from firebreak import (
     RATIONAL,
     BarrierSystem,
     DocumentError,
+    FaceArrivalProfile,
+    GridScene,
+    InterlacingParams,
+    KInterval,
+    OracleComparison,
+    Optimum,
+    SampledCurve,
     ValidationError,
+    build_seventeen_ninths,
+    check_speed,
     consumption_curve,
     from_document,
     load,
     normalize_doubling,
+    ratio_report,
     save,
     scale,
     to_document,
@@ -69,6 +81,113 @@ class TestConstruction:
         system = rational(1, right=((1, 17), (34, 136)))
         assert system.feet("right") == (1, 35)
         assert tuple(accumulate(system.heights("right"))) == (17, 153)
+
+
+def records():
+    """One value of every record type the package exports but ``ConsumptionCurves``, whose curves have no ``==``."""
+    system = build_seventeen_ninths(1, cycles=2)
+    report = validate(system)
+    passable = np.ones((2, 3), dtype=bool)
+    return [
+        system,
+        report.right,
+        report,
+        FaceArrivalProfile("right", "vertical", 1, ((0, 1), (17, 18))),
+        KInterval("right", Fraction(1), Fraction(2), 1),
+        ratio_report(system, speed="17/9")[1],
+        check_speed(system, Fraction(17, 9)),
+        InterlacingParams(beta=4.0),
+        Optimum(beta=4.0, v=1.9, delta=1.25, achieved_maxima=(1.9, 1.9), iterations=3),
+        OracleComparison(0.5, 2.0, 1.0, True),
+        GridScene(cell=1.0, x_extent=1.0, passable=passable, source_col=1),
+        SampledCurve(times=np.arange(3.0), values=np.zeros(3)),
+    ]
+
+
+RECORDS = records()
+WITH_ARRAYS = (GridScene, SampledCurve)  # neither hashable nor comparable with ==
+HASHABLE = [r for r in RECORDS if not isinstance(r, WITH_ARRAYS)]
+
+
+class TestRecords:
+    """Every result type is an immutable NamedTuple record."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_immutable(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.no_such_field = 1
+
+    @pytest.mark.parametrize("record", HASHABLE, ids=lambda r: type(r).__name__)
+    def test_equal_fields_equal_records(self, record):
+        again = type(record)(**record._asdict())
+        assert again == record and again is not record
+        assert hash(again) == hash(record)
+        assert again == tuple(record)  # records are tuples
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_pickle_round_trip(self, record):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert type(back) is type(record) and repr(back) == repr(record)
+            if not isinstance(record, WITH_ARRAYS):
+                assert back == record
+
+    def test_repr(self):
+        system = build_seventeen_ninths(1, cycles=2)
+        assert repr(check_speed(system, Fraction(17, 9))) == (
+            "SpeedCheck(feasible=True, speed=Fraction(17, 9), horizon=Fraction(171, 1), earliest_violation=None)"
+        )
+        assert repr(ratio_report(system, speed="17/9")[1]) == (
+            "RatioReport(local_maxima=((Fraction(18, 1), Fraction(17, 9)),), supremum=Fraction(17, 9), "
+            "sup_time=Fraction(18, 1), valid_horizon=Fraction(18, 1), feasible_for=Fraction(17, 9), "
+            "feasible=True, earliest_violation=None)"
+        )
+        assert repr(build_seventeen_ninths(1, cycles=1)) == (
+            "BarrierSystem(mode='rational', head_start=Fraction(1, 1), "
+            "right=((Fraction(1, 1), Fraction(17, 1)),), left=((Fraction(1, 1), Fraction(34, 1)),))"
+        )
+
+
+class TestBarrierSystemBuilders:
+    """``_make``, ``_replace`` and unpickling validate as the constructor does."""
+
+    SYSTEM = rational(1, right=((1, 17),))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"head_start": -1}, "head_start must be >= 0, got -1"),
+        ({"right": ((0, 1),)}, r"right\[1\] gap must be > 0, got 0"),
+        ({"left": ((1, 2), (3, "x"))}, r"left\[2\]: cannot parse rational 'x'"),
+        ({"mode": "decimal"}, "mode must be one of"),
+    ])
+    def test_replace_validates(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            BarrierSystem(**{**self.SYSTEM._asdict(), **fields})
+        with pytest.raises(ValidationError, match=message):
+            self.SYSTEM._replace(**fields)
+
+    def test_make_validates(self):
+        fields = [RATIONAL, 1, ((1, 17), (2, -34)), ()]
+        with pytest.raises(ValidationError, match=r"^right\[2\] height must be > 0, got -34$"):
+            BarrierSystem(*fields)
+        with pytest.raises(ValidationError, match=r"^right\[2\] height must be > 0, got -34$"):
+            BarrierSystem._make(fields)
+
+    def test_replace_coerces(self):
+        system = self.SYSTEM._replace(head_start="3/2", left=(("1", 2),))
+        assert type(system.head_start) is Fraction and system.head_start == Fraction(3, 2)
+        assert system.left == ((Fraction(1), Fraction(2)),)
+        assert system.right == self.SYSTEM.right
+        with pytest.raises(ValueError, match="unexpected field names"):
+            self.SYSTEM._replace(cycles=3)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_validates(self, protocol):
+        bad = tuple.__new__(BarrierSystem, (RATIONAL, -1, (), ()))  # skips __new__ on purpose
+        data = pickle.dumps(bad, protocol)
+        with pytest.raises(ValidationError, match="head_start must be >= 0, got -1"):
+            pickle.loads(data)
 
 
 class TestValidate:

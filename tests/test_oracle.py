@@ -108,6 +108,19 @@ class TestGridArrival:
         with pytest.raises(ValueError, match=r"source node \(row 0, column 2\) is blocked"):
             grid_arrival(scene)
 
+    def test_infinite_max_time_is_no_cut_off(self):
+        scene = build_scene(SINGLE, 0.5, 20)
+        assert np.array_equal(grid_arrival(scene, max_time=math.inf), grid_arrival(scene))
+        assert np.array_equal(grid_arrival(scene, max_time=1e308), grid_arrival(scene))  # 1e308 / 0.5 is inf
+        only_source = grid_arrival(scene, max_time=-math.inf)
+        assert np.array_equal(only_source, grid_arrival(scene, max_time=-3))
+        assert np.isfinite(only_source).sum() == 1
+
+    def test_nan_max_time_refused(self):
+        scene = build_scene(SINGLE, 0.5, 20)
+        with pytest.raises(ValueError, match="max_time must be a number or None, got nan"):
+            grid_arrival(scene, max_time=math.nan)
+
     @pytest.mark.parametrize("x, y", [(1e308, 0), (0, math.inf), (math.nan, 0), (-math.inf, 1), (0, 1e308)])
     def test_point_past_the_float_range_is_outside_the_scene(self, x, y):
         scene = build_scene(SINGLE, 0.25, 10)
