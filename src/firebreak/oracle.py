@@ -17,13 +17,13 @@ barriers snap to the nearest column (within half a cell).
 Since each column is blocked only from the ground up, some shortest grid
 path is x-monotone on each side of the source, so arrivals come from one
 sweep over the columns per side instead of a breadth-first search; they
-equal that search's bit for bit.  The scene allocates the full rectangle of
-nodes within the horizon, and ``build_scene`` refuses one that cannot fit
-in physical memory.  Past that allocation every stage costs what it
-touches: the sweep a few numpy calls per run of equal column tops,
-O(verticals), plus writing the grid; sampling gathers the nodes next to
-each barrier point with index arrays; ``compare`` evaluates the exact curve
-at all sample times at once.
+equal that search's bit for bit.  A scene is each column's first free row;
+the arrival grid covers the full rectangle of nodes within the horizon,
+and ``build_scene`` refuses a scene whose grid cannot fit in physical
+memory.  Past that allocation every stage costs what it touches: the sweep
+a few numpy calls per run of equal column tops, O(verticals), plus writing
+the grid; sampling gathers the nodes next to each barrier point with index
+arrays; ``compare`` evaluates the exact curve at all sample times at once.
 """
 
 from __future__ import annotations
@@ -38,23 +38,31 @@ import numpy as np
 from .model import LEFT, RIGHT, BarrierSystem, approx
 from .simulate import PiecewiseLinearCurve
 
-# bytes per grid node: passable mask (1), float arrival grid (8), headroom (8)
-_BYTES_PER_NODE = 17
-# rows or columns a mask of grid_arrival covers at a time, so no mask is grid-sized
+# bytes per grid node: float arrival grid (8), headroom (8); the scene itself is one int per column
+_BYTES_PER_NODE = 16
+# columns of the arrival grid that grid_arrival cuts and scales at a time, so no temporary is grid-sized
 _SLAB = 64
 
 
 class GridScene(NamedTuple):
-    """Discretized upper half-plane: passability mask plus indexing metadata."""
+    """Discretized upper half-plane: each column blocked from the ground up to its first free row."""
 
     cell: float
-    x_extent: float           # covers [-x_extent, x_extent]
-    passable: np.ndarray      # bool, shape (ny, nx), row 0 is the ground
+    tops: np.ndarray          # int first free row per column; ``rows`` blocks the whole column
+    rows: int                 # row 0 is the ground
     source_col: int           # column index of x = 0
 
     @property
     def shape(self):
-        return self.passable.shape
+        return self.rows, self.tops.size
+
+    @property
+    def x_extent(self) -> float:  # the scene covers [-x_extent, x_extent]
+        return self.source_col * self.cell
+
+    @property
+    def passable(self) -> np.ndarray:  # the bool node mask, built on each read
+        return np.arange(self.rows)[:, None] >= self.tops
 
     def col(self, x: float) -> int:
         return self.source_col + int(round(x / self.cell))
@@ -63,8 +71,7 @@ class GridScene(NamedTuple):
         return int(round(y / self.cell))
 
     def in_bounds(self, row: int, col: int) -> bool:
-        ny, nx = self.passable.shape
-        return 0 <= row < ny and 0 <= col < nx
+        return 0 <= row < self.rows and 0 <= col < self.tops.size
 
 
 def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene:
@@ -88,13 +95,7 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
             f"a grid of {count} nodes (cell {cell:g}, horizon {horizon:g}) needs about {gib} GiB, more than the "
             f"{memory / 2**30:,.1f} GiB of physical memory; use a coarser cell or a shorter horizon"
         )
-    passable = np.ones((ny, nx), dtype=bool)
-    scene = GridScene(
-        cell=cell,
-        x_extent=steps * cell,
-        passable=passable,
-        source_col=steps,
-    )
+    scene = GridScene(cell=cell, tops=np.zeros(nx, dtype=np.intp), rows=ny, source_col=steps)
     # lengths compare exactly before they become floats, so lengths past the
     # float range only mean a foot outside the scene or a fully blocked column
     for side, sign in ((RIGHT, 1), (LEFT, -1)):
@@ -106,8 +107,8 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
                 continue
             # block nodes strictly below the top; the top node stays open
             top_row = ny if height > 2 * ny * cell else int(np.floor(float(height) / cell - 1e-9)) + 1
-            passable[: min(top_row, ny), col] = False
-    if not passable[0, scene.source_col]:  # a foot within half a cell of the origin rounds onto it
+            scene.tops[col] = max(scene.tops[col], min(top_row, ny))
+    if scene.tops[steps]:  # a foot within half a cell of the origin rounds onto it
         firsts = (sign * f for side, sign in ((RIGHT, 1), (LEFT, -1)) for f in system.feet(side)[:1])
         x = float(min(firsts, key=abs))
         raise ValueError(
@@ -130,24 +131,21 @@ def grid_arrival(scene: GridScene, max_time: float | None = None) -> np.ndarray:
     run of columns with equal tops adds 1, 2, ... to its first column.  The
     cost is a few numpy calls per run, O(verticals), plus writing the grid.
     With ``max_time`` levels past ceil(max_time / cell) + 1, where the search
-    would stop, are np.inf; an infinite ``max_time`` is no cut-off, as None
-    is, and nan is refused.  A mask whose free rows in some column do not
-    reach the top of the scene in one interval is refused.
+    would stop, are np.inf.  An infinite ``max_time`` or one past the float
+    range is no cut-off when positive, as None is, and leaves only the source
+    when negative; nan is refused, and so are column tops outside [0, rows].
     """
-    steps = math.inf if max_time is None else max_time / scene.cell
+    try:
+        steps = math.inf if max_time is None else max_time / scene.cell
+    except OverflowError:  # an int or Fraction past the float range
+        steps = math.inf if max_time > 0 else -math.inf
     if math.isnan(steps):
         raise ValueError(f"max_time must be a number or None, got {max_time!r}")
-    passable = scene.passable
-    ny, nx = passable.shape
-    for r in range(0, ny - 1, _SLAB):
-        slab = passable[r : r + _SLAB + 1]
-        broken = np.less(slab[1:], slab[:-1]).any(axis=0)  # a free node right below a blocked one
-        if broken.any():
-            raise ValueError(
-                f"column {np.flatnonzero(broken)[0]} of the scene has a free node below a blocked one; "
-                "the sweep needs every column blocked only from the ground up"
-            )
-    top = ny - passable.sum(axis=0, dtype=np.int32)  # the first free row, ny in a fully blocked column
+    ny, nx = scene.shape
+    top = scene.tops
+    bad = np.flatnonzero((top < 0) | (top > ny) | (top % 1 != 0))
+    if bad.size:
+        raise ValueError(f"column {bad[0]} of the scene has top row {top[bad[0]]}, not an integer in [0, {ny}]")
     source = scene.source_col
     if top[source]:
         raise ValueError(f"the source node (row 0, column {source}) is blocked")
@@ -246,7 +244,7 @@ def grid_consumption(
     ny, nx = scene.shape
     inside = (r >= 0) & (r < ny) & (c >= 0) & (c < nx)
     r, c = np.where(inside, r, 0), np.where(inside, c, 0)
-    adjacent = np.where(inside & scene.passable[r, c], arrival[r, c], np.inf)
+    adjacent = np.where(inside, arrival[r, c], np.inf)  # a blocked node's arrival is np.inf
     consumed_at = np.sort(adjacent.min(axis=(1, 2)))
     times = np.arange(0.0, horizon + 0.5 * cell, cell)
     counts = np.searchsorted(consumed_at, times, side="right")

@@ -340,7 +340,8 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     and the slope out of it does not.  Q(0) plays no part: on a curve through
     the origin Q is constant on the first segment, so the first candidate is
     never a maximum from the left.  The supremum is the first largest Q over
-    the candidates, then the bound.
+    the candidates, then the bound.  Rounding breaks exact ties on a float
+    curve, so only in rational mode is ``sup_time`` the first time it is reached.
 
     Every test is exact, whatever the points' types: the points and
     (bound, B(bound)) are read as ints on one lattice, the slope into (t, v)

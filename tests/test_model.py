@@ -87,7 +87,6 @@ def records():
     """One value of every record type the package exports but ``ConsumptionCurves``, whose curves have no ``==``."""
     system = build_seventeen_ninths(1, cycles=2)
     report = validate(system)
-    passable = np.ones((2, 3), dtype=bool)
     return [
         system,
         report.right,
@@ -99,7 +98,7 @@ def records():
         InterlacingParams(beta=4.0),
         Optimum(beta=4.0, v=1.9, delta=1.25, achieved_maxima=(1.9, 1.9), iterations=3),
         OracleComparison(0.5, 2.0, 1.0, True),
-        GridScene(cell=1.0, x_extent=1.0, passable=passable, source_col=1),
+        GridScene(cell=1.0, tops=np.array([0, 0, 2]), rows=2, source_col=1),
         SampledCurve(times=np.arange(3.0), values=np.zeros(3)),
     ]
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firebreak import (
@@ -78,13 +78,13 @@ class TestGridArrival:
         scene = build_scene(tall, 0.5, 10)
         arr = grid_arrival(scene)
         col = scene.col(2)
-        assert not scene.passable[:, col].any()
+        assert scene.tops[col] == scene.rows and not scene.passable[:, col].any()
         assert np.isinf(arr[:, col:]).all() and np.isfinite(arr[:, :col]).all()
 
     def test_foot_past_the_float_range_is_outside_the_scene(self):
         far = rational(1, right=((1, 3), (10**340, 1)))
         near = rational(1, right=((1, 3),))
-        assert np.array_equal(build_scene(far, 0.5, 10).passable, build_scene(near, 0.5, 10).passable)
+        assert np.array_equal(build_scene(far, 0.5, 10).tops, build_scene(near, 0.5, 10).tops)
 
     def test_seventeen_ninths_scene_matches_queue_bfs(self):
         # 17/9 at 3 cycles, cell 1, as in the oracle-grid benchmark and the CLI session
@@ -93,18 +93,14 @@ class TestGridArrival:
         scene = build_scene(system, 1.0, max_time - 2)
         assert np.array_equal(grid_arrival(scene, max_time=max_time), deque_arrival(scene, max_time))
 
-    @pytest.mark.parametrize("ny, blocked", [(4, 2), (200, 64), (200, 199)])
-    def test_free_node_below_a_blocked_node_refused(self, ny, blocked):
-        passable = np.ones((ny, 5), dtype=bool)
-        passable[blocked, 3] = False  # column 3 is free right below it
-        scene = GridScene(cell=1.0, x_extent=2.0, passable=passable, source_col=2)
-        with pytest.raises(ValueError, match="column 3 of the scene has a free node below a blocked one"):
+    @pytest.mark.parametrize("top", [-1, 5, 1.5])
+    def test_top_outside_the_column_refused(self, top):
+        scene = GridScene(cell=1.0, tops=np.array([0, 4, 0, top, 0]), rows=4, source_col=2)
+        with pytest.raises(ValueError, match=rf"column 3 of the scene has top row {top}, not an integer in \[0, 4\]"):
             grid_arrival(scene)
 
     def test_blocked_source_refused(self):
-        passable = np.ones((4, 5), dtype=bool)
-        passable[0, 2] = False
-        scene = GridScene(cell=1.0, x_extent=2.0, passable=passable, source_col=2)
+        scene = GridScene(cell=1.0, tops=np.array([0, 0, 1, 0, 0]), rows=4, source_col=2)
         with pytest.raises(ValueError, match=r"source node \(row 0, column 2\) is blocked"):
             grid_arrival(scene)
 
@@ -112,8 +108,11 @@ class TestGridArrival:
         scene = build_scene(SINGLE, 0.5, 20)
         assert np.array_equal(grid_arrival(scene, max_time=math.inf), grid_arrival(scene))
         assert np.array_equal(grid_arrival(scene, max_time=1e308), grid_arrival(scene))  # 1e308 / 0.5 is inf
+        for past_the_float_range in (10**400, Fraction(10**400, 3)):
+            assert np.array_equal(grid_arrival(scene, max_time=past_the_float_range), grid_arrival(scene))
         only_source = grid_arrival(scene, max_time=-math.inf)
         assert np.array_equal(only_source, grid_arrival(scene, max_time=-3))
+        assert np.array_equal(only_source, grid_arrival(scene, max_time=-10**400))
         assert np.isfinite(only_source).sum() == 1
 
     def test_nan_max_time_refused(self):
@@ -263,6 +262,21 @@ def small_systems(draw):
     return BarrierSystem(mode=mode, head_start=head_start, right=side(), left=side())
 
 
+def reference_mask(system, scene):
+    """The scene's node mask built as a bool grid: all free, then each vertical's column blocked below its top row."""
+    ny, nx = scene.shape
+    mask = np.ones((ny, nx), dtype=bool)
+    for side, sign in (("right", 1), ("left", -1)):
+        for foot, height in zip(system.feet(side), system.heights(side)):
+            if foot > 2 * scene.x_extent:
+                continue
+            col = scene.col(sign * float(foot))
+            if 0 <= col < nx:
+                top_row = ny if height > 2 * ny * scene.cell else int(np.floor(float(height) / scene.cell - 1e-9)) + 1
+                mask[: min(top_row, ny), col] = False
+    return mask
+
+
 def deque_arrival(scene, max_time=None):
     """Textbook queue BFS over (row, col) nodes, nodes at max_level not expanded."""
     ny, nx = scene.shape
@@ -376,6 +390,16 @@ class TestOracleProperties:
         got = grid_arrival(scene, max_time=max_time)
         assert got.shape == scene.shape and got.dtype == np.float64
         assert np.array_equal(got, deque_arrival(scene, max_time))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_systems(), CELLS, st.integers(1, 12))
+    @example(rational(1, right=((1, 8), (Fraction(1, 4), 1))), 1.0, 10)  # the taller of two on one column counts
+    def test_scene_tops_match_a_reference_mask(self, system, cell, horizon):
+        scene = build_scene(system, cell, horizon)
+        mask = reference_mask(system, scene)
+        assert scene.passable.shape == scene.shape == mask.shape
+        assert np.array_equal(scene.passable, mask)
+        assert np.array_equal(scene.rows - mask.sum(axis=0), scene.tops)  # a mask's tops, as README builds them
 
     @settings(max_examples=40, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12),
