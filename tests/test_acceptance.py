@@ -167,14 +167,15 @@ def test_criterion_6_normalization_never_increases_consumption():
 
 
 def test_criterion_7_oracle_agreement():
-    cell = 1.0 / 8.0  # head start is 1 in all three scenes
+    # head start is 1 in all four scenes; five cycles of 17/9 at cell 1 span 5.4e9 grid nodes
     scenes = [
-        ("flat", build_flat(1), 20),
-        ("single-barrier", build_seventeen_ninths(1, cycles=1), 40),
-        ("17/9 two cycles", build_seventeen_ninths(1, cycles=2), 40),
+        ("flat", build_flat(1), 20, 1 / 8),
+        ("single-barrier", build_seventeen_ninths(1, cycles=1), 40, 1 / 8),
+        ("17/9 two cycles", build_seventeen_ninths(1, cycles=2), 40, 1 / 8),
+        ("17/9 five cycles", build_seventeen_ninths(1, cycles=5), 52191, 1.0),
     ]
     details = []
-    for name, system, horizon in scenes:
+    for name, system, horizon, cell in scenes:
         exact = consumption_curve(system, horizon, truncated=True)
         deviations = []
         for h in (cell, cell / 2):

@@ -258,8 +258,8 @@ class TestOracle:
         assert doc["passed"] is True
 
     def test_scene_beyond_physical_memory_is_usage_error(self, doc17, capsys):
-        # 6 cycles of 17/9 over the valid horizon: terabytes of grid at cell 1
-        assert run(["oracle", "--system", str(doc17), "--cell", "1"]) == 2
+        # 6 cycles of 17/9 over the valid horizon at cell 1e-3: 8.4e8 rows, so even the run form is ~130 GB
+        assert run(["oracle", "--system", str(doc17), "--cell", "1e-3"]) == 2
         err = capsys.readouterr().err
         assert "physical memory" in err and "Traceback" not in err
 

@@ -28,7 +28,7 @@ from firebreak import (
     grid_consumption,
     valid_horizon,
 )
-from firebreak.oracle import _values_at, arrival_at
+from firebreak.oracle import _arrivals_at, _values_at, arrival_at
 
 
 def rational(head_start, right=(), left=()):
@@ -223,7 +223,7 @@ class TestMemoryLimit:
         # 17/9 at 6 cycles has valid horizon 835551: ~1.4e12 nodes at cell 1
         system = build_seventeen_ninths(1, cycles=6)
         with pytest.raises(ValueError, match=r"1,396,300,138,278 nodes \(cell 1, horizon 835551\).*physical memory"):
-            build_scene(system, 1.0, float(valid_horizon(system)))
+            grid_arrival(build_scene(system, 1.0, float(valid_horizon(system))))
 
     def test_non_finite_horizon_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -238,6 +238,7 @@ class TestMemoryLimit:
 # -- properties against plain reference implementations ---------------------------
 
 CELLS = st.sampled_from([1.0, 0.5, 0.25])
+MAX_TIMES = st.one_of(st.none(), st.floats(min_value=0, max_value=16), st.just(1e6))
 
 
 @st.composite
@@ -383,13 +384,20 @@ def bits(x):
 
 class TestOracleProperties:
     @settings(max_examples=120, deadline=None)
-    @given(small_systems(), CELLS, st.integers(1, 12),
-           st.one_of(st.none(), st.floats(min_value=0, max_value=16), st.just(1e6)))
+    @given(small_systems(), CELLS, st.integers(1, 12), MAX_TIMES)
     def test_grid_arrival_matches_queue_bfs(self, system, cell, horizon, max_time):
         scene = build_scene(system, cell, horizon)
         got = grid_arrival(scene, max_time=max_time)
         assert got.shape == scene.shape and got.dtype == np.float64
         assert np.array_equal(got, deque_arrival(scene, max_time))
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_systems(), CELLS, st.integers(1, 12), MAX_TIMES)
+    def test_run_form_matches_grid_arrival_at_every_node(self, system, cell, horizon, max_time):
+        # grid_consumption reads arrivals from the run form; the queue BFS pins grid_arrival
+        scene = build_scene(system, cell, horizon)
+        rows, cols = np.indices(scene.shape)
+        assert np.array_equal(_arrivals_at(scene, rows, cols, max_time), grid_arrival(scene, max_time=max_time))
 
     @settings(max_examples=80, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12))
@@ -401,9 +409,11 @@ class TestOracleProperties:
         assert np.array_equal(scene.passable, mask)
         assert np.array_equal(scene.rows - mask.sum(axis=0), scene.tops)  # a mask's tops, as README builds them
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12),
            st.sampled_from([("right", "left"), ("right",), ("left",), ()]))
+    @example(rational(1, right=((2, 4000),), left=((2, 3), (1, 6))), 0.5, 12, ("right", "left"))  # right cut off
+    @example(rational(1, right=((1, 3),), left=((Fraction(3, 2), 5), (1, 2))), 0.25, 10, ("left",))
     def test_grid_consumption_matches_scalar_sampling(self, system, cell, horizon, sides):
         got = grid_consumption(system, cell, float(horizon), sides=sides)
         assert np.array_equal(got.values, scalar_consumption(system, cell, float(horizon), sides))
