@@ -9,8 +9,9 @@ arrivals.
 
 Every submodule loads on first use (PEP 562): ``import firebreak`` loads none,
 and ``firebreak.simulate`` or one of the names exported here imports the
-submodule that defines it.  So only the oracle loads numpy, and a command of
-the CLI loads only the submodules it runs.
+submodule that defines it.  So a command of the CLI loads only the
+submodules it runs.  No submodule imports numpy when it loads: only
+``grid_arrival`` and ``GridScene.passable`` import it, when called.
 """
 
 __version__ = "0.1.0"

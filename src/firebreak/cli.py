@@ -1,9 +1,10 @@
 """Command-line entry point: construct, simulate, maxima, check, oracle, optimize.
 
 Exit codes: 0 success / PASS, 1 FAIL (speed violation or oracle tolerance
-exceeded), 2 usage error: a bad argument or document, an OS error on a path,
-or ``oracle`` without numpy.  Relative output paths are resolved against
-$FIREBREAK_OUTDIR when set.  Each command imports only the submodules it runs.
+exceeded), 2 usage error: a bad argument or document, or an OS error on a
+path.  Relative output paths are resolved against $FIREBREAK_OUTDIR when
+set.  Each command imports only the submodules it runs, and none imports
+numpy.
 """
 
 from __future__ import annotations
@@ -171,14 +172,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import model, simulate
-
-    try:
-        from . import oracle  # the only command that needs numpy
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        raise ValueError("the grid oracle needs numpy, which is not installed") from None
+    from . import model, oracle, simulate
 
     system = model.load(args.system)
     # the grid checks the truncated system itself, so any horizon is allowed

@@ -19,59 +19,80 @@ path is x-monotone on each side of the source, so arrivals come from one
 sweep over the columns per side instead of a breadth-first search; they
 equal that search's bit for bit.  In a run of columns with equal tops each
 column is its predecessor plus one, so the sweep keeps one level column per
-run: the run form, runs x rows floats.  A scene is each column's first free
-row.  ``grid_arrival`` expands the run form into the full rows x columns
-grid; ``grid_consumption`` never builds that grid and reads the nodes next
-to each barrier point from the run form, at O(runs x rows + samples), so
-17/9 at 5 cycles (5.4e9 grid nodes at cell 1) is checked in a fraction of a
-second.  Each of ``build_scene`` (one int per column), ``grid_arrival`` (the
+run: the run form, a list of int levels per run, made one run at a time.  A
+scene is each column's first free row.  ``grid_consumption`` never builds
+the rows x columns grid: it reads row 0 of every column and the rows beside
+each vertical from the run form and counts the consumed samples by level, at
+O(runs x rows + samples), so 17/9 at 5 cycles (5.4e9 grid nodes at cell 1)
+is checked in a fraction of a second.  It and ``compare`` run in pure
+Python; only ``grid_arrival``, which expands the run form into the full
+grid, and ``GridScene.passable``, the bool node mask, import numpy, when
+called.  Each of ``build_scene`` (the column tops), ``grid_arrival`` (the
 grid) and ``grid_consumption`` (the run form and the samples) refuses,
-before allocating, what would not fit in physical memory.  ``compare``
-evaluates the exact curve at all sample times at once.
+before allocating, what would not fit in physical memory.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
+from itertools import accumulate, compress, islice, repeat
+from operator import add, mul, ne, sub
+from typing import Iterator, NamedTuple
 
 from .model import LEFT, RIGHT, BarrierSystem, approx
 from .simulate import PiecewiseLinearCurve
 
+# bytes per column of build_scene: the list the tops are set in and the tuple they end in
+_BYTES_PER_COLUMN = 16
 # bytes per node of grid_arrival's grid: float arrival (8), headroom (8)
 _BYTES_PER_NODE = 16
-# grid_consumption's bytes per row, for each vertical and each side: the float levels of the two runs
-# a vertical can start (16), the sample times and the range checks over the two columns per row (32);
-# and per barrier sample: four neighbour nodes with their indices, masks, runs and arrivals, and headroom
-_BYTES_PER_RUN_ROW = 48
-_BYTES_PER_SAMPLE = 512
+# grid_consumption's bytes per row of the scene: the column tops, a side's two live level lists and the one
+# being made, int objects included; and per sample, barrier point or time: its two flank levels and their
+# minimum, or its time, value and level count.  Peaks traced with tracemalloc were 0.1-0.5 of this estimate
+_BYTES_PER_RUN_ROW = 160
+_BYTES_PER_SAMPLE = 96
 # columns of the arrival grid that grid_arrival cuts and scales at a time, so no temporary is grid-sized
 _SLAB = 64
+
+
+def _numpy(what: str):
+    """numpy, imported on first use; without it, a one-line ModuleNotFoundError that names ``what``."""
+    try:
+        import numpy
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise ModuleNotFoundError(
+            f"{what} needs numpy, which is not installed; install the grid extra: pip install 'firebreak[grid]'",
+            name="numpy",
+        ) from None
+    return numpy
 
 
 class GridScene(NamedTuple):
     """Discretized upper half-plane: each column blocked from the ground up to its first free row."""
 
     cell: float
-    tops: np.ndarray          # int first free row per column; ``rows`` blocks the whole column
+    tops: tuple[int, ...]     # first free row per column; ``rows`` blocks the whole column
     rows: int                 # row 0 is the ground
     source_col: int           # column index of x = 0
 
     @property
     def shape(self):
-        return self.rows, self.tops.size
+        return self.rows, len(self.tops)
 
     @property
     def x_extent(self) -> float:  # the scene covers [-x_extent, x_extent]
         return self.source_col * self.cell
 
     @property
-    def passable(self) -> np.ndarray:  # the bool node mask, built on each read
-        return np.arange(self.rows)[:, None] >= self.tops
+    def passable(self):  # the bool node mask, a numpy array built on each read
+        np = _numpy("GridScene.passable")
+        return np.arange(self.rows)[:, None] >= np.array(self.tops)
 
     def col(self, x: float) -> int:
         return self.source_col + int(round(x / self.cell))
@@ -80,24 +101,25 @@ class GridScene(NamedTuple):
         return int(round(y / self.cell))
 
     def in_bounds(self, row: int, col: int) -> bool:
-        return 0 <= row < self.rows and 0 <= col < self.tops.size
+        return 0 <= row < self.rows and 0 <= col < len(self.tops)
 
 
-def _refuse_past_memory(nbytes: int, nodes: int, cell: float, horizon: float) -> None:
-    """Refuse ``nbytes`` past physical memory, naming the grid of ``nodes`` at this cell and horizon."""
+def _refuse_past_memory(nbytes: int, nodes: int, cell: float, horizon: float, what: str) -> None:
+    """Refuse ``nbytes`` past physical memory, naming the grid of ``nodes`` at this cell and horizon and ``what``."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nbytes > memory:
         gib = Fraction(nbytes, 2**30)  # a cell of 1e-300 needs 600 digits of nodes
-        count, gib = (f"{nodes:,}", f"{float(gib):,.1f}") if nodes < 10**15 else (approx(nodes), approx(gib))
+        count = f"{nodes:,}" if nodes < 10**15 else approx(nodes)
+        gib = f"{float(gib):,.1f}" if gib < 10**15 else approx(gib)
         raise ValueError(
-            f"a grid of {count} nodes (cell {cell:g}, horizon {horizon:g}) needs about {gib} GiB, more than the "
-            f"{memory / 2**30:,.1f} GiB of physical memory; use a coarser cell or a shorter horizon"
+            f"a grid of {count} nodes (cell {cell:g}, horizon {horizon:g}): {what} need about {gib} GiB, more "
+            f"than the {memory / 2**30:,.1f} GiB of physical memory; use a coarser cell or a shorter horizon"
         )
 
 
 def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene:
     """Scene covering everything reachable within the horizon plus a margin."""
-    if not (cell > 0 and 0 < horizon < np.inf):
+    if not (cell > 0 and 0 < horizon < math.inf):
         raise ValueError("cell size and horizon must be > 0 and the horizon finite")
     if cell > horizon:
         raise ValueError(f"cell {cell:g} is larger than the horizon {horizon:g}")
@@ -107,27 +129,28 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
     steps = math.ceil(ratio if ratio < math.inf else Fraction(horizon) / Fraction(cell)) + 2  # 2-cell margin
     nx = 2 * steps + 1
     ny = steps + 1
-    _refuse_past_memory(nx * np.dtype(np.intp).itemsize, nx * ny, cell, horizon)
-    scene = GridScene(cell=cell, tops=np.zeros(nx, dtype=np.intp), rows=ny, source_col=steps)
+    _refuse_past_memory(nx * _BYTES_PER_COLUMN, nx * ny, cell, horizon, "its column tops")
+    tops = [0] * nx
+    x_extent = steps * cell
     # lengths compare exactly before they become floats, so lengths past the
     # float range only mean a foot outside the scene or a fully blocked column
     for side, sign in ((RIGHT, 1), (LEFT, -1)):
         for foot, height in zip(system.feet(side), system.heights(side)):
-            if foot > 2 * scene.x_extent:
+            if foot > 2 * x_extent:
                 continue
-            col = scene.col(sign * float(foot))
+            col = steps + round(sign * float(foot) / cell)
             if not 0 <= col < nx:
                 continue
             # block nodes strictly below the top; the top node stays open
-            top_row = ny if height > 2 * ny * cell else int(np.floor(float(height) / cell - 1e-9)) + 1
-            scene.tops[col] = max(scene.tops[col], min(top_row, ny))
-    if scene.tops[steps]:  # a foot within half a cell of the origin rounds onto it
+            top_row = ny if height > 2 * ny * cell else math.floor(float(height) / cell - 1e-9) + 1
+            tops[col] = max(tops[col], min(top_row, ny))
+    if tops[steps]:  # a foot within half a cell of the origin rounds onto it
         firsts = (sign * f for side, sign in ((RIGHT, 1), (LEFT, -1)) for f in system.feet(side)[:1])
         x = float(min(firsts, key=abs))
         raise ValueError(
             f"cell {cell:g} rounds the vertical at x={x:g} onto the source node; use a cell below {2 * abs(x):g}"
         )
-    return scene
+    return GridScene(cell=cell, tops=tuple(tops), rows=ny, source_col=steps)
 
 
 def _last_level(max_time, cell: float) -> int | None:
@@ -142,50 +165,51 @@ def _last_level(max_time, cell: float) -> int | None:
     return None if steps == math.inf else math.ceil(max(steps, -1)) + 1
 
 
-def _run_levels(scene: GridScene) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def _run_levels(scene: GridScene) -> list[Iterator[tuple[int, int, list]]]:
     """The sweep's levels in run form, right side (columns source_col..nx-1) then left (source_col..0).
 
-    Per side: the side-local start of each run of equal tops; a (runs, rows)
-    float array with each run's first column, np.inf below its top; and the
-    side-local column where a fully blocked column cuts off the rest of the
-    side (the side's length if none does).  Column ``start + k`` of a run is
-    its first column plus k.  Column tops outside [0, rows] and a blocked
-    source are refused.
+    Per side, an iterator over its runs of equal tops, each as (start, stop,
+    levels): the side-local columns start..stop-1 and the int levels of the
+    run's first column, inf below its top.  Column ``start + k`` is those
+    levels plus k.  A fully blocked column cuts off the rest of the side, so
+    the runs stop before it.  Each run is made from the one before, so a
+    side holds two level lists at a time.  Column tops outside [0, rows] and
+    a blocked source are refused here, before either side is iterated.
     """
-    ny = scene.rows
-    top = scene.tops
-    bad = np.flatnonzero((top < 0) | (top > ny) | (top % 1 != 0))
-    if bad.size:
-        raise ValueError(f"column {bad[0]} of the scene has top row {top[bad[0]]}, not an integer in [0, {ny}]")
-    source = scene.source_col
-    if top[source]:
+    ny, tops, source = scene.rows, scene.tops, scene.source_col
+    bad = {t for t in set(tops) if not (0 <= t <= ny and t % 1 == 0)}
+    if bad:
+        col = next(i for i, t in enumerate(tops) if t in bad)
+        raise ValueError(f"column {col} of the scene has top row {tops[col]}, not an integer in [0, {ny}]")
+    if tops[source]:
         raise ValueError(f"the source node (row 0, column {source}) is blocked")
-    sides = []
-    for tops in (top[source:], top[source::-1]):
-        starts = np.flatnonzero(np.diff(tops, prepend=-1))
-        heads = tops[starts].astype(np.intp)
-        end = tops.size
-        blocked = np.flatnonzero(heads == ny)
-        if blocked.size:  # a fully blocked column cuts off the rest of this side
-            end = int(starts[blocked[0]])
-            starts, heads = starts[: blocked[0]], heads[: blocked[0]]
-        first = np.full((starts.size, ny), np.inf)
-        first[0] = np.arange(ny)  # the source column
-        a, row = starts.tolist(), heads.tolist()
-        for i in range(1, len(a)):
+    return [_side_runs(tops[source:], ny), _side_runs(tops[source::-1], ny)]
+
+
+def _side_runs(tops, ny: int) -> Iterator[tuple[int, int, list]]:
+    """One side's runs for ``_run_levels``, from its side-local ``tops`` (the source column first)."""
+    bounds = [0, *compress(range(1, len(tops)), map(ne, tops[1:], tops)), len(tops)]
+    levels = list(range(ny))  # the source column, whose top is 0
+    for i in range(len(bounds) - 1):
+        a, b, top = bounds[i], bounds[i + 1], int(tops[bounds[i]])
+        if top == ny:
+            return
+        if i:
             # a column takes its predecessor's levels plus one on the rows both
             # share; the predecessor is the previous run's first column plus its offset
-            np.add(first[i - 1, row[i] :], a[i] - a[i - 1], out=first[i, row[i] :])
-            prev = row[i - 1]
-            if row[i] < prev:  # free lower down: fill downwards from the predecessor's top
-                first[i, row[i] : prev] = first[i, prev] + np.arange(prev - row[i], 0, -1)
-        sides.append((starts, first, end))
-    return sides
+            prev = int(tops[bounds[i - 1]])
+            run = [math.inf] * top
+            run += map(add, islice(levels, top, None), repeat(a - bounds[i - 1]))
+            if top < prev:  # free lower down: fill downwards from the predecessor's top
+                run[top:prev] = range(run[prev] + prev - top, run[prev], -1)
+            levels = run
+        yield a, b, levels
 
 
-def grid_arrival(scene: GridScene, max_time: float | None = None) -> np.ndarray:
-    """Shortest-path arrival time per node on the 4-neighbour grid (np.inf
-    where unreachable), equal bit for bit to a breadth-first search.
+def grid_arrival(scene: GridScene, max_time: float | None = None):
+    """Shortest-path arrival time per node on the 4-neighbour grid, a rows x
+    columns numpy array (np.inf where unreachable), equal bit for bit to a
+    breadth-first search.
 
     Every column is blocked from the ground up to a top row and free above
     it, so a path that leaves a column and comes back can take the free
@@ -195,27 +219,28 @@ def grid_arrival(scene: GridScene, max_time: float | None = None) -> np.ndarray:
     predecessor's levels plus one on the rows both share, and the rows where
     it is free lower down fill downwards from its predecessor's top row.  A
     run of columns with equal tops adds 1, 2, ... to its first column, so
-    the sweep keeps one column per run, a few numpy calls per run,
-    O(verticals); this function writes each run out into the rows x columns
-    grid, which it refuses before allocating when it cannot fit in physical
-    memory.
+    the sweep keeps one column per run, O(verticals x rows); this function
+    writes each run out into the rows x columns grid, which it refuses
+    before allocating when it cannot fit in physical memory.
     With ``max_time`` levels past ceil(max_time / cell) + 1, where the search
     would stop, are np.inf.  An infinite ``max_time`` or one past the float
     range is no cut-off when positive, as None is, and leaves only the source
     when negative; nan is refused, and so are column tops outside [0, rows].
     """
+    np = _numpy("grid_arrival")
     cut = _last_level(max_time, scene.cell)
     ny, nx = scene.shape
     # the horizon build_scene was given, in whole cells
-    _refuse_past_memory(nx * ny * _BYTES_PER_NODE, nx * ny, scene.cell, (scene.source_col - 2) * scene.cell)
+    _refuse_past_memory(nx * ny * _BYTES_PER_NODE, nx * ny, scene.cell, (scene.source_col - 2) * scene.cell,
+                        "its arrival times")
     runs = _run_levels(scene)
     levels = np.empty((nx, ny))  # column-major, so each column is contiguous
     source = scene.source_col
-    for (starts, first, end), side in zip(runs, (levels[source:], levels[source::-1])):
-        bounds = [*starts.tolist(), end]
-        for run, a, b in zip(first, bounds, bounds[1:]):
+    for side_runs, side in zip(runs, (levels[source:], levels[source::-1])):
+        end = 0
+        for a, end, first in side_runs:
             # written in place: a temporary block would raise the peak memory
-            np.add(run, np.arange(b - a)[:, None], out=side[a:b])
+            np.add(np.array(first, dtype=float), np.arange(end - a)[:, None], out=side[a:end])
         side[end:] = np.inf
     for slab in np.split(levels, range(_SLAB, nx, _SLAB)):
         if cut is not None:
@@ -224,28 +249,7 @@ def grid_arrival(scene: GridScene, max_time: float | None = None) -> np.ndarray:
     return levels.T
 
 
-def _arrivals_at(scene: GridScene, rows: np.ndarray, cols: np.ndarray, max_time: float | None) -> np.ndarray:
-    """``grid_arrival(scene, max_time)[rows, cols]`` bit for bit, read from the run form without the grid.
-
-    Every node must lie inside the scene.  Levels are integers below 2**53,
-    so a run's first column plus the offset is exact, and the cut and the
-    scaling are grid_arrival's float operations.
-    """
-    cut = _last_level(max_time, scene.cell)
-    j = cols - scene.source_col
-    right = j >= 0
-    j = np.abs(j)  # the side-local column
-    levels = np.empty(j.shape)
-    for (starts, first, end), on_side in zip(_run_levels(scene), (right, ~right)):
-        col = j[on_side]
-        run = np.searchsorted(starts, col, side="right") - 1
-        levels[on_side] = np.where(col < end, first[run, rows[on_side]] + (col - starts[run]), np.inf)
-    if cut is not None:
-        levels[levels > cut] = np.inf
-    return levels * scene.cell
-
-
-def arrival_at(scene: GridScene, arrival: np.ndarray, x: float, y: float) -> float:
+def arrival_at(scene: GridScene, arrival, x: float, y: float) -> float:
     try:
         row, col = scene.row(y), scene.col(x)
     except (OverflowError, ValueError):  # inf, nan or past the float range has no grid node
@@ -255,16 +259,29 @@ def arrival_at(scene: GridScene, arrival: np.ndarray, x: float, y: float) -> flo
     return float(arrival[row, col])
 
 
+def _read_side(runs: Iterator[tuple[int, int, list]], wanted: dict[int, int]):
+    """Row 0 of one side, and rows 0..n-1 of each of its side-local columns in ``wanted`` ({col: n}).
+
+    Both are read from the side's ``runs`` (an item of ``_run_levels``) as
+    int levels, equal to ``grid_arrival``'s before its cut and scaling, with
+    inf at a blocked node, past the side's cut-off and outside the scene.
+    Row 0 comes as one (start, stop, level at start) per run: column
+    start + k is that level plus k, and the last stop is the cut-off.
+    """
+    ground, columns = [], {}
+    for a, b, levels in runs:
+        ground.append((a, b, levels[0]))
+        for col, n in wanted.items():
+            if a <= col < b:
+                columns[col] = [*map(add, levels[:n], repeat(col - a)), *repeat(math.inf, n - len(levels))]
+    return ground, {col: columns[col] if col in columns else [math.inf] * n for col, n in wanted.items()}
+
+
 class SampledCurve(NamedTuple):
     """Consumption curve sampled on the grid: values[i] estimates B(times[i])."""
 
-    times: np.ndarray
-    values: np.ndarray
-
-
-def _grid_index(coords: np.ndarray, cell: float) -> np.ndarray:
-    """Nearest grid offsets, rounding halves to even as ``GridScene.row``/``col`` do."""
-    return np.rint(coords / cell).astype(np.intp)
+    times: tuple[float, ...]
+    values: tuple[float, ...]
 
 
 def grid_consumption(
@@ -277,57 +294,72 @@ def grid_consumption(
 
     The arrivals are read from the sweep's run form, never from the rows x
     columns grid, so the cost is O(runs x rows + samples); they equal
-    ``grid_arrival``'s at every node bit for bit.  What that needs is
-    refused before allocating when it cannot fit in physical memory.
+    ``grid_arrival``'s at every node bit for bit.  A point consumed at level
+    L counts at time times[i] = fl(i x cell) exactly when L <= i, because
+    rounding is monotone and the levels that count are far below 2**52; so
+    the points are counted by level, and ``grid_arrival``'s cut at
+    horizon + 2 cells, past every counted level, is never needed.  What this
+    needs is refused before allocating when it cannot fit in physical memory.
     """
     scene = build_scene(system, cell, horizon)
     head = float(system.head_start)
-    half = 0.5 * cell
-    tallied = [(side, sign) for side, sign in ((RIGHT, 1), (LEFT, -1)) if side in sides]
-    # vertical barriers: midpoints along the height, flanked by both columns;
-    # points with arrival beyond the horizon can never be counted, and
-    # arrival >= foot + y, so the sampled stretch is capped accordingly; no
-    # sample lies above the horizon, so a taller vertical is cut there
-    verticals = []
-    for side, sign in tallied:
+    # vertical barriers: midpoints y = (j + 0.5) cell along the height, the
+    # point between rows j and j + 1 of the two flanking columns; points with
+    # arrival beyond the horizon can never be counted, and arrival >= foot + y,
+    # so the sampled stretch is capped accordingly; no sample lies above the
+    # horizon, so a taller vertical is cut there; the midpoints below the
+    # float height are a prefix of the j
+    verticals = {side: [] for side in (RIGHT, LEFT) if side in sides}  # side-local column, midpoint count
+    for side, found in verticals.items():
         for foot, height in zip(system.feet(side), system.heights(side)):
             if foot < horizon:
                 foot, height = float(foot), float(min(height, horizon))
-                midpoints = max(1, int(round(min(height, horizon - foot) / cell)))
-                verticals.append((scene.col(sign * foot), height, midpoints))
-    # ground: midpoints from the head-start boundary out to the horizon, on row 0
+                k = max(1, round(min(height, horizon - foot) / cell))
+                while k and (k - 0.5) * cell > height:
+                    k -= 1
+                found.append((round(foot / cell), k))
+    # ground: midpoints x = (j + 0.5) cell from the head-start boundary out to
+    # the horizon, between the side-local columns j and j + 1 of row 0
     x_max = min(horizon, scene.x_extent - cell)
-    start = int(np.floor(head / cell))
-    n_ground = max(0, int(np.floor((x_max - head) / cell))) + 1
+    lo = math.floor(head / cell)
+    hi = lo + max(0, math.floor((x_max - head) / cell)) + 1
+    while lo < hi and (lo + 0.5) * cell < head:
+        lo += 1
+    while lo < hi and (hi - 0.5) * cell > x_max:
+        hi -= 1
+    n = math.ceil((horizon + 0.5 * cell) / cell)  # the sample times, as np.arange(0, horizon + cell / 2, cell)
     ny, nx = scene.shape
-    samples = sum(n for *_, n in verticals) + n_ground * len(tallied)
-    run_rows = ny * (len(system.right) + len(system.left) + 2)
-    _refuse_past_memory(_BYTES_PER_RUN_ROW * run_rows + _BYTES_PER_SAMPLE * samples, nx * ny, cell, horizon)
+    samples = sum(k for found in verticals.values() for _, k in found) + n  # the ground points come as ranges
+    _refuse_past_memory(_BYTES_PER_RUN_ROW * ny + _BYTES_PER_SAMPLE * samples, nx * ny, cell, horizon,
+                        "its run form and samples")
 
-    # each barrier point is consumed from the nodes at two rows x two columns
-    rows = [np.empty((0, 2), dtype=np.intp)]
-    cols = [np.empty((0, 2), dtype=np.intp)]
-    for col, height, midpoints in verticals:
-        y_mid = (np.arange(midpoints) + 0.5) * cell
-        y_mid = y_mid[y_mid <= height]
-        rows.append(np.stack([_grid_index(y_mid - half, cell), _grid_index(y_mid + half, cell)], 1))
-        cols.append(np.broadcast_to([col - 1, col + 1], (y_mid.size, 2)))
-    x_mid = (np.arange(start, start + n_ground) + 0.5) * cell
-    x_mid = x_mid[(x_mid >= head) & (x_mid <= x_max)]
-    for side, sign in tallied:
-        rows.append(np.zeros((x_mid.size, 2), dtype=np.intp))
-        cols.append(scene.source_col + np.stack(
-            [_grid_index(sign * (x_mid - half), cell), _grid_index(sign * (x_mid + half), cell)], 1))
-
-    r = np.concatenate(rows)[:, [0, 0, 1, 1]]
-    c = np.concatenate(cols)[:, [0, 1, 0, 1]]
-    inside = (r >= 0) & (r < ny) & (c >= 0) & (c < nx)  # negative indices would wrap
-    adjacent = np.full(r.shape, np.inf)  # a node outside the scene is never reached; a blocked one reads np.inf
-    adjacent[inside] = _arrivals_at(scene, r[inside], c[inside], max_time=horizon + 2 * cell)
-    consumed_at = np.sort(adjacent.min(axis=1))
-    times = np.arange(0.0, horizon + 0.5 * cell, cell)
-    counts = np.searchsorted(consumed_at, times, side="right")
-    return SampledCurve(times=times, values=counts * cell)
+    # the consumed points per level: single levels in ``points``; a range of
+    # levels first..stop-1 as +1 at first and -1 at stop in ``spans``; levels
+    # past the last sample time never count
+    points, spans = Counter(), [0] * (n + 1)
+    runs = dict(zip((RIGHT, LEFT), _run_levels(scene)))
+    for side, found in verticals.items():
+        wanted = {}
+        for col, k in found:
+            for flank in (col - 1, col + 1):
+                wanted[flank] = max(wanted.get(flank, 0), k + 1)
+        ground, columns = _read_side(runs[side], wanted)
+        for col, k in found:
+            rows = [*map(min, columns[col - 1][: k + 1], columns[col + 1])]
+            points.update(map(min, rows, rows[1:]))
+        # ground point j lies between columns j and j + 1: inside a run it
+        # takes the run's level at j, a range of levels; at a run's last
+        # column it also reads the next run's first (none past the cut-off)
+        afters = [base for _, _, base in ground[1:]] + [math.inf]
+        for (a, b, base), after in zip(ground, afters):
+            first, stop = max(a, lo), min(b - 1, hi)
+            if first < stop and base < math.inf:
+                spans[min(base + first - a, n)] += 1
+                spans[min(base + stop - a, n)] -= 1
+            if lo <= b - 1 < hi:
+                points[min(base + b - 1 - a, after)] += 1
+    counts = accumulate(map(add, accumulate(spans), map(points.get, range(n), repeat(0))))
+    return SampledCurve(times=tuple(map(mul, range(n), repeat(cell))), values=tuple(map(mul, counts, repeat(cell))))
 
 
 def consumption_tolerance(system: BarrierSystem, cell: float) -> float:
@@ -344,7 +376,7 @@ class OracleComparison(NamedTuple):
     first_exceedance: float | None = None
 
 
-def _values_at(curve: PiecewiseLinearCurve, times: np.ndarray) -> np.ndarray:
+def _values_at(curve: PiecewiseLinearCurve, times: list) -> list[float]:
     """``float(curve.value_at(t))`` for every t in ``times``, bit for bit.
 
     Segments are found among the breakpoint times rounded to float.  Rounding
@@ -356,13 +388,13 @@ def _values_at(curve: PiecewiseLinearCurve, times: np.ndarray) -> np.ndarray:
     at that end.
     """
     pts = curve.points
-    t_at = np.array([float(t) for t, _ in pts])
-    v_at = np.array([float(v) for _, v in pts])
-    dt = np.array([float(t1 - t0) for (t0, _), (t1, _) in zip(pts, pts[1:])])
-    dv = np.array([float(v1 - v0) for (_, v0), (_, v1) in zip(pts, pts[1:])])
-    seg = np.clip(np.searchsorted(t_at, times, side="right") - 1, 0, len(pts) - 2)
-    values = v_at[seg] + dv[seg] * (times - t_at[seg]) / dt[seg]
-    for i in np.flatnonzero(np.isin(times, t_at)):
+    t_at = [float(t) for t, _ in pts]
+    segments = [(float(t0), float(v0), float(v1 - v0), float(t1 - t0)) for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
+    # by the bisect_right index, one past the segment; before and after the curve the end segments
+    by_index = [segments[0], *segments, segments[-1]]
+    found = map(by_index.__getitem__, map(bisect_right, repeat(t_at), times))
+    values = [v0 + dv * (t - t0) / dt for (t0, v0, dv, dt), t in zip(found, times)]
+    for i in compress(range(len(times)), map(set(t_at).__contains__, times)):
         t = times[i]
         t = curve.start if t < curve.start else curve.end if t > curve.end else t
         values[i] = float(curve.value_at(t))
@@ -373,15 +405,14 @@ def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float
     """Max |sampled - exact| over the common sample times, judged against ``tolerance``."""
     lo = float(exact.start)
     hi = float(exact.end)
-    mask = (sampled.times >= lo) & (sampled.times <= hi)
-    if not mask.any():
+    common = [lo <= t <= hi for t in sampled.times]
+    times = [*compress(sampled.times, common)]
+    if not times:
         raise ValueError("curves share no common time range")
-    times = sampled.times[mask]
-    devs = np.abs(sampled.values[mask] - _values_at(exact, times))
-    i = int(np.argmax(np.where(np.isnan(devs), -1.0, devs)))  # a nan never counts as the worst
-    worst, worst_t = (devs[i], float(times[i])) if devs[i] >= 0 else (-1.0, lo)
-    over = np.flatnonzero(devs > tolerance)
-    first_exceedance = float(times[over[0]]) if over.size else None
+    devs = [*map(abs, map(sub, compress(sampled.values, common), _values_at(exact, times)))]
+    worst = max((d for d in devs if d == d), default=-1.0)  # a nan never counts as the worst
+    worst_t = float(times[devs.index(worst)]) if worst >= 0 else lo
+    first_exceedance = next((float(t) for t, d in zip(times, devs) if d > tolerance), None)
     return OracleComparison(
         max_deviation=worst,
         at_time=worst_t,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -257,11 +258,15 @@ class TestOracle:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
 
-    def test_scene_beyond_physical_memory_is_usage_error(self, doc17, capsys):
-        # 6 cycles of 17/9 over the valid horizon at cell 1e-3: 8.4e8 rows, so even the run form is ~130 GB
+    def test_scene_beyond_physical_memory_is_usage_error(self, doc17, capsys, monkeypatch):
+        # 6 cycles of 17/9 over the valid horizon at cell 1e-3: 1.7e9 columns, whose tops alone outgrow 8 GiB
+        memory = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 2**12}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
         assert run(["oracle", "--system", str(doc17), "--cell", "1e-3"]) == 2
-        err = capsys.readouterr().err
-        assert "physical memory" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            "error: a grid of 1.39629e+18 nodes (cell 0.001, horizon 835551): its column tops need about 24.9 GiB, "
+            "more than the 8.0 GiB of physical memory; use a coarser cell or a shorter horizon\n"
+        )
 
     def test_cell_reads_a_ratio(self, doc3, tmp_path):
         ratio, decimal = tmp_path / "ratio.json", tmp_path / "decimal.json"

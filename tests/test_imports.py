@@ -1,10 +1,11 @@
-"""Submodules load on first use: the oracle, and numpy with it, only when asked for,
-and each CLI command only the submodules it runs, none of them ``dataclasses``.
+"""Submodules load on first use, and each CLI command only the submodules it runs,
+none of them numpy or ``dataclasses``: numpy loads only for ``grid_arrival``.
 
 Each check runs in a fresh interpreter, so what this test process has
 already imported does not matter.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -84,33 +85,62 @@ def test_cli_command_loads_only_what_it_runs(command, workdir):
         print("dataclasses" in sys.modules)
     """, cwd=workdir)
     modules = sorted({"firebreak", "firebreak.cli"} | {f"firebreak.{name}" for name in loaded})
-    assert out.splitlines() == [repr(modules), repr(command == "oracle"), "False"]
+    assert out.splitlines() == [repr(modules), "False", "False"]
 
 
-def test_without_numpy_only_the_oracle_refuses(workdir):
-    python(f"""
+def run_every_command(workdir, numpy):
+    """Each command's exit code, stdout and stderr, run in one fresh interpreter with or without numpy."""
+    return python(f"""
         import contextlib, io, sys
-        sys.modules["numpy"] = None  # as if numpy were not installed
+        if not {numpy!r}:
+            sys.modules["numpy"] = None  # as if numpy were not installed
         from firebreak.cli import main
         for argv in {[argv for argv, _ in COMMANDS.values()]!r}:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            if argv[0] == "oracle":
-                assert (code, out.getvalue()) == (2, ""), (code, out.getvalue())
-                assert err.getvalue() == "error: the grid oracle needs numpy, which is not installed\\n"
-            else:
-                assert (code, err.getvalue()) == (0, ""), (argv, code, err.getvalue())
+            print(repr((argv[0], code, out.getvalue(), err.getvalue())))
     """, cwd=workdir)
 
 
-def test_oracle_name_loads_numpy():
+def test_every_command_runs_without_numpy(workdir):
+    without = run_every_command(workdir, numpy=False)
+    assert without == run_every_command(workdir, numpy=True)
+    results = [ast.literal_eval(line) for line in without.splitlines()]
+    assert [(name, code, err) for name, code, _, err in results] == [(name, 0, "") for name in COMMANDS]
+    assert ("oracle", 0, "PASS: max deviation 5 at t=52 (tolerance 16)\n", "") in results
+
+
+def test_grid_arrival_alone_loads_numpy():
     python("""
         import sys
         import firebreak
-        firebreak.grid_consumption
+        system = firebreak.build_seventeen_ninths(1, cycles=2)
+        sampled = firebreak.grid_consumption(system, 1.0, 18.0)
+        firebreak.compare(firebreak.consumption_curve(system, 18, truncated=True).total, sampled, 1.0)
+        assert "numpy" not in sys.modules
+        firebreak.grid_arrival(firebreak.build_scene(system, 1.0, 18.0))
         assert "numpy" in sys.modules
     """)
+
+
+@pytest.mark.parametrize("call, name", [
+    ("firebreak.grid_arrival(scene)", "grid_arrival"),
+    ("scene.passable", "GridScene.passable"),
+], ids=["grid_arrival", "passable"])
+def test_without_numpy_the_grid_names_it_in_one_line(call, name):
+    out = python(f"""
+        import sys
+        sys.modules["numpy"] = None  # as if numpy were not installed
+        import firebreak
+        scene = firebreak.build_scene(firebreak.build_flat(1), 1.0, 4.0)
+        try:
+            {call}
+        except ModuleNotFoundError as exc:
+            print(exc.name)
+            print(exc)
+    """)
+    assert out == f"numpy\n{name} needs numpy, which is not installed; install the grid extra: pip install 'firebreak[grid]'\n"
 
 
 def test_oracle_submodule_right_after_import():

@@ -28,7 +28,7 @@ from firebreak import (
     grid_consumption,
     valid_horizon,
 )
-from firebreak.oracle import _arrivals_at, _values_at, arrival_at
+from firebreak.oracle import _last_level, _read_side, _run_levels, _values_at, arrival_at
 
 
 def rational(head_start, right=(), left=()):
@@ -84,7 +84,7 @@ class TestGridArrival:
     def test_foot_past_the_float_range_is_outside_the_scene(self):
         far = rational(1, right=((1, 3), (10**340, 1)))
         near = rational(1, right=((1, 3),))
-        assert np.array_equal(build_scene(far, 0.5, 10).tops, build_scene(near, 0.5, 10).tops)
+        assert build_scene(far, 0.5, 10).tops == build_scene(near, 0.5, 10).tops
 
     def test_seventeen_ninths_scene_matches_queue_bfs(self):
         # 17/9 at 3 cycles, cell 1, as in the oracle-grid benchmark and the CLI session
@@ -95,12 +95,12 @@ class TestGridArrival:
 
     @pytest.mark.parametrize("top", [-1, 5, 1.5])
     def test_top_outside_the_column_refused(self, top):
-        scene = GridScene(cell=1.0, tops=np.array([0, 4, 0, top, 0]), rows=4, source_col=2)
+        scene = GridScene(cell=1.0, tops=(0, 4, 0, top, 0), rows=4, source_col=2)
         with pytest.raises(ValueError, match=rf"column 3 of the scene has top row {top}, not an integer in \[0, 4\]"):
             grid_arrival(scene)
 
     def test_blocked_source_refused(self):
-        scene = GridScene(cell=1.0, tops=np.array([0, 0, 1, 0, 0]), rows=4, source_col=2)
+        scene = GridScene(cell=1.0, tops=(0, 0, 1, 0, 0), rows=4, source_col=2)
         with pytest.raises(ValueError, match=r"source node \(row 0, column 2\) is blocked"):
             grid_arrival(scene)
 
@@ -237,7 +237,9 @@ class TestMemoryLimit:
 
 # -- properties against plain reference implementations ---------------------------
 
-CELLS = st.sampled_from([1.0, 0.5, 0.25])
+# dyadic cells, and cells whose multiples round: the row and column of a midpoint and the
+# level counting of grid_consumption rest on float-rounding facts these exercise
+CELLS = st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.3, 1 / 3])
 MAX_TIMES = st.one_of(st.none(), st.floats(min_value=0, max_value=16), st.just(1e6))
 
 
@@ -394,10 +396,23 @@ class TestOracleProperties:
     @settings(max_examples=120, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12), MAX_TIMES)
     def test_run_form_matches_grid_arrival_at_every_node(self, system, cell, horizon, max_time):
-        # grid_consumption reads arrivals from the run form; the queue BFS pins grid_arrival
+        # grid_consumption reads row 0 and whole columns of each side with _read_side; the queue BFS pins
+        # grid_arrival; a row or a column past the scene reads inf
         scene = build_scene(system, cell, horizon)
-        rows, cols = np.indices(scene.shape)
-        assert np.array_equal(_arrivals_at(scene, rows, cols, max_time), grid_arrival(scene, max_time=max_time))
+        ny, source = scene.rows, scene.source_col
+        levels = np.empty(scene.shape)
+        for runs, sign in zip(_run_levels(scene), (1, -1)):
+            ground, columns = _read_side(runs, dict.fromkeys(range(source + 2), ny + 1))
+            row0 = [base + k for a, b, base in ground for k in range(b - a)]
+            assert row0 + [math.inf] * (source + 1 - len(row0)) == [columns[c][0] for c in range(source + 1)]
+            assert columns.pop(source + 1) == [math.inf] * (ny + 1)
+            for c, column in columns.items():
+                assert column[ny] == math.inf
+                levels[:, source + sign * c] = column[:ny]
+        cut = _last_level(max_time, cell)
+        if cut is not None:
+            levels[levels > cut] = np.inf
+        assert np.array_equal(levels * cell, grid_arrival(scene, max_time=max_time))
 
     @settings(max_examples=80, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12))
