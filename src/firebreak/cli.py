@@ -76,7 +76,7 @@ def _check_cycles(head_start, cycles: int) -> None:
     """
     from . import model
 
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = model.int_digit_limit()
     p = model.coerce_length(head_start, model.RATIONAL).numerator
     if limit and p > 0:
         most = (((10**limit - 1) // (34 * p)).bit_length() - 1) // 4 + 1

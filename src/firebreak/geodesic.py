@@ -12,6 +12,8 @@ where the forced descent is the minimal total downward movement an
 x-monotone path needs to clear the given barrier heights and end at height
 y.  Per-face arrival profiles are piecewise linear in arclength with slopes
 exactly +-1 (the front moves at unit speed along any face it consumes).
+Truncated at a horizon, every piece of a profile still changes time: a face
+the front reaches only at the horizon has no profile.
 """
 
 from __future__ import annotations
@@ -112,29 +114,24 @@ class FaceArrivalProfile(NamedTuple):
                 if p1 == p0:
                     return t0
                 return t0 + (t1 - t0) * (param - p0) / (p1 - p0)
-        return pts[-1][1]
 
 
 def _clip_points(points: list, horizon) -> list | None:
-    """Restrict a piecewise-linear (param, time) chain to time <= horizon."""
+    """Restrict a piecewise-linear (param, time) chain to time <= horizon; None when no piece is left.
+
+    Slopes are +-1, so a crossing parameter is exact in rational mode; a breakpoint on the horizon is its own.
+    """
     clipped: list = []
     for (p0, t0), (p1, t1) in zip(points, points[1:]):
-        lo_in, hi_in = t0 <= horizon, t1 <= horizon
-        if lo_in and not clipped:
+        if t0 <= horizon and not clipped:
             clipped.append((p0, t0))
-        if lo_in and hi_in:
+        if t0 < horizon < t1:  # rising through the horizon
+            clipped.append((p0 + (horizon - t0), horizon))
+        elif t1 < horizon < t0:  # falling through it
+            clipped.append((p0 + (t0 - horizon), horizon))
+        if t1 <= horizon:
             clipped.append((p1, t1))
-        elif lo_in and not hi_in:
-            # slope is +-1, so the crossing parameter is exact
-            pc = p0 + (horizon - t0) * (1 if t1 > t0 else -1)
-            clipped.append((pc, horizon))
-        elif not lo_in and hi_in:
-            pc = p0 + (t0 - horizon) * (1 if t1 < t0 else -1)
-            clipped.append((pc, horizon))
-            clipped.append((p1, t1))
-    if len(clipped) < 2:
-        return None
-    return clipped
+    return clipped if len(clipped) >= 2 else None
 
 
 def face_arrival_profiles(system: BarrierSystem, side: str, horizon) -> list:
@@ -144,9 +141,12 @@ def face_arrival_profiles(system: BarrierSystem, side: str, horizon) -> list:
     it at the clearance height of everything before and spreads both ways)
     and a far face (reached over the top).  Each horizontal segment,
     including the stretch under the head start and the trailing ray, has a
-    single upward-sloping profile.
+    single upward-sloping profile.  A face the front reaches only at the
+    horizon has no profile.  ``horizon`` is read as a system number, so
+    rational mode refuses a float.
     """
     pairs = system.pairs(side)  # rejects an unknown side
+    horizon = system.number(horizon)
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     return [
@@ -179,8 +179,9 @@ def side_profiles(pairs, horizon, zero, far: bool = True) -> list:
             if far_points:
                 profiles.append((VERTICAL_RIGHT, i + 1, far_points))
 
-    # trailing ray: arrival = x + 2*clearance, truncated where it meets the horizon
+    # trailing ray: arrival = x + 2*clearance, truncated where it meets the horizon; in floats
+    # each test alone can leave a piece of no length or of no time
     ray_end = horizon - 2 * clearance
-    if ray_end > pos:
+    if ray_end > pos and pos + 2 * clearance < horizon:
         profiles.append((GROUND, i, [(pos, pos + 2 * clearance), (ray_end, horizon)]))
     return profiles

@@ -49,6 +49,11 @@ class DocumentError(ValueError):
     """A barrier-system document is malformed or cannot be read losslessly."""
 
 
+def int_digit_limit() -> int:
+    """``sys.get_int_max_str_digits()``, the most digits ``int`` and ``str`` convert; 0, no limit, before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def coerce_length(value, mode: str) -> Number:
     """Coerce ``value`` to the numeric type of ``mode``.
 
@@ -59,7 +64,7 @@ def coerce_length(value, mode: str) -> Number:
     A Fraction is returned as it is, and "p" or "p/q" in ASCII digits, the
     form documents write, is read with ``int``; any other string goes
     through ``Fraction(str)``, with the same result, unless its exponent
-    would build a power of ten longer than ``sys.get_int_max_str_digits()``.
+    would build a power of ten longer than ``int_digit_limit()``.
     """
     if mode == RATIONAL:
         if type(value) is Fraction:
@@ -78,7 +83,7 @@ def coerce_length(value, mode: str) -> Number:
                         return Fraction(int(num), int(den))
                 # Fraction(str) builds the power of ten in full: 1e999999999 would take hours
                 _, e, exponent = value.lower().rpartition("e")
-                limit = sys.get_int_max_str_digits()
+                limit = int_digit_limit()
                 if slash or not (e and limit) or abs(int(exponent)) < limit:
                     return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:

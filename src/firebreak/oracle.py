@@ -24,7 +24,8 @@ scene is each column's first free row.  ``grid_consumption`` never builds
 the rows x columns grid: it reads row 0 of every column and the rows beside
 each vertical from the run form and counts the consumed samples by level, at
 O(runs x rows + samples), so 17/9 at 5 cycles (5.4e9 grid nodes at cell 1)
-is checked in a fraction of a second.  It and ``compare`` run in pure
+is checked in a fraction of a second.  It and ``compare``, which reads the
+exact curve at every sample with the simulator's float evaluator, run in pure
 Python; only ``grid_arrival``, which expands the run form into the full
 grid, and ``GridScene.passable``, the bool node mask, import numpy, when
 called.  Each of ``build_scene`` (the column tops), ``grid_arrival`` (the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
@@ -44,7 +44,7 @@ from operator import add, mul, ne, sub
 from typing import Iterator, NamedTuple
 
 from .model import LEFT, RIGHT, BarrierSystem, approx
-from .simulate import PiecewiseLinearCurve
+from .simulate import PiecewiseLinearCurve, _floats_at
 
 # bytes per column of build_scene: the list the tops are set in and the tuple they end in
 _BYTES_PER_COLUMN = 16
@@ -376,31 +376,6 @@ class OracleComparison(NamedTuple):
     first_exceedance: float | None = None
 
 
-def _values_at(curve: PiecewiseLinearCurve, times: list) -> list[float]:
-    """``float(curve.value_at(t))`` for every t in ``times``, bit for bit.
-
-    Segments are found among the breakpoint times rounded to float.  Rounding
-    is monotone, so that search only misplaces a sample equal to a rounded
-    breakpoint time; those few samples go through ``value_at`` itself.  The
-    rest use value_at's formula and operand order with each exact difference
-    rounded once, as Python's mixed Fraction/float arithmetic does.  A time
-    that equals a float-rounded end but lies past the exact end is evaluated
-    at that end.
-    """
-    pts = curve.points
-    t_at = [float(t) for t, _ in pts]
-    segments = [(float(t0), float(v0), float(v1 - v0), float(t1 - t0)) for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
-    # by the bisect_right index, one past the segment; before and after the curve the end segments
-    by_index = [segments[0], *segments, segments[-1]]
-    found = map(by_index.__getitem__, map(bisect_right, repeat(t_at), times))
-    values = [v0 + dv * (t - t0) / dt for (t0, v0, dv, dt), t in zip(found, times)]
-    for i in compress(range(len(times)), map(set(t_at).__contains__, times)):
-        t = times[i]
-        t = curve.start if t < curve.start else curve.end if t > curve.end else t
-        values[i] = float(curve.value_at(t))
-    return values
-
-
 def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float) -> OracleComparison:
     """Max |sampled - exact| over the common sample times, judged against ``tolerance``."""
     lo = float(exact.start)
@@ -409,7 +384,7 @@ def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float
     times = [*compress(sampled.times, common)]
     if not times:
         raise ValueError("curves share no common time range")
-    devs = [*map(abs, map(sub, compress(sampled.values, common), _values_at(exact, times)))]
+    devs = [*map(abs, map(sub, compress(sampled.values, common), _floats_at(exact.points, times)))]
     worst = max((d for d in devs if d == d), default=-1.0)  # a nan never counts as the worst
     worst_t = float(times[devs.index(worst)]) if worst >= 0 else lo
     first_exceedance = next((float(t) for t, d in zip(times, devs) if d > tolerance), None)

@@ -19,7 +19,8 @@ or combined again in a loop.  Float mode runs the same code at scale 1.  The
 ratio scan reads any curve, of ints, Fractions, floats or a mix, exactly on
 one lattice of ints and divides only for the points it reports; the CSV
 export reads curves without a float the same way, and each of its cells is
-one int division.
+one int division.  Curves with a float, and the grid oracle's ``compare``,
+are read by one float evaluator, ``value_at`` bit for bit.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 from .geodesic import GROUND, _verticals, side_profiles
@@ -479,20 +481,20 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
 def curve_to_csv(curves: ConsumptionCurves) -> str:
     """Breakpoint rows of the total curve: t, B_total, B_left, B_right, k_total.
 
-    Curves with a float coordinate are walked in floats, as ``value_at``
-    computes.  Other curves are read on one lattice of ints, and each cell is
-    one int true division.  That rounds correctly, as ``float(Fraction)``
-    does, so the rows, and the ``OverflowError`` past the float range, are
-    the same.
+    Curves with a float coordinate are read at the float of each breakpoint
+    time by ``_floats_at``, as ``value_at`` computes.  Other curves are read
+    on one lattice of ints, and each cell is one int true division.  That
+    rounds correctly, as ``float(Fraction)`` does, so the rows, and the
+    ``OverflowError`` past the float range, are the same.
     """
     ks = curves.ks[TOTAL] + curves.ks[TOTAL][-1:]  # one per segment; the last row repeats the last
     lines = ["t,B_total,B_left,B_right,k_total"]
     all_points = (curves.total.points, curves.left.points, curves.right.points)
     if any(isinstance(t, float) or isinstance(v, float) for points in all_points for t, v in points):
-        points = curves.total.points
-        sides = zip(_values_along(curves.left.points, points), _values_along(curves.right.points, points))
-        for (t, v), (left, right), k in zip(points, sides, ks):
-            lines.append(f"{float(t)!r},{float(v)!r},{float(left)!r},{float(right)!r},{k}")
+        times = [float(t) for t, _ in curves.total.points]
+        rows = zip(times, map(float, (v for _, v in curves.total.points)),
+                   _floats_at(curves.left.points, times), _floats_at(curves.right.points, times))
+        lines += (f"{t!r},{v!r},{left!r},{right!r},{k}" for (t, v, left, right), k in zip(rows, ks))
     else:
         scale, (points, left, right) = _on_one_scale(*all_points)
         sides = zip(_values_along(left, points, scale), _values_along(right, points, scale))
@@ -501,21 +503,36 @@ def curve_to_csv(curves: ConsumptionCurves) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _values_along(pts, points, scale=None):
-    """``value_at(t)`` on the curve ``pts`` for the increasing t of ``points``, in one walk, bit for bit.
-
-    With ``scale``, both are lattice ints, and the value is ``float`` of the
-    curve's own value: one int division by the scale.
-    """
+def _values_along(pts, points, scale):
+    """The curve ``pts`` at the increasing t of ``points``, all lattice ints, in one walk: one int division each."""
     i = 0
     for t, _ in points:
         while i < len(pts) - 2 and pts[i + 1][0] <= t:
             i += 1
         (t0, v0), (t1, v1) = pts[i], pts[i + 1]
-        if scale is None:
-            yield _between(t, t0, v0, t1, v1)
-        else:
-            yield v0 / scale if t == t0 else (v0 * (t1 - t0) + (v1 - v0) * (t - t0)) / ((t1 - t0) * scale)
+        yield v0 / scale if t == t0 else (v0 * (t1 - t0) + (v1 - v0) * (t - t0)) / ((t1 - t0) * scale)
+
+
+def _floats_at(points, times) -> list:
+    """``float(value_at(t))`` on the curve ``points`` at each float t of ``times``, in any order, bit for bit.
+
+    Breakpoint i is passed at the smallest float not below its time, so one
+    ``bisect_right`` over those keys finds value_at's segment; flat end
+    pieces clamp the times outside.  A segment keeps ``_between``'s operands
+    as it rounds them: its start time (nan unless a float), float start,
+    value, rise and run.
+    """
+    keys = [math.nextafter(f, math.inf) if (f := float(t)) < t else f for t, _ in points]
+    pieces = [(math.nan, 0.0, float(points[0][1]), None, None)]
+    for (t0, v0), (t1, v1), key in zip(points, points[1:], keys):
+        pieces.append((key if key == t0 else math.nan, float(t0), float(v0), float(v1 - v0), float(t1 - t0)))
+    pieces.append((math.nan, 0.0, float(points[-1][1]), None, None))
+    found = map(pieces.__getitem__, map(bisect_right, repeat(keys), times))
+    return [
+        v0 if dt is None or t == exact  # value_at's t == t0
+        else v0 + (rise / dt if (rise := dv * (t - t0)) != math.inf else dv * ((t - t0) / dt))
+        for (exact, t0, v0, dv, dt), t in zip(found, times)
+    ]
 
 
 def intervals_to_document(curves: ConsumptionCurves, mode: str) -> dict:

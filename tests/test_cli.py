@@ -249,6 +249,10 @@ class TestOracle:
             "oracle", "--system", str(flatdoc), "--cell", "0.25", "--horizon", "10",
         ]) == 0
 
+    def test_no_verticals_without_horizon_is_usage_error(self, flatdoc, capsys):
+        assert run(["oracle", "--system", str(flatdoc), "--cell", "0.25"]) == 2
+        assert capsys.readouterr().err == "error: specify --horizon for systems without verticals\n"
+
     def test_report_written(self, doc17, tmp_path):
         out = tmp_path / "oracle.json"
         assert run([

@@ -212,6 +212,12 @@ class TestImproved:
         with pytest.raises(ValidationError):
             InterlacingParams(beta=4.0, delta=1.0, cycles=0).resolved()
 
+    @pytest.mark.parametrize("beta, delta, s", [(3.0, 0.0, "-2.6666666666666665"), (4.0, 0.1, "-2.996774193548386")])
+    def test_rejects_a_non_positive_head_start(self, beta, delta, s):
+        with pytest.raises(ValidationError) as info:
+            build_improved(InterlacingParams(beta=beta, delta=delta, cycles=3))
+        assert str(info.value) == f"parameters beta={beta}, delta={delta} give non-positive head start {s}"
+
     def test_float_overflow_names_first_bad_cycle(self, optimum):
         assert len(build_improved(InterlacingParams(optimum.beta, optimum.delta, cycles=253)).right) == 253
         params = InterlacingParams(optimum.beta, optimum.delta, cycles=260)

@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firebreak import (
     FLOAT,
     RATIONAL,
     BarrierSystem,
+    ValidationError,
     build_scene,
+    build_seventeen_ninths,
+    default_horizon,
     face_arrival_profiles,
     forced_descent,
     geodesic_distance,
@@ -131,6 +134,39 @@ class TestProfiles:
         assert near.arrival(0) == 69
         assert near.arrival(17) == 52
         assert near.arrival(100) == 135
+
+    @pytest.mark.parametrize("param", [-1, Fraction(35, 2), 100])
+    def test_arrival_outside_the_face_rejected(self, param):
+        near = next(p for p in face_arrival_profiles(SINGLE, "right", 100) if p.kind == "vertical_left")
+        with pytest.raises(ValueError) as info:
+            near.arrival(param)
+        assert str(info.value) == f"parameter {param} outside [0, 17]"
+
+    @pytest.mark.parametrize("horizon, shown", [(0, "0"), ("-1/2", "-1/2"), (-3, "-3")])
+    def test_non_positive_horizon_rejected(self, horizon, shown):
+        with pytest.raises(ValueError) as info:
+            face_arrival_profiles(SINGLE, "right", horizon)
+        assert str(info.value) == f"horizon must be > 0, got {shown}"
+
+    def test_horizon_is_read_as_a_system_number(self):
+        # as consumption_curve reads it: rational mode refuses a float, and an int or "p/q" lands as a Fraction
+        system = build_seventeen_ninths(1, cycles=3)
+        with pytest.raises(ValidationError) as info:
+            face_arrival_profiles(system, "right", 100.5)
+        assert str(info.value).startswith("float 100.5 not accepted in rational mode")
+        for horizon in (100, "201/2"):
+            points = [x for prof in face_arrival_profiles(system, "right", horizon) for pt in prof.points for x in pt]
+            assert {type(x) for x in points} == {Fraction}
+            assert Fraction(horizon) in points  # some face is cut at the horizon
+
+    def test_face_reached_only_at_the_horizon_has_no_profile(self):
+        # 17/9 at 3 cycles: the front reaches the top of right vertical 3 exactly at the default horizon
+        system = build_seventeen_ninths(1, cycles=3)
+        horizon = default_horizon(system)
+        assert horizon == 3231
+        profiles = {(p.kind, p.index): p.points for p in face_arrival_profiles(system, "right", horizon)}
+        assert profiles[("vertical_left", 3)][-1] == (2176, 3231)
+        assert ("vertical_right", 3) not in profiles
 
     def test_head_start_ground_arrival_is_distance(self, sys17):
         profiles = face_arrival_profiles(sys17, "right", 1000)
@@ -273,6 +309,31 @@ def typed(x):
     return type(x).__name__, x
 
 
+@st.composite
+def systems_with_top_horizons(draw, mode):
+    """A system and a horizon at one of its top arrivals or its default horizon: breakpoints on the horizon."""
+    system = draw(systems(mode))
+    tops = [t for side in ("right", "left") for t in top_arrival_times(system, side)]
+    default = default_horizon(system)
+    return system, draw(st.sampled_from(tops + [default]) if default is not None else LENGTHS[mode])
+
+
+class TestProfileContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([RATIONAL, FLOAT]).flatmap(systems_with_top_horizons))
+    @example((build_seventeen_ninths(1, cycles=3), Fraction(3231)))  # the top of right vertical 3
+    def test_every_piece_changes_time_at_unit_slope(self, case):
+        system, horizon = case
+        for side in ("right", "left"):
+            for prof in face_arrival_profiles(system, side, horizon):
+                assert len(prof.points) >= 2
+                assert all(t <= horizon for _, t in prof.points)
+                for (p0, t0), (p1, t1) in zip(prof.points, prof.points[1:]):
+                    assert t1 != t0
+                    if system.mode == RATIONAL:
+                        assert abs(t1 - t0) == abs(p1 - p0) > 0
+
+
 class TestSingleRecurrence:
     @MODES
     @settings(max_examples=100, deadline=None)
@@ -282,9 +343,12 @@ class TestSingleRecurrence:
         horizon = data.draw(LENGTHS[mode]) * data.draw(st.sampled_from([1, 4, 20]))
         for side in ("right", "left"):
             near = {p.index: p for p in face_arrival_profiles(system, side, horizon) if p.kind == "vertical_left"}
-            for i, (height, top) in enumerate(zip(system.heights(side), top_arrival_times(system, side)), start=1):
-                if top <= horizon:
+            heights = system.heights(side)
+            for i, (height, top) in enumerate(zip(heights, top_arrival_times(system, side)), start=1):
+                if top < horizon or (top == horizon and max(heights[: i - 1], default=0) < height):
                     assert tuple(map(typed, near[i].points[-1])) == (typed(height), typed(top))
+                elif top == horizon:  # met at its top, so reached only at the horizon: no profile
+                    assert i not in near
 
     @MODES
     @settings(max_examples=100, deadline=None)

@@ -35,7 +35,7 @@ from firebreak import (
     to_document,
     validate,
 )
-from firebreak.model import coerce_length, loads, dumps, render_number
+from firebreak.model import coerce_length, int_digit_limit, loads, dumps, render_number
 
 from conftest import random_rational_system
 
@@ -64,6 +64,12 @@ class TestConstruction:
     def test_rejects_non_finite_float(self):
         with pytest.raises(ValidationError):
             BarrierSystem(mode=FLOAT, head_start=1.0, right=((float("inf"), 1.0),), left=())
+
+    @pytest.mark.parametrize("entry", [(1, 2, 3), 5, (1,)])
+    def test_rejects_a_side_entry_that_is_not_a_pair(self, entry):
+        with pytest.raises(ValidationError) as info:
+            rational(1, right=((1, 2), entry))
+        assert str(info.value) == "right[2] is not a (gap, height) pair"
 
     def test_coercion_error_names_the_position(self):
         with pytest.raises(ValidationError, match=r"^right\[1\]: cannot parse rational 'x'$"):
@@ -315,6 +321,12 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             from_document(doc)
 
+    @pytest.mark.parametrize("document", [[], "{}", None])
+    def test_non_object_document_rejected(self, document):
+        with pytest.raises(DocumentError) as info:
+            from_document(document)
+        assert str(info.value) == "document must be an object"
+
     def test_malformed_side_entry_rejected(self):
         doc = {"mode": "rational", "head_start": "1", "right": [{"a": "1"}], "left": []}
         with pytest.raises(DocumentError):
@@ -428,6 +440,13 @@ class TestRationalReader:
     @pytest.mark.parametrize("text", ["17", "17/9", "0034/0012", "1/0", "7.5", "1.5e3", " 3/4", "+3", "1_000/3", "\u0663/4", "2\u00b2", "3/", "/3", ""])
     def test_pinned_strings(self, text):
         assert outcome(coerce_length, text, RATIONAL) == outcome(reference_rational, text)
+
+    def test_python_without_a_digit_limit_reads_exponents(self, monkeypatch):
+        # sys.get_int_max_str_digits first shipped in Python 3.10.7
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert int_digit_limit() == 0
+        assert coerce_length("1e5", RATIONAL) == 10**5
+        assert coerce_length("25e-1", RATIONAL) == Fraction(5, 2)
 
     @pytest.mark.parametrize("text", ["1e5000", "1e-5000"])
     def test_huge_exponent_is_refused_naming_the_limit(self, text):

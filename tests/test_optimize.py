@@ -132,6 +132,12 @@ class TestOptimizeBeta:
         with pytest.raises(ValueError):
             assert_unimodal(lambda x: (x - 3) ** 2 * ((x - 7) ** 2 + 0.1), 2.0, 8.0)
 
+    def test_unimodality_prescan_detects_a_rise_before_the_valley(self):
+        # a local valley at 0.3, then the global one at 0.9
+        with pytest.raises(ValueError) as info:
+            assert_unimodal(lambda x: min(abs(x - 0.3) + 0.1, abs(x - 0.9)), 0.0, 1.0, samples=11)
+        assert str(info.value) == "not unimodal on [0.0, 1.0]: rise before the valley at x=0.4"
+
     def test_golden_section_on_parabola(self):
         x, y, _ = golden_section_min(lambda x: (x - 1.25) ** 2, 0, 10, tol=1e-10)
         assert x == pytest.approx(1.25, abs=1e-8)

@@ -28,7 +28,8 @@ from firebreak import (
     grid_consumption,
     valid_horizon,
 )
-from firebreak.oracle import _last_level, _read_side, _run_levels, _values_at, arrival_at
+from firebreak.oracle import _last_level, _read_side, _run_levels, arrival_at
+from firebreak.simulate import _floats_at
 
 
 def rational(head_start, right=(), left=()):
@@ -453,7 +454,7 @@ class TestOracleProperties:
                 compare(curve, sampled, tolerance)
             return
         result = compare(curve, sampled, tolerance)
-        assert [bits(x) for x in _values_at(curve, times[mask])] == [bits(x) for x in reference]
+        assert [bits(x) for x in _floats_at(curve.points, times[mask])] == [bits(x) for x in reference]
         assert (bits(result.max_deviation), bits(result.at_time), bits(result.first_exceedance)) == tuple(
             bits(x) for x in expected)
         assert result.passed is (expected[2] is None)

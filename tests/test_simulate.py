@@ -169,6 +169,23 @@ class TestRatioMaxima:
         with pytest.raises(ValueError):
             PiecewiseLinearCurve([(0, 0)])
 
+    @pytest.mark.parametrize("points, message", [
+        ([(0, 0), (1, 1), (1, 2)], "breakpoint times must increase: 1 -> 1"),
+        ([(0, 0), (2, 1), (1, 2)], "breakpoint times must increase: 2 -> 1"),
+        ([(0, 0), (1, 2), (2, 1)], "curve must be nondecreasing: 2 -> 1"),
+    ])
+    def test_unordered_breakpoints_rejected(self, points, message):
+        with pytest.raises(ValueError) as info:
+            PiecewiseLinearCurve(points)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bound", [1, Fraction(1, 2)])
+    def test_bound_at_or_before_the_start_rejected(self, bound):
+        curve = PiecewiseLinearCurve([(1, 0), (2, 1)])
+        with pytest.raises(ValueError) as info:
+            ratio_maxima(curve, bound)
+        assert str(info.value) == f"valid horizon {bound} not inside curve domain"
+
 
 class TestCheckSpeed:
     def test_flat_feasible_at_two(self):
