@@ -4,9 +4,10 @@ The oracle discretizes the upper half-plane and takes each node's number of
 grid steps from the source (exact for L1).  Every column is blocked only from
 the ground up, so some shortest grid path is x-monotone on each side, and one
 sweep over the columns per side gives the same arrivals as a breadth-first
-search, keeping one level column per run of equal column tops.  The oracle
-then tallies consumed barrier samples, reading their arrivals from those
-run columns instead of the full grid, so it reaches 17/9 at five cycles.
+search, keeping each run of equal column tops as a few pieces of slope +1 or
+-1 over the rows.  The oracle then tallies consumed barrier samples, reading
+their arrivals from those pieces instead of the full grid, so it reaches
+17/9 at six cycles.
 Deviations from the exact curve shrink linearly with the cell size.
 """
 

@@ -30,6 +30,7 @@ from firebreak import (
     ratio_report,
     side_intervals,
     top_arrival_times,
+    valid_horizon,
 )
 from firebreak.optimize import optimal_beta_closed_form, optimal_speed_closed_form
 
@@ -167,7 +168,8 @@ def test_criterion_6_normalization_never_increases_consumption():
 
 
 def test_criterion_7_oracle_agreement():
-    # head start is 1 in all four scenes; five cycles of 17/9 at cell 1 span 5.4e9 grid nodes
+    # head start is 1 in every scene; five cycles of 17/9 at cell 1 span 5.4e9 grid nodes, six cycles
+    # over their valid horizon 1.4e12, which are checked at cell 1 alone (835 552 samples)
     scenes = [
         ("flat", build_flat(1), 20, 1 / 8),
         ("single-barrier", build_seventeen_ninths(1, cycles=1), 40, 1 / 8),
@@ -186,6 +188,12 @@ def test_criterion_7_oracle_agreement():
         # halving the cell halves the deviation, within factor 1.5
         assert deviations[1] <= 0.75 * deviations[0] + 1e-9
         details.append(f"{name}: {deviations[0]:.3f}->{deviations[1]:.3f}")
+    system = build_seventeen_ninths(1, cycles=6)
+    horizon = valid_horizon(system)  # 835551
+    result = compare(consumption_curve(system, horizon, truncated=True).total,
+                     grid_consumption(system, 1.0, float(horizon)), consumption_tolerance(system, 1.0))
+    assert result.passed, f"17/9 six cycles at cell 1: deviation {result.max_deviation}"
+    details.append(f"17/9 six cycles: {result.max_deviation:.3f} at cell 1")
     verdict(7, "oracle agreement", "; ".join(details))
 
 

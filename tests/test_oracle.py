@@ -1,7 +1,6 @@
 """Grid oracle: arrival exactness against a queue BFS, sampled consumption, convergence."""
 
 import math
-import random
 import re
 from collections import deque
 from fractions import Fraction
@@ -24,11 +23,12 @@ from firebreak import (
     compare,
     consumption_curve,
     consumption_tolerance,
+    geodesic_distance,
     grid_arrival,
     grid_consumption,
     valid_horizon,
 )
-from firebreak.oracle import _last_level, _read_side, _run_levels, arrival_at
+from firebreak.oracle import _last_level, _levels, _run_levels, arrival_at
 from firebreak.simulate import _floats_at
 
 
@@ -40,14 +40,12 @@ SINGLE = rational(1, right=((1, 17),))
 
 
 class TestGridArrival:
-    def test_empty_scene_is_manhattan(self):
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-32, 32), st.integers(0, 32))
+    def test_empty_scene_is_manhattan(self, qx, qy):
         scene = build_scene(build_flat(1), 0.25, 10)
-        arr = grid_arrival(scene)
-        rng = random.Random(2)
-        for _ in range(40):
-            x = rng.randint(-32, 32) / 4
-            y = rng.randint(0, 32) / 4
-            assert arrival_at(scene, arr, x, y) == abs(x) + y
+        x, y = qx / 4, qy / 4
+        assert arrival_at(scene, grid_arrival(scene), x, y) == abs(x) + y
 
     def test_single_barrier_detour(self):
         scene = build_scene(SINGLE, 0.25, 48)
@@ -127,21 +125,15 @@ class TestGridArrival:
         with pytest.raises(ValueError, match="outside the scene extent"):
             arrival_at(scene, grid_arrival(scene), x, y)
 
-    def test_oracle_never_beats_exact_geodesic(self):
-        # grid paths are a restricted class: arrival >= exact - 2h
-        from firebreak import geodesic_distance
-
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-30, 30), st.integers(0, 30))
+    def test_oracle_never_beats_exact_geodesic(self, qx, qy):
+        # grid paths are a restricted class: arrival >= exact - 2h; the barrier's own nodes are unreachable
         scene = build_scene(SINGLE, 0.25, 40)
-        arr = grid_arrival(scene)
-        rng = random.Random(9)
-        for _ in range(60):
-            x = rng.randint(-30, 30) / 4
-            y = rng.randint(0, 30) / 4
-            if x == 1.0 and y < 17:
-                continue
-            observed = arrival_at(scene, arr, x, y)
-            if np.isinf(observed):
-                continue
+        x, y = qx / 4, qy / 4
+        observed = arrival_at(scene, grid_arrival(scene), x, y)
+        assert bool(np.isinf(observed)) == (x == 1.0 and y < 17)
+        if not np.isinf(observed):
             assert observed >= float(geodesic_distance(SINGLE, (x, y))) - 2 * 0.25
 
 
@@ -160,6 +152,18 @@ class TestGridConsumption:
         exact = consumption_curve(SINGLE, 40, truncated=True)
         result = compare(exact.total, sampled, consumption_tolerance(SINGLE, 0.125))
         assert result.passed
+
+    @pytest.mark.parametrize("sides, message", [
+        (("top",), "unknown side 'top'"),
+        ("ri", "unknown side 'ri'"),
+        (("right", "up"), "unknown side 'up'"),
+        ((), "sides is empty"),
+        ("", "unknown side ''"),
+    ])
+    def test_unknown_or_empty_sides_refused(self, sides, message):
+        # each once gave a curve that is 0 everywhere
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grid_consumption(build_seventeen_ninths(1, cycles=3), 1.0, 171.0, sides=sides)
 
     def test_seventeen_ninths_two_cycles(self):
         system = build_seventeen_ninths(1, cycles=2)
@@ -195,28 +199,48 @@ class TestCompare:
         result = compare(curve, SampledCurve(times=np.array([0.1]), values=np.array([0.0])), 1)
         assert (result.max_deviation, result.at_time, result.passed) == (1.0, 0.1, True)
 
+    def test_times_and_values_of_different_lengths_refused(self):
+        # the unmatched time was dropped, and this passed with deviation 0.0
+        exact = consumption_curve(build_seventeen_ninths(1, cycles=3), 171, truncated=True).total
+        with pytest.raises(ValueError, match="^sampled curve has 2 times but 1 values$"):
+            compare(exact, SampledCurve((0.0, 1.0), (0.0,)), 1.0)
+
+    def test_nan_tolerance_refused(self):
+        # no deviation exceeds nan: on 17/9 at 3 cycles, cell 1, the 5.0 deviation passed
+        system = build_seventeen_ninths(1, cycles=3)
+        exact = consumption_curve(system, 171, truncated=True).total  # over the valid horizon
+        sampled = grid_consumption(system, 1.0, 171.0)
+        assert compare(exact, sampled, consumption_tolerance(system, 1.0)).max_deviation == 5.0
+        with pytest.raises(ValueError, match="^tolerance is nan; give a number$"):
+            compare(exact, sampled, math.nan)
+
     def test_disjoint_ranges_rejected(self):
         curve = PiecewiseLinearCurve([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
             compare(curve, SampledCurve(times=np.array([5.0]), values=np.array([0.0])), 1)
 
 
+def quarters(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.just(4))
+
+
 class TestConvergence:
-    def test_halving_cell_halves_deviation_on_random_scenes(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            pairs = []
-            for _ in range(rng.randint(1, 3)):
-                pairs.append((Fraction(rng.randint(1, 8), 4), Fraction(rng.randint(1, 10), 4)))
-            system = rational(Fraction(rng.randint(1, 4), 4), right=tuple(pairs))
-            horizon = 12
-            exact = consumption_curve(system, horizon, truncated=True)
-            devs = []
-            for cell in (0.25, 0.125):
-                sampled = grid_consumption(system, cell, float(horizon))
-                devs.append(compare(exact.total, sampled, 1e9).max_deviation)
-            # first-order convergence, with headroom for quantization jitter
-            assert devs[1] <= 0.75 * devs[0] + 1e-9
+    @settings(max_examples=20, deadline=None)
+    @given(quarters(1, 4), st.lists(st.tuples(quarters(1, 8), quarters(1, 10)), min_size=1, max_size=3))
+    @example(Fraction(1, 4), [(Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 2))])
+    def test_halving_cell_halves_deviation_on_random_scenes(self, head_start, pairs):
+        # the claim is first-order: it holds once the coarse cell is at most half of every length; with
+        # lengths of one cell, halving 0.25 can leave most of the deviation (the example: 0.75 -> 0.625)
+        system = rational(head_start, right=tuple(pairs))
+        horizon = 12
+        exact = consumption_curve(system, horizon, truncated=True)
+        coarse = 0.25 if min(head_start, *(x for pair in pairs for x in pair)) >= Fraction(1, 2) else 0.125
+        devs = []
+        for cell in (coarse, coarse / 2):
+            sampled = grid_consumption(system, cell, float(horizon))
+            devs.append(compare(exact.total, sampled, 1e9).max_deviation)
+        # first-order convergence, with headroom for quantization jitter
+        assert devs[1] <= 0.75 * devs[0] + 1e-9
 
 
 class TestMemoryLimit:
@@ -343,6 +367,50 @@ def scalar_consumption(system, cell, horizon, sides):
 
 
 @st.composite
+def scenes_of_tops(draw):
+    """Hand-made scenes of 1-40 rows: each side runs of 1-4 equal tops, fully blocked columns among them."""
+    rows = draw(st.integers(1, 40))
+    top = st.one_of(st.integers(0, rows), st.just(0), st.just(rows))
+
+    def side():
+        return [t for t, n in draw(st.lists(st.tuples(top, st.integers(1, 4)), max_size=10)) for _ in range(n)]
+
+    left = side()
+    return GridScene(cell=1.0, tops=(*left[::-1], 0, *side()), rows=rows, source_col=len(left))
+
+
+def list_form_runs(tops, rows):
+    """The run form as one int list of levels per run (its first column), each made from the previous run's list."""
+    bounds = [0] + [c for c in range(1, len(tops)) if tops[c] != tops[c - 1]] + [len(tops)]
+    levels, runs = list(range(rows)), []
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        top = tops[a]
+        if top == rows:
+            break
+        if i:
+            prev = tops[bounds[i - 1]]
+            run = [math.inf] * top + [level + a - bounds[i - 1] for level in levels[top:]]
+            if top < prev:  # free lower down: fill downwards from the predecessor's top
+                run[top:prev] = range(run[prev] + prev - top, run[prev], -1)
+            levels = run
+        runs.append((a, b, levels))
+    return runs
+
+
+def read_pieces(pieces, rows):
+    """Levels less the column, row by row: from each piece's row up, until the next piece, inf below the first."""
+    out = [math.inf] * rows
+    for row, level, slope in pieces:
+        out[row:] = [level + slope * (r - row) for r in range(row, rows)]
+    return out
+
+
+def assert_pieces(pieces, rows):
+    assert 0 <= pieces[0][0] < rows and all(slope in (1, -1) for _, _, slope in pieces)
+    assert all(r0 < r1 for (r0, _, _), (r1, _, _) in zip(pieces, pieces[1:]))
+
+
+@st.composite
 def curves(draw):
     """Rational or float piecewise-linear curves with 2-8 breakpoints."""
     n = draw(st.integers(2, 8))
@@ -397,23 +465,43 @@ class TestOracleProperties:
     @settings(max_examples=120, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12), MAX_TIMES)
     def test_run_form_matches_grid_arrival_at_every_node(self, system, cell, horizon, max_time):
-        # grid_consumption reads row 0 and whole columns of each side with _read_side; the queue BFS pins
-        # grid_arrival; a row or a column past the scene reads inf
+        # each run's pieces, read row by row and as grid_consumption reads them with _levels (all rows or
+        # the lower half), give grid_arrival's levels before its cut and scaling; the queue BFS pins
+        # grid_arrival; a column past a side's cut-off reads inf
         scene = build_scene(system, cell, horizon)
         ny, source = scene.rows, scene.source_col
-        levels = np.empty(scene.shape)
+        levels = np.full(scene.shape, np.inf)
         for runs, sign in zip(_run_levels(scene), (1, -1)):
-            ground, columns = _read_side(runs, dict.fromkeys(range(source + 2), ny + 1))
-            row0 = [base + k for a, b, base in ground for k in range(b - a)]
-            assert row0 + [math.inf] * (source + 1 - len(row0)) == [columns[c][0] for c in range(source + 1)]
-            assert columns.pop(source + 1) == [math.inf] * (ny + 1)
-            for c, column in columns.items():
-                assert column[ny] == math.inf
-                levels[:, source + sign * c] = column[:ny]
+            assert [a for a, _, _ in runs] == [0] + [b for _, b, _ in runs[:-1]]
+            for a, b, pieces in runs:
+                assert_pieces(pieces, ny)
+                first = read_pieces(pieces, ny)
+                for c in range(a, b):
+                    column = [level + c for level in first]
+                    assert _levels(runs, c, ny) == column and _levels(runs, c, ny // 2) == column[: ny // 2]
+                    levels[:, source + sign * c] = column
+            for c in range(runs[-1][1], source + 2):
+                assert _levels(runs, c, ny) == [math.inf] * ny
         cut = _last_level(max_time, cell)
         if cut is not None:
             levels[levels > cut] = np.inf
         assert np.array_equal(levels * cell, grid_arrival(scene, max_time=max_time))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenes_of_tops())
+    # on the right: raised, lowered twice (one merged piece), raised, lowered, then cut off
+    @example(GridScene(cell=1.0, tops=(0, 0, 3, 5, 2, 1, 4, 0, 6, 2), rows=6, source_col=1))
+    def test_pieces_match_the_list_form(self, scene):
+        # fully blocked columns cut a side off, raised tops cut a piece, lowered tops add or extend a slope -1
+        # piece; each run's pieces, read row by row, are the list form's levels, and grid_arrival is a BFS
+        ny, tops, source = scene.rows, scene.tops, scene.source_col
+        for runs, side_tops in zip(_run_levels(scene), (tops[source:], tops[source::-1])):
+            reference = list_form_runs(side_tops, ny)
+            assert [(a, b) for a, b, _ in runs] == [(a, b) for a, b, _ in reference]
+            for (a, _, pieces), (_, _, first) in zip(runs, reference):
+                assert_pieces(pieces, ny)
+                assert [level + a for level in read_pieces(pieces, ny)] == first
+        assert np.array_equal(grid_arrival(scene), deque_arrival(scene))
 
     @settings(max_examples=80, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12))
@@ -427,7 +515,7 @@ class TestOracleProperties:
 
     @settings(max_examples=120, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12),
-           st.sampled_from([("right", "left"), ("right",), ("left",), ()]))
+           st.sampled_from([("right", "left"), ("right",), ("left",), "right", "left", ["left", "right"]]))
     @example(rational(1, right=((2, 4000),), left=((2, 3), (1, 6))), 0.5, 12, ("right", "left"))  # right cut off
     @example(rational(1, right=((1, 3),), left=((Fraction(3, 2), 5), (1, 2))), 0.25, 10, ("left",))
     def test_grid_consumption_matches_scalar_sampling(self, system, cell, horizon, sides):
