@@ -146,42 +146,29 @@ def face_arrival_profiles(system: BarrierSystem, side: str, horizon) -> list:
     rational mode refuses a float.
     """
     pairs = system.pairs(side)  # rejects an unknown side
-    horizon = system.number(horizon)
+    horizon, zero = system.number(horizon), system.zero
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    return [
-        FaceArrivalProfile(side, kind, index, tuple(points))
-        for kind, index, points in side_profiles(pairs, horizon, system.zero)
-    ]
-
-
-def side_profiles(pairs, horizon, zero, far: bool = True) -> list:
-    """(kind, index, points) of every face of one side, truncated at the horizon.
-
-    The builder behind :func:`face_arrival_profiles`, on bare numbers of
-    any one type (see :func:`_verticals`).  ``far=False`` skips the far faces.
-    """
     profiles = []
     for i, (pos, foot, height, clearance, top) in enumerate(_verticals(pairs, zero)):
         if foot is None:
             break
         ground = _clip_points([(pos, pos + 2 * clearance), (foot, foot + 2 * clearance)], horizon)
         if ground:
-            profiles.append((GROUND, i, ground))
+            profiles.append(FaceArrivalProfile(side, GROUND, i, tuple(ground)))
         near = [(zero, foot + 2 * clearance), (height, top)]
         if 0 < clearance < height:  # the front meets the face at the clearance height
             near.insert(1, (clearance, foot + clearance))
         near = _clip_points(near, horizon)
         if near:
-            profiles.append((VERTICAL_LEFT, i + 1, near))
+            profiles.append(FaceArrivalProfile(side, VERTICAL_LEFT, i + 1, tuple(near)))
+        far = _clip_points([(zero, top + height), (height, top)], horizon)
         if far:
-            far_points = _clip_points([(zero, top + height), (height, top)], horizon)
-            if far_points:
-                profiles.append((VERTICAL_RIGHT, i + 1, far_points))
+            profiles.append(FaceArrivalProfile(side, VERTICAL_RIGHT, i + 1, tuple(far)))
 
     # trailing ray: arrival = x + 2*clearance, truncated where it meets the horizon; in floats
     # each test alone can leave a piece of no length or of no time
     ray_end = horizon - 2 * clearance
     if ray_end > pos and pos + 2 * clearance < horizon:
-        profiles.append((GROUND, i, [(pos, pos + 2 * clearance), (ray_end, horizon)]))
+        profiles.append(FaceArrivalProfile(side, GROUND, i, ((pos, pos + 2 * clearance), (ray_end, horizon))))
     return profiles

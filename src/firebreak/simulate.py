@@ -7,12 +7,17 @@ per monotone profile piece, active between the piece's earliest and latest
 arrival time.  B(t) is thus piecewise linear with integer slopes: the number
 k of simultaneously active consumption points.  A near (origin-facing)
 profile is pointwise no later than the far one (their difference shrinks to
-0 at the top), so far faces consume nothing and get no ramps.
+0 at the top), so far faces consume nothing and get no ramps.  A side's
+ramps come straight from its clearance/top recurrence in one loop, with the
+expressions of the profiles of ``face_arrival_profiles`` but no point lists.
 
-One sweep over a side's ramps yields its curve and maximal k-intervals; the
-total is the same sweep over both sides' ramps.  A rational system is first
-rescaled by the LCM of its denominators and the horizon's, so the tops behind
-the horizons, ramps, sweeps, the curves' order checks and speed checks run on
+One sort of a side's ramp ends and one loop over them yield its curve and
+maximal k-intervals; the total is the same sweep over both sides' ramps.
+In float mode an event time within ``MERGE_RTOL`` of a run's first time,
+relative to its own, joins that run, so a float system scaled by a power of
+two has its curve scaled bit for bit.  A rational system is first rescaled
+by the LCM of its denominators and the horizon's, so the tops behind the
+horizons, ramps, sweeps, the curves' order checks and speed checks run on
 Python ints.  Fractions are a boundary type: one is made for each number the
 module publishes (curve points, interval ends, horizons), and none is compared
 or combined again in a loop.  Float mode runs the same code at scale 1.  The
@@ -32,14 +37,15 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
-from .geodesic import GROUND, _verticals, side_profiles
+from .geodesic import _verticals
 from .model import FLOAT, LEFT, RIGHT, SIDES, BarrierSystem, approx, render_number, validate
 
 TOTAL = "total"
 
-# float mode: event times closer than this relative gap collapse to one breakpoint
+# float mode: event times within this gap, relative to their own, of a run's first time join the run
 MERGE_RTOL = 1e-12
 
 
@@ -255,49 +261,65 @@ def _lattice(system: BarrierSystem, horizon=None, truncated: bool = False) -> _L
 
 
 def _side_ramps(lat: _Lattice, side: str) -> list:
-    """Unit-rate consumption ramps (t_lo, t_hi) for one side, head start excluded."""
-    head = lat.head
-    ramps = []
-    for kind, _, pts in side_profiles(lat.pairs[side], lat.horizon, lat.zero, far=False):
-        if kind == GROUND:
-            if pts[-1][0] <= head:
-                continue
-            if pts[0][0] < head:
-                # ground slope is +1: shift start to the head-start boundary
-                pts = [(head, pts[0][1] + (head - pts[0][0]))] + pts[1:]
-        ramps.extend((min(t0, t1), max(t0, t1)) for (_, t0), (_, t1) in zip(pts, pts[1:]) if t0 != t1)
-    return ramps
+    """Unit-rate consumption ramps (t_lo, t_hi) for one side, head start excluded.
 
-
-def _merge_event_times(items: list, mode: str) -> list:
-    """Sort (time, delta) events; in float mode collapse near-identical times."""
-    items.sort(key=lambda it: it[0])
-    merged = []
-    for t, delta in items:
-        if merged and (
-            t == merged[-1][0]
-            or (mode == FLOAT and t - merged[-1][0] <= MERGE_RTOL * max(abs(t), 1.0))
-        ):
-            merged[-1][1] += delta
+    One loop over the side's recurrence gives the monotone pieces of its
+    ground and near-face profiles (see ``face_arrival_profiles``) truncated
+    at the horizon, with the same expressions, so bit for bit the same
+    ramps.  A piece between times ``a <= b`` keeps ``(a, min(b, horizon))``
+    when ``a`` is before the horizon and ``a != b``.  A ground piece rises
+    with x at slope +1: it is dropped when it ends (in x) within the head
+    start, and otherwise starts no earlier than the head start's end.
+    """
+    head, horizon, ramps = lat.head, lat.horizon, []
+    for pos, foot, height, clearance, top in _verticals(lat.pairs[side], lat.zero):
+        start = pos + 2 * clearance  # the ground piece's first arrival
+        if foot is None:  # the trailing ray, up to where it meets the horizon
+            end = horizon - 2 * clearance
+            if end > pos and start < horizon and end > head:
+                lo = start + (head - pos) if pos < head else start
+                if lo != horizon:
+                    ramps.append((lo, horizon) if lo < horizon else (horizon, lo))
+            return ramps
+        rise = foot + 2 * clearance  # at the ground's end and the near face's base
+        end = foot if rise <= horizon else pos + (horizon - start) if start < horizon else None
+        if end is not None and end > head:
+            lo, hi = start + (head - pos) if pos < head else start, rise if rise <= horizon else horizon
+            if lo != hi:
+                ramps.append((lo, hi) if lo < hi else (hi, lo))
+        if 0 < clearance < height:  # the near face is first reached at the clearance, then both ways
+            low = foot + clearance
+            pieces = ((low, rise), (low, top))
         else:
-            merged.append([t, delta])
-    return merged
+            pieces = ((rise, top) if rise <= top else (top, rise),)
+        for lo, hi in pieces:
+            if lo < horizon and lo != hi:
+                ramps.append((lo, hi if hi <= horizon else horizon))
 
 
 def _sweep(ramps: list, lat: _Lattice):
     """Breakpoints of the sum of ``ramps`` up to the horizon, and each segment's k.
 
-    Adjacent segments never share a k: each segment is a maximal k-interval.
+    One sort of the (time, +-1) events and one loop over them.  The first
+    event of a run is a breakpoint; the others share its time, or in float
+    mode lie within ``MERGE_RTOL`` of it relative to their own (times are
+    >= 0), and only change k.  The horizon closes the last segment and is
+    never merged.  Adjacent segments never share a k: each segment is a
+    maximal k-interval.
     """
     events = [(lo, +1) for lo, _ in ramps] + [(hi, -1) for _, hi in ramps]
-    points, slopes, k = [(lat.zero, lat.zero)], [], 0
-    for t, delta in _merge_event_times(events, lat.mode) + [(lat.horizon, 0)]:
-        if t > points[-1][0]:
+    events.sort(key=itemgetter(0))
+    events.append((lat.horizon, 0))
+    exact = lat.mode != FLOAT
+    points, slopes, k, run = [(lat.zero, lat.zero)], [], 0, lat.zero
+    for t, delta in events:
+        if t > run and (exact or not delta or t - run > MERGE_RTOL * t):  # a run's first time, or the horizon
             if slopes and slopes[-1] == k:  # same k: extend the last segment
                 del points[-1], slopes[-1]
             t0, v0 = points[-1]
             points.append((t, v0 + k * (t - t0)))
             slopes.append(k)
+            run = t
         k += delta
     return points, tuple(slopes)
 

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -40,7 +41,7 @@ from firebreak import (
 )
 from firebreak.geodesic import GROUND, VERTICAL_RIGHT
 from firebreak.model import render_number
-from firebreak.simulate import MERGE_RTOL, TOTAL, intervals_to_document
+from firebreak.simulate import MERGE_RTOL, TOTAL, _Lattice, _lattice, _side_ramps, _sweep, intervals_to_document
 
 from conftest import random_rational_system
 
@@ -364,45 +365,59 @@ class TestKIntervalInvariants:
 # -- reference: the Fraction pipeline of two side sweeps plus a combiner ------------
 
 
+def profile_ramps(system, side, horizon):
+    """One side's ramps read off its ground and near-face profiles, head start cut off."""
+    head, ramps = system.head_start, []
+    for prof in face_arrival_profiles(system, side, horizon):
+        if prof.kind == VERTICAL_RIGHT:
+            continue
+        pts = prof.points
+        if prof.kind == GROUND:
+            if pts[-1][0] <= head:
+                continue
+            if pts[0][0] < head:
+                pts = ((head, pts[0][1] + (head - pts[0][0])),) + pts[1:]
+        for (_, t0), (_, t1) in zip(pts, pts[1:]):
+            if t0 != t1:
+                ramps.append((min(t0, t1), max(t0, t1)))
+    return ramps
+
+
+def reference_sweep(ramps, mode, zero, horizon):
+    """Two loops: merge the sorted events into runs, then walk the runs up to the horizon.
+
+    Returns the breakpoints and the k-intervals (t_start, t_end, k).
+    """
+    events = sorted([(lo, 1) for lo, _ in ramps] + [(hi, -1) for _, hi in ramps], key=lambda e: e[0])
+    merged = []
+    for t, delta in events:
+        if merged and (t == merged[-1][0] or (
+                mode == FLOAT and t - merged[-1][0] <= MERGE_RTOL * abs(t))):
+            merged[-1][1] += delta
+        else:
+            merged.append([t, delta])
+    intervals, k, t_prev = [], 0, zero
+    for t, delta in merged + [[horizon, 0]]:
+        if t > t_prev:
+            if intervals and intervals[-1][2] == k:
+                intervals[-1] = (intervals[-1][0], t, k)
+            else:
+                intervals.append((t_prev, t, k))
+        k += delta
+        t_prev = t
+    points, total = [(zero, zero)], zero
+    for t0, t1, k in intervals:
+        total = total + k * (t1 - t0)
+        points.append((t1, total))
+    return points, intervals
+
+
 def reference_curves(system, horizon):
     """Side sweeps over face-profile ramps, then one value_at per total breakpoint."""
     zero = system.zero
     swept = {}
     for side in (RIGHT, LEFT):
-        ramps = []
-        for prof in face_arrival_profiles(system, side, horizon):
-            if prof.kind == VERTICAL_RIGHT:
-                continue
-            pts = prof.points
-            if prof.kind == GROUND:
-                if pts[-1][0] <= system.head_start:
-                    continue
-                if pts[0][0] < system.head_start:
-                    pts = ((system.head_start, pts[0][1] + (system.head_start - pts[0][0])),) + pts[1:]
-            for (_, t0), (_, t1) in zip(pts, pts[1:]):
-                if t0 != t1:
-                    ramps.append((min(t0, t1), max(t0, t1)))
-        events = sorted([(lo, 1) for lo, _ in ramps] + [(hi, -1) for _, hi in ramps], key=lambda e: e[0])
-        merged = []
-        for t, delta in events:
-            if merged and (t == merged[-1][0] or (
-                    system.mode == FLOAT and t - merged[-1][0] <= MERGE_RTOL * max(abs(t), 1.0))):
-                merged[-1][1] += delta
-            else:
-                merged.append([t, delta])
-        intervals, k, t_prev = [], 0, zero
-        for t, delta in merged + [[horizon, 0]]:
-            if t > t_prev:
-                if intervals and intervals[-1][2] == k:
-                    intervals[-1] = (intervals[-1][0], t, k)
-                else:
-                    intervals.append((t_prev, t, k))
-            k += delta
-            t_prev = t
-        points, total = [(zero, zero)], zero
-        for t0, t1, k in intervals:
-            total = total + k * (t1 - t0)
-            points.append((t1, total))
+        points, intervals = reference_sweep(profile_ramps(system, side, horizon), system.mode, zero, horizon)
         swept[side] = PiecewiseLinearCurve(points), [KInterval(side, *iv) for iv in intervals]
 
     (right, right_iv), (left, left_iv) = swept[RIGHT], swept[LEFT]
@@ -547,6 +562,25 @@ class TestLatticeProperties:
         assert [(iv.side, iv.t_start * factor, iv.t_end * factor, iv.k) for iv in curves.intervals] == [
             (iv.side, iv.t_start, iv.t_end, iv.k) for iv in scaled.intervals]
 
+    @settings(max_examples=60, deadline=None)
+    @given(rational_cases(), st.integers(min_value=-200, max_value=200))
+    def test_float_scale_covariance_bit_for_bit(self, case, exponent):
+        # a power of two scales every float operation exactly, so the float merge must too
+        system, horizon, factor = as_float(case[0]), float(case[1]), 2.0**exponent
+        curves = consumption_curve(system, horizon, truncated=True)
+        scaled = consumption_curve(scale(system, factor), horizon * factor, truncated=True)
+        for a, b in zip((curves.total, curves.left, curves.right), (scaled.total, scaled.left, scaled.right)):
+            assert b.points == tuple((t * factor, v * factor) for t, v in a.points)
+        assert scaled.ks == curves.ks
+
+    @pytest.mark.parametrize("factor", [1e-16, 1e-200, 1e200])
+    def test_float_seventeen_ninths_at_any_scale(self, factor):
+        system = scale(as_float(build_seventeen_ninths(1, cycles=6)), factor)
+        curves = consumption_curve(system)
+        report = ratio_maxima(curves.total, valid_horizon(system))
+        assert len(curves.total) == len(consumption_curve(build_seventeen_ninths(1, cycles=6)).total) == 30
+        assert abs(report.supremum - 17 / 9) <= 1e-12 * (17 / 9)
+
     @settings(max_examples=80, deadline=None)
     @given(rational_cases(), st.fractions(min_value=1, max_value=3, max_denominator=20), st.booleans())
     def test_check_speed_agrees_with_a_curve_scan(self, case, speed, floating):
@@ -652,6 +686,83 @@ class TestLatticeProperties:
             for side in (RIGHT, LEFT, TOTAL)
         }
         assert json.dumps(intervals_to_document(curves, mode)) == json.dumps(want)
+
+
+def assert_ramps_match_profiles(system, horizon):
+    """``_side_ramps`` on the lattice equals ``profile_ramps`` as a multiset, with the type of every number."""
+    lat = _lattice(system, horizon, truncated=True)
+    for side in (RIGHT, LEFT):
+        got = Counter((typed(lat.number(lo)), typed(lat.number(hi))) for lo, hi in _side_ramps(lat, side))
+        want = Counter((typed(lo), typed(hi)) for lo, hi in profile_ramps(system, side, horizon))
+        assert got == want, side
+
+
+# right: tops 4, 13, 25, the second vertical met at its clearance at 6, ground ends 1, 9, 27;
+# left: tops 4, 8, clearance time 5, ground ends 3, 6
+STEPS = ((1, 3), (2, 10), (4, 2)), ((3, 1), (1, 4))
+
+
+def float_lattice(horizon):
+    return _Lattice(FLOAT, 0.0, 0.0, {}, horizon, None)
+
+
+class TestRampsAndSweep:
+    @pytest.mark.parametrize("floating", [False, True])
+    @pytest.mark.parametrize("head_start", [0, Fraction(1, 2), 5])  # 5 is past the first two feet of each side
+    @pytest.mark.parametrize("horizon", [4, 5, 6, 9, 13, 25, 27, 40])  # 40 cuts the right side's trailing ray
+    def test_ramps_match_the_profile_path(self, floating, head_start, horizon):
+        system = rational(head_start, *STEPS)
+        if floating:
+            system, horizon = as_float(system), float(horizon)
+        assert_ramps_match_profiles(system, horizon)
+
+    @pytest.mark.parametrize("head_start, right, horizon", [
+        (5.7, ((0.1, 0.3), (0.2, 0.1)), 10.0),  # the ray starts inside the head start, off the binary grid
+        (0.1 + 0.2, ((0.1, 0.1), (0.2, 0.5)), 10.0),  # the head start ends at a foot, off the binary grid
+        (1.0, ((1e17, 1.0), (1.0, 3.0)), 2e17),  # a height and a clearance lost to rounding at a far foot
+    ])
+    def test_ramps_match_the_profile_path_where_floats_round(self, head_start, right, horizon):
+        assert_ramps_match_profiles(BarrierSystem(mode=FLOAT, head_start=head_start, right=right, left=right), horizon)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_cases(), st.booleans(), st.integers(min_value=0, max_value=40))
+    def test_ramps_match_the_profile_path_on_random_systems(self, case, floating, pick):
+        system, horizon = case
+        if floating:
+            system, horizon = as_float(system), float(horizon)
+        # most draws put the horizon on an event time: a top, a clearance time or a ground end
+        times = sorted({t for side in (RIGHT, LEFT) for ramp in profile_ramps(system, side, horizon)
+                        for t in ramp if t > 0})
+        if pick and times:
+            horizon = times[pick % len(times)]
+        assert_ramps_match_profiles(system, horizon)
+
+    @pytest.mark.parametrize("ramps, horizon, times, ks", [
+        # each event within MERGE_RTOL of the one before, the third not of the run's first: a new breakpoint
+        ([(1.0, 4.0), (1.0 + 8e-13, 4.0), (1.0 + 1.6e-12, 4.0)], 5.0, [0.0, 1.0, 1.0 + 1.6e-12, 4.0, 5.0], (0, 2, 3, 0)),
+        # a first event within MERGE_RTOL above 0 is its own breakpoint
+        ([(5e-13, 2.0)], 3.0, [0.0, 5e-13, 2.0, 3.0], (0, 1, 0)),
+        # so is a horizon within MERGE_RTOL above the last event
+        ([(1.0, 2.0)], 2.0 + 1e-12, [0.0, 1.0, 2.0, 2.0 + 1e-12], (0, 1, 0)),
+        # events at 0 and events at one time merge
+        ([(0.0, 2.0), (0.0, 3.0), (1.0, 3.0)], 3.0, [0.0, 1.0, 2.0, 3.0], (2, 3, 2)),
+    ])
+    def test_fused_sweep_matches_the_two_loop_reference(self, ramps, horizon, times, ks):
+        points, slopes = _sweep(ramps, float_lattice(horizon))
+        want_points, intervals = reference_sweep(ramps, FLOAT, 0.0, horizon)
+        assert (points, slopes) == (want_points, tuple(k for *_, k in intervals))
+        assert ([t for t, _ in points], slopes) == (times, ks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=4),
+                              st.integers(min_value=1, max_value=6)), max_size=12),
+           st.sampled_from([0.0, 1e-12, 1e-9]))
+    def test_fused_sweep_matches_the_two_loop_reference_on_clustered_times(self, draws, offset):
+        # times in clusters a few MERGE_RTOL wide, and a horizon maybe within MERGE_RTOL above the last one
+        ramps = [(base * (1 + 4e-13 * j), base + length) for base, j, length in draws]
+        horizon = 12.0 * (1 + offset)
+        want_points, intervals = reference_sweep(ramps, FLOAT, 0.0, horizon)
+        assert _sweep(ramps, float_lattice(horizon)) == (want_points, tuple(k for *_, k in intervals))
 
 
 # -- reference: the ratio scan that divides at every breakpoint ----------------------
