@@ -17,9 +17,9 @@ from .optimize import delta_of_beta, interlaced_maxima, optimize_beta_delta
 from . import model
 
 
-def build_flat(head_start, mode: str = RATIONAL) -> BarrierSystem:
+def build_flat(head_start) -> BarrierSystem:
     """Plain horizontal barrier with no verticals; consumption ratio tends to 2."""
-    system = BarrierSystem(mode=mode, head_start=head_start, right=(), left=())
+    system = BarrierSystem(mode=RATIONAL, head_start=head_start, right=(), left=())
     if system.head_start <= 0:
         raise ValidationError("flat baseline needs a positive head start")
     return system
@@ -116,6 +116,8 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
     Each gap is pinned by the requirement that the high-consumption burst at
     the next barrier starts exactly one shift unit into the other side's
     idle stretch; the closing gap formulas above are the unique solution.
+    With beta > 2 and delta >= 0 every gap is positive: a_{i+1} =
+    d_{i-1} (beta^2 + beta delta + delta - 1) > 3 d_{i-1}, and likewise c_{i+1}.
     """
     params = (params or InterlacingParams()).resolved()
     beta, delta, cycles = params.beta, params.delta, params.cycles
@@ -146,10 +148,6 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
                 f"(beta={beta}, delta={delta}, head start {params.head_start}); "
                 f"at most {i} cycles build"
             )
-    if min(a) <= 0 or min(c) <= 0:
-        raise ValidationError(
-            f"parameters beta={beta}, delta={delta} produce non-positive gaps"
-        )
     system = BarrierSystem(
         mode=FLOAT,
         head_start=s,

@@ -81,30 +81,10 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-9):
     return x, min(yc, yd), n
 
 
-def assert_unimodal(f, lo: float, hi: float, samples: int = 1000) -> int:
-    """Pre-scan f on a grid and require a single descend-then-ascend pattern.
-
-    Returns the grid argmin index.  Raises if a second valley shows up
-    beyond floating-point jitter.
-    """
-    xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    ys = [f(x) for x in xs]
-    m = min(range(samples), key=ys.__getitem__)
-    jitter = 1e-12
-    for i in range(1, m + 1):
-        if ys[i] > ys[i - 1] * (1 + jitter) + jitter:
-            raise ValueError(f"not unimodal on [{lo}, {hi}]: rise before the valley at x={xs[i]}")
-    for i in range(m + 1, samples):
-        if ys[i] < ys[i - 1] * (1 - jitter) - jitter:
-            raise ValueError(f"not unimodal on [{lo}, {hi}]: dip after the valley at x={xs[i]}")
-    return m
-
-
-def optimize_beta(lo: float = 2.5, hi: float = 10.0, tol: float = 1e-9) -> Optimum:
-    """Minimize the unshifted cycle ratio over the growth factor."""
-    assert_unimodal(cycle_ratio, lo, hi)
-    beta, v, iterations = golden_section_min(cycle_ratio, lo, hi, tol)
-    return Optimum(beta=beta, v=v, achieved_maxima=(v,), iterations=iterations)
+def optimize_beta() -> Optimum:
+    """Unshifted optimum: d/dbeta cycle_ratio is beta (beta - 4) over a square, so beta = 4, v = 17/9."""
+    v = cycle_ratio(4.0)
+    return Optimum(beta=4.0, v=v, achieved_maxima=(v,))
 
 
 def equalized_ratio(beta: float) -> float:
@@ -131,10 +111,9 @@ def optimal_speed_closed_form() -> float:
     ) / 6
 
 
-def optimize_beta_delta(lo: float = 2.5, hi: float = 10.0, tol: float = 1e-9) -> Optimum:
-    """Minimize the equalized shifted-scheme ratio; cross-check the radical forms."""
-    assert_unimodal(equalized_ratio, lo, hi)
-    beta, v, iterations = golden_section_min(equalized_ratio, lo, hi, tol)
+def optimize_beta_delta() -> Optimum:
+    """Minimize the equalized ratio over its one valley in [2.5, 10]; cross-check the radical forms."""
+    beta, v, iterations = golden_section_min(equalized_ratio, 2.5, 10.0)
     delta = delta_of_beta(beta)
     maxima = interlaced_maxima(beta, delta)
     beta_closed = optimal_beta_closed_form()

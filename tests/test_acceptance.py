@@ -76,8 +76,7 @@ def test_criterion_2_improved_construction():
 
 def test_criterion_3_optimizer_reproduction():
     one = optimize_beta()
-    assert one.beta == pytest.approx(4.0, abs=1e-6)
-    assert one.v == pytest.approx(17 / 9, abs=1e-9)
+    assert (one.beta, one.v) == (4.0, 17 / 9)
     two = optimize_beta_delta()
     assert two.beta == pytest.approx(4.06887, abs=1e-3)
     assert two.delta == pytest.approx(1.2802, abs=1e-3)

@@ -223,3 +223,15 @@ class TestImproved:
         params = InterlacingParams(optimum.beta, optimum.delta, cycles=260)
         with pytest.raises(ValidationError, match=r"overflow .* at cycle 254 .*at most 253 cycles build"):
             build_improved(params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(2, 1e6, exclude_min=True), st.floats(0, 1e6), st.integers(1, 12))
+    def test_every_gap_is_positive(self, beta, delta, cycles):
+        # a_{i+1} > 3 d_{i-1} and c_{i+1} > 3 b_i for i >= 2, so no gap needs a refusal of its own
+        try:
+            system = build_improved(InterlacingParams(beta, delta, cycles))
+        except ValidationError as exc:
+            text = str(exc)
+            assert "give non-positive head start" in text or text.startswith("lengths overflow the float range")
+            return
+        assert all(gap > 0 for gap, _ in system.right + system.left)

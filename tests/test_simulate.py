@@ -81,6 +81,15 @@ class TestConsumptionCurve:
         for t, v in sys17_curves.total.points:
             assert v == sys17_curves.left.value_at(t) + sys17_curves.right.value_at(t)
 
+    @pytest.mark.parametrize("t, text", [
+        (-1, "time -1 outside curve domain [0, 3422552031]"),
+        (Fraction(6845104063, 2), "time 6845104063/2 outside curve domain [0, 3422552031]"),
+    ])
+    def test_value_outside_the_domain_is_refused(self, sys17_curves, t, text):
+        with pytest.raises(ValueError) as info:
+            sys17_curves.total.value_at(t)
+        assert str(info.value) == text
+
     def test_integer_slopes_everywhere(self, sys17_curves):
         for curve in (sys17_curves.total, sys17_curves.left, sys17_curves.right):
             for (t0, v0), (t1, v1) in zip(curve.points, curve.points[1:]):
@@ -930,7 +939,7 @@ class TestHorizons:
 
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
     def test_no_verticals_needs_a_horizon(self, mode):
-        system = build_flat(1, mode=mode)
+        system = BarrierSystem(mode, 1, (), ())
         text = "system has no verticals; specify an explicit horizon"
         with pytest.raises(ValueError) as simulated:
             consumption_curve(system)
