@@ -12,20 +12,21 @@ ramps come straight from its clearance/top recurrence in one loop, with the
 expressions of the profiles of ``face_arrival_profiles`` but no point lists.
 
 One sort of a side's ramp ends and one loop over them yield its curve and
-maximal k-intervals; the total is the same sweep over both sides' ramps.
-In float mode an event time within ``MERGE_RTOL`` of a run's first time,
-relative to its own, joins that run, so a float system scaled by a power of
-two has its curve scaled bit for bit.  A rational system is first rescaled
-by the LCM of its denominators and the horizon's, so the tops behind the
-horizons, ramps, sweeps, the curves' order checks and speed checks run on
-Python ints.  Fractions are a boundary type: one is made for each number the
-module publishes (curve points, interval ends, horizons), and none is compared
-or combined again in a loop.  Float mode runs the same code at scale 1.  The
-ratio scan reads any curve, of ints, Fractions, floats or a mix, exactly on
-one lattice of ints and divides only for the points it reports; the CSV
-export reads curves without a float the same way, and each of its cells is
-one int division.  Curves with a float, and the grid oracle's ``compare``,
-are read by one float evaluator, ``value_at`` bit for bit.
+maximal k-intervals; the total is the same loop over one merge of both
+sides' sorted ends.  In float mode an event time within ``MERGE_RTOL`` of a
+run's first time, relative to its own, joins that run, so a float system
+scaled by a power of two has its curve scaled bit for bit.  A rational
+system is first rescaled by the LCM of its denominators and the horizon's,
+so the tops behind the horizons, ramps, sweeps, the curves' order checks and
+speed checks run on Python ints, and each rational curve keeps that lattice
+(scale, int points, segment ks).  Fractions are a boundary type: one is made
+for each number the module publishes, and none is compared or combined again
+in a loop.  Float mode runs the same code at scale 1.  On a kept lattice the
+ratio scan tests a rise of Q by ``k*t0 > v0``, each CSV cell is one int
+division, and the k-interval document renders each time once.  Other curves
+are read exactly on one lattice of ints made from their points, by the CSV
+export only without a float: curves with a float, and the grid oracle's
+``compare``, are read by one float evaluator, ``value_at`` bit for bit.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -34,9 +35,10 @@ burned over but adds nothing to B(t).
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -52,18 +54,18 @@ MERGE_RTOL = 1e-12
 class PiecewiseLinearCurve:
     """Continuous nondecreasing piecewise-linear curve given by its breakpoints."""
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "_lattice")  # _lattice: a rational sweep's (scale, int points, ks), else None
 
     def __init__(self, points):
         points = tuple((t, v) for t, v in points)
         _check_breakpoints(points)
-        self.points = points
+        self.points, self._lattice = points, None
 
     @classmethod
-    def _checked(cls, points: tuple) -> "PiecewiseLinearCurve":
+    def _checked(cls, points: tuple, lattice=None) -> "PiecewiseLinearCurve":
         """The curve on ``points``, which ``_check_breakpoints`` passed on some positive rescaling."""
         curve = cls.__new__(cls)
-        curve.points = points
+        curve.points, curve._lattice = points, lattice
         return curve
 
     def __iter__(self):
@@ -179,6 +181,7 @@ class _Lattice(NamedTuple):
     pairs: dict  # side -> (gap, height) pairs
     horizon: object
     number: object  # (n, den=1) -> the system number n / (den * scale)
+    scale: int | None = None  # None in float mode
 
 
 def _scaled(system: BarrierSystem, horizon=None) -> _Lattice:
@@ -200,7 +203,8 @@ def _scaled(system: BarrierSystem, horizon=None) -> _Lattice:
         return Fraction(n) if den * scale == 1 else Fraction(n, den * scale)
 
     pairs = {side: [(on(g), on(h)) for g, h in pairs[side]] for side in SIDES}
-    return _Lattice(system.mode, 0, on(system.head_start), pairs, None if horizon is None else on(horizon), number)
+    horizon = None if horizon is None else on(horizon)
+    return _Lattice(system.mode, 0, on(system.head_start), pairs, horizon, number, scale)
 
 
 def _earliest_top(lat: _Lattice, back: int):
@@ -297,22 +301,22 @@ def _side_ramps(lat: _Lattice, side: str) -> list:
                 ramps.append((lo, hi if hi <= horizon else horizon))
 
 
-def _sweep(ramps: list, lat: _Lattice):
-    """Breakpoints of the sum of ``ramps`` up to the horizon, and each segment's k.
+def _events(ramps: list) -> list:
+    """The (time, +1) start and (time, -1) end of each of ``ramps``, sorted by time."""
+    return sorted([(lo, +1) for lo, _ in ramps] + [(hi, -1) for _, hi in ramps], key=itemgetter(0))
 
-    One sort of the (time, +-1) events and one loop over them.  The first
-    event of a run is a breakpoint; the others share its time, or in float
-    mode lie within ``MERGE_RTOL`` of it relative to their own (times are
-    >= 0), and only change k.  The horizon closes the last segment and is
-    never merged.  Adjacent segments never share a k: each segment is a
-    maximal k-interval.
+
+def _sweep(events: list, lat: _Lattice):
+    """Breakpoints of the sum of the ramps of the time-sorted ``events`` up to the horizon, and each segment's k.
+
+    The first event of a run is a breakpoint; the others share its time, or
+    in float mode lie within ``MERGE_RTOL`` of it relative to their own (times
+    are >= 0), and only change k, in any order.  The horizon closes the last
+    segment and is never merged.  Adjacent segments never share a k.
     """
-    events = [(lo, +1) for lo, _ in ramps] + [(hi, -1) for _, hi in ramps]
-    events.sort(key=itemgetter(0))
-    events.append((lat.horizon, 0))
     exact = lat.mode != FLOAT
     points, slopes, k, run = [(lat.zero, lat.zero)], [], 0, lat.zero
-    for t, delta in events:
+    for t, delta in chain(events, [(lat.horizon, 0)]):
         if t > run and (exact or not delta or t - run > MERGE_RTOL * t):  # a run's first time, or the horizon
             if slopes and slopes[-1] == k:  # same k: extend the last segment
                 del points[-1], slopes[-1]
@@ -335,12 +339,13 @@ def consumption_curve(
     differently.
     """
     lat = _lattice(system, horizon, truncated)
-    right, left = _side_ramps(lat, RIGHT), _side_ramps(lat, LEFT)
+    right, left = _events(_side_ramps(lat, RIGHT)), _events(_side_ramps(lat, LEFT))  # the total's sort: one merge
     curves, ks = {}, {}
-    for side, ramps in ((RIGHT, right), (LEFT, left), (TOTAL, right + left)):
-        points, ks[side] = _sweep(ramps, lat)
+    for side, events in ((RIGHT, right), (LEFT, left), (TOTAL, sorted(right + left, key=itemgetter(0)))):
+        points, ks[side] = _sweep(events, lat)
         _check_breakpoints(points)  # on the lattice: a positive scale keeps both orders
-        curves[side] = PiecewiseLinearCurve._checked(tuple((lat.number(t), lat.number(v)) for t, v in points))
+        lattice = None if lat.scale is None else (lat.scale, points, ks[side])
+        curves[side] = PiecewiseLinearCurve._checked(tuple((lat.number(t), lat.number(v)) for t, v in points), lattice)
     return ConsumptionCurves(curves[TOTAL], curves[LEFT], curves[RIGHT], ks)
 
 
@@ -367,11 +372,14 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     the candidates, then the bound.  Rounding breaks exact ties on a float
     curve, so only in rational mode is ``sup_time`` the first time it is reached.
 
-    Every test is exact, whatever the points' types: the points and
-    (bound, B(bound)) are read as ints on one lattice, the slope into (t, v)
-    exceeds Q(t) iff v*t0 > v0*t, and Q(t) > Q(s) iff v*s > w*t.  Q is
+    Every test is exact, whatever the points' types: the slope k into (t, v)
+    exceeds Q(t) iff v*t0 > v0*t, that is iff k*t0 > v0, which is read on the
+    ints of a curve that keeps its lattice; any other curve is read as ints on
+    one lattice.  Q(t) > Q(s) iff v*s > w*t, each pair on its own scale.  Q is
     divided, as v/t in the points' own types, only for the reported points.
     """
+    if valid_horizon is not None and not (isinstance(valid_horizon, numbers.Real) and valid_horizon == valid_horizon):
+        raise ValueError(f"valid horizon must be a real number other than nan, got {valid_horizon!r}")
     pts = curve.points
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
     if bound <= 0:
@@ -380,17 +388,20 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
         raise ValueError(f"valid horizon {bound} not inside curve domain")
     lo, hi = max(bisect_right(pts, (0, math.inf)), 1), min(bisect_right(pts, (bound, math.inf)), len(pts) - 1)
     window = pts[lo - 1 : hi + 1] if lo < hi else ()  # the candidates pts[lo:hi] and their neighbours
-    at_bound = (bound, curve.value_at(bound))
-    _, (ints, [bound_ints]) = _on_one_scale(window, [at_bound])
-    rises = [v1 * t0 > v0 * t1 for (t0, v0), (t1, v1) in zip(ints, ints[1:])]
+    if curve._lattice:  # v*t0 - v0*t = (t - t0)*(k*t0 - v0); pairs beside no candidate are never read
+        ints = curve._lattice[1][lo - 1 : hi + 1]
+        rises = [k * t0 > v0 for (t0, v0), k in zip(ints, curve._lattice[2][lo - 1 : hi])]
+    else:
+        _, [ints] = _on_one_scale(window)
+        rises = [v1 * t0 > v0 * t1 for (t0, v0), (t1, v1) in zip(ints, ints[1:])]
+    _, [[bound_ints]] = _on_one_scale([at_bound := (bound, curve.value_at(bound))])
     peaks = [i for i in range(1, len(window) - 1) if rises[i - 1] and not rises[i]]
     # only the first and the last candidate, the local maxima and the bound can hold the first largest Q
     order = [1, *peaks, len(window) - 2] if window else []
-    (sup_point, (s, w)), *rest = [(window[i], ints[i]) for i in order] + [(at_bound, bound_ints)]
+    ((sup_time, sup_value), (s, w)), *rest = [(window[i], ints[i]) for i in order] + [(at_bound, bound_ints)]
     for point, (t, v) in rest:
         if v * s > w * t:
-            sup_point, (s, w) = point, (t, v)
-    sup_time, sup_value = sup_point
+            (sup_time, sup_value), (s, w) = point, (t, v)
     maxima = tuple((window[i][0], window[i][1] / window[i][0]) for i in peaks)
     return RatioReport(local_maxima=maxima, supremum=sup_value / sup_time, sup_time=sup_time, valid_horizon=bound)
 
@@ -441,7 +452,7 @@ def check_speed(system: BarrierSystem, speed, horizon=None, truncated: bool = Fa
     if speed <= 0:
         raise ValueError(f"speed must be > 0, got {speed}")
     lat = _lattice(system, horizon, truncated)
-    points, _ = _sweep(_side_ramps(lat, RIGHT) + _side_ramps(lat, LEFT), lat)
+    points, _ = _sweep(_events(_side_ramps(lat, RIGHT) + _side_ramps(lat, LEFT)), lat)
     hit = _feasibility(points, speed)
     return SpeedCheck(hit is None, speed, lat.number(lat.horizon), None if hit is None else lat.number(*hit))
 
@@ -505,23 +516,24 @@ def curve_to_csv(curves: ConsumptionCurves) -> str:
 
     Curves with a float coordinate are read at the float of each breakpoint
     time by ``_floats_at``, as ``value_at`` computes.  Other curves are read
-    on one lattice of ints, and each cell is one int true division.  That
-    rounds correctly, as ``float(Fraction)`` does, so the rows, and the
-    ``OverflowError`` past the float range, are the same.
+    on one lattice of ints (the one all three keep, if so), and each cell is
+    one int true division.  That rounds correctly, as ``float(Fraction)``
+    does, so the rows, and the ``OverflowError`` past the float range, are the same.
     """
     ks = curves.ks[TOTAL] + curves.ks[TOTAL][-1:]  # one per segment; the last row repeats the last
     lines = ["t,B_total,B_left,B_right,k_total"]
-    all_points = (curves.total.points, curves.left.points, curves.right.points)
-    if any(isinstance(t, float) or isinstance(v, float) for points in all_points for t, v in points):
+    lattices = [curve._lattice for curve in curves[:3]]  # total, left, right
+    kept = all(lattices) and len({scale for scale, _, _ in lattices}) == 1
+    if not kept and any(isinstance(t, float) or isinstance(v, float) for curve in curves[:3] for t, v in curve):
         times = [float(t) for t, _ in curves.total.points]
         rows = zip(times, map(float, (v for _, v in curves.total.points)),
                    _floats_at(curves.left.points, times), _floats_at(curves.right.points, times))
-        lines += (f"{t!r},{v!r},{left!r},{right!r},{k}" for (t, v, left, right), k in zip(rows, ks))
     else:
-        scale, (points, left, right) = _on_one_scale(*all_points)
+        scale, (points, left, right) = ((lattices[0][0], [ints for _, ints, _ in lattices]) if kept
+                                        else _on_one_scale(*(curve.points for curve in curves[:3])))
         sides = zip(_values_along(left, points, scale), _values_along(right, points, scale))
-        for (t, v), (left, right), k in zip(points, sides, ks):
-            lines.append(f"{t / scale!r},{v / scale!r},{left!r},{right!r},{k}")
+        rows = ((t / scale, v / scale, left, right) for (t, v), (left, right) in zip(points, sides))
+    lines += (f"{t!r},{v!r},{left!r},{right!r},{k}" for (t, v, left, right), k in zip(rows, ks))
     return "\n".join(lines) + "\n"
 
 
@@ -558,10 +570,13 @@ def _floats_at(points, times) -> list:
 
 
 def intervals_to_document(curves: ConsumptionCurves, mode: str) -> dict:
-    """Each side's k-intervals, one per segment of its curve: every breakpoint time is rendered once."""
-    doc = {}
+    """Each side's k-intervals: every breakpoint time is rendered once, for all curves that keep one lattice."""
+    doc, texts = {}, {}  # scale -> {lattice time: its text}
     for side, ks in curves.ks.items():
-        times = [render_number(t, mode) for t, _ in getattr(curves, side).points]
+        curve = getattr(curves, side)
+        scale, ints, _ = curve._lattice or (None, curve.points, None)  # no lattice: its own times, its own dict
+        seen = texts.setdefault(scale, {}) if scale else {}
+        times = [seen.get(n) or seen.setdefault(n, render_number(t, mode)) for (n, _), (t, _) in zip(ints, curve)]
         doc[side] = [{"t_start": t0, "t_end": t1, "k": k} for k, t0, t1 in zip(ks, times, times[1:])]
     return doc
 

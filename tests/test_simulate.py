@@ -41,7 +41,9 @@ from firebreak import (
 )
 from firebreak.geodesic import GROUND, VERTICAL_RIGHT
 from firebreak.model import render_number
-from firebreak.simulate import MERGE_RTOL, TOTAL, _Lattice, _lattice, _side_ramps, _sweep, intervals_to_document
+from firebreak.simulate import (
+    MERGE_RTOL, TOTAL, _events, _Lattice, _lattice, _side_ramps, _sweep, intervals_to_document,
+)
 
 from conftest import random_rational_system
 
@@ -757,7 +759,7 @@ class TestRampsAndSweep:
         ([(0.0, 2.0), (0.0, 3.0), (1.0, 3.0)], 3.0, [0.0, 1.0, 2.0, 3.0], (2, 3, 2)),
     ])
     def test_fused_sweep_matches_the_two_loop_reference(self, ramps, horizon, times, ks):
-        points, slopes = _sweep(ramps, float_lattice(horizon))
+        points, slopes = _sweep(_events(ramps), float_lattice(horizon))
         want_points, intervals = reference_sweep(ramps, FLOAT, 0.0, horizon)
         assert (points, slopes) == (want_points, tuple(k for *_, k in intervals))
         assert ([t for t, _ in points], slopes) == (times, ks)
@@ -771,7 +773,7 @@ class TestRampsAndSweep:
         ramps = [(base * (1 + 4e-13 * j), base + length) for base, j, length in draws]
         horizon = 12.0 * (1 + offset)
         want_points, intervals = reference_sweep(ramps, FLOAT, 0.0, horizon)
-        assert _sweep(ramps, float_lattice(horizon)) == (want_points, tuple(k for *_, k in intervals))
+        assert _sweep(_events(ramps), float_lattice(horizon)) == (want_points, tuple(k for *_, k in intervals))
 
 
 # -- reference: the ratio scan that divides at every breakpoint ----------------------
@@ -908,6 +910,112 @@ class TestRatioScanMatchesTheDividingScan:
         curve = consumption_curve(system).total
         for bound in (None, valid_horizon(system), curve.end / 3):
             assert repr(ratio_maxima(curve, bound)) == repr(reference_ratio_maxima(curve, bound))
+
+
+# -- curves that keep their sweep's lattice ------------------------------------------
+
+
+def bare(curves):
+    """``curves`` rebuilt from bare copies of its curves, which keep no lattice."""
+    return ConsumptionCurves(*(PiecewiseLinearCurve(c.points) for c in curves[:3]), curves.ks)
+
+
+def maxima_key(curve, bound):
+    """``ratio_maxima``'s report as its ``repr`` and the type of every number in it, or the error it raised."""
+    try:
+        report = ratio_maxima(curve, bound)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return repr(report), [typed(x) for x in [x for pair in report.local_maxima for x in pair] + list(report[1:])]
+
+
+class TestCurvesKeepTheirLattice:
+    @settings(max_examples=100, deadline=None)
+    @given(rational_cases(), st.booleans())
+    def test_lattice_points_are_the_public_points(self, case, floating):
+        system, horizon = case
+        if floating:
+            system, horizon = as_float(system), float(horizon)
+        curves = consumption_curve(system, horizon, truncated=True)
+        for side in (RIGHT, LEFT, TOTAL):
+            curve = getattr(curves, side)
+            if floating:
+                assert curve._lattice is None
+                continue
+            scale_, ints, ks = curve._lattice
+            assert [(typed(Fraction(t, scale_)), typed(Fraction(v, scale_))) for t, v in ints] == [
+                (typed(t), typed(v)) for t, v in curve.points
+            ]
+            assert len(ks) == len(ints) - 1 and ks == curves.ks[side]
+            assert all(v1 - v0 == k * (t1 - t0) for (t0, v0), (t1, v1), k in zip(ints, ints[1:], ks))
+
+    def test_bare_and_float_curves_keep_no_lattice(self, sys17):
+        assert PiecewiseLinearCurve([(0, 0), (1, 1)])._lattice is None
+        assert consumption_curve(as_float(sys17)).total._lattice is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_cases(), BOUNDS)
+    def test_ratio_maxima_on_the_lattice_equals_the_bare_scan(self, case, bound):
+        system, horizon = case
+        curve = consumption_curve(system, horizon, truncated=True).total
+        assert maxima_key(curve, bound) == maxima_key(PiecewiseLinearCurve(curve.points), bound)
+
+    @pytest.mark.parametrize("head_start", [1, Fraction(7, 3)])
+    def test_ratio_maxima_on_the_lattice_equals_the_bare_scan_on_seventeen_ninths(self, head_start):
+        system = build_seventeen_ninths(head_start, cycles=64)
+        curve = consumption_curve(system).total
+        copy = PiecewiseLinearCurve(curve.points)
+        for bound in (None, valid_horizon(system), curve.end / 3, float(curve.end / 5)):
+            assert maxima_key(curve, bound) == maxima_key(copy, bound)
+
+    @pytest.mark.parametrize("bound", [None, 4, 12, Fraction(25, 2), 13, 30.0])
+    def test_ratio_maxima_on_the_lattice_where_q_is_flat(self, bound):
+        # zero head start: Q is 2 on the first segment, to (4, 8), and again from (12, 24) to (13, 26)
+        curve = consumption_curve(rational(0, *STEPS), 30, truncated=True).total
+        assert (curve.points[6], curve.points[7]) == ((12, 24), (13, 26))
+        assert maxima_key(curve, bound) == maxima_key(PiecewiseLinearCurve(curve.points), bound)
+        assert [t for t, _ in ratio_maxima(curve, bound).local_maxima] == ([] if bound == 4 else [9])  # not 4 or 13
+
+    @settings(max_examples=50, deadline=None)
+    @given(rational_cases())
+    def test_csv_and_document_equal_those_of_bare_curves(self, case):
+        system, horizon = case
+        curves = consumption_curve(system, horizon, truncated=True)
+        assert curve_to_csv(curves) == curve_to_csv(bare(curves))
+        assert intervals_to_document(curves, RATIONAL) == intervals_to_document(bare(curves), RATIONAL)
+
+    def test_csv_past_the_float_range_raises_as_on_bare_curves(self):
+        curves = consumption_curve(build_seventeen_ninths(1, 300))
+        with pytest.raises(OverflowError) as want:
+            curve_to_csv(bare(curves))
+        with pytest.raises(OverflowError) as got:
+            curve_to_csv(curves)
+        assert str(got.value) == str(want.value)
+
+    def test_curves_of_two_scales_are_not_read_on_one(self):
+        # the second system is the first scaled by 1/3: the same lattice ints over scales 1 and 3
+        system = build_seventeen_ninths(1, cycles=4)
+        ones, thirds = consumption_curve(system), consumption_curve(scale(system, Fraction(1, 3)))
+        assert ones.total._lattice[1] == thirds.total._lattice[1]
+        mixed = ConsumptionCurves(ones.total, thirds.left, ones.right, {TOTAL: ones.ks[TOTAL], LEFT: thirds.ks[LEFT]})
+        assert curve_to_csv(mixed) == curve_to_csv(bare(mixed))
+        assert intervals_to_document(mixed, RATIONAL) == intervals_to_document(bare(mixed), RATIONAL)
+
+    def test_bare_curves_of_equal_times_keep_their_own_texts(self):
+        ints, floats = PiecewiseLinearCurve([(0, 0), (1, 1)]), PiecewiseLinearCurve([(0.0, 0.0), (1.0, 1.0)])
+        curves = ConsumptionCurves(ints, floats, ints, {TOTAL: (1,), LEFT: (1,)})
+        assert intervals_to_document(curves, RATIONAL) == {
+            TOTAL: [{"t_start": "0", "t_end": "1", "k": 1}], LEFT: [{"t_start": "0.0", "t_end": "1.0", "k": 1}],
+        }
+
+    @pytest.mark.parametrize("bound", [math.nan, "5"])
+    @pytest.mark.parametrize("keeps_lattice", [True, False])
+    def test_a_nan_or_non_numeric_valid_horizon_is_refused(self, sys17_curves, bound, keeps_lattice):
+        curve = sys17_curves.total if keeps_lattice else PiecewiseLinearCurve(sys17_curves.total.points)
+        assert (curve._lattice is not None) == keeps_lattice
+        with pytest.raises(ValueError) as info:
+            ratio_maxima(curve, bound)
+        assert str(info.value) == f"valid horizon must be a real number other than nan, got {bound!r}"
 
 
 # -- horizons read from the tops --------------------------------------------------------
