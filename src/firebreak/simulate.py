@@ -19,13 +19,14 @@ scaled by a power of two has its curve scaled bit for bit.  A rational
 system is first rescaled by the LCM of its denominators and the horizon's,
 so the tops behind the horizons, ramps, sweeps, the curves' order checks and
 speed checks run on Python ints, and each rational curve keeps that lattice
-(scale, int points, segment ks).  Fractions are a boundary type: one is made
-for each number the module publishes, and none is compared or combined again
-in a loop.  Float mode runs the same code at scale 1.  On a kept lattice the
-ratio scan tests a rise of Q by ``k*t0 > v0``, each CSV cell is one int
-division, and the k-interval document renders each time once.  Other curves
-are read exactly on one lattice of ints made from their points, by the CSV
-export only without a float: curves with a float, and the grid oracle's
+(scale, int points, segment ks) and makes its points when read.  Fractions
+are a boundary type: one is made for each number a caller reads, and none
+is compared or combined again in a loop.  Float mode runs the same code at
+scale 1.  On a kept lattice the ratio scan tests a rise of Q by
+``k*t0 > v0``, each CSV cell is one int division, and the k-interval
+document renders each time once, from its int.  Other curves are read
+exactly on one lattice of ints made from their points, by the CSV export
+only without a float: curves with a float, and the grid oracle's
 ``compare``, are read by one float evaluator, ``value_at`` bit for bit.
 
 Head-start accounting: ground within ``head_start`` of the origin is
@@ -52,42 +53,62 @@ MERGE_RTOL = 1e-12
 
 
 class PiecewiseLinearCurve:
-    """Continuous nondecreasing piecewise-linear curve given by its breakpoints."""
+    """Continuous nondecreasing piecewise-linear curve by its breakpoints; a lattice curve makes them when read."""
 
-    __slots__ = ("points", "_lattice")  # _lattice: a rational sweep's (scale, int points, ks), else None
+    __slots__ = ("_points", "_lattice")  # _lattice: a rational sweep's (scale, int points, ks), else None
 
     def __init__(self, points):
         points = tuple((t, v) for t, v in points)
+        if bad := [point for point in points if not all(x == x and abs(x) != math.inf for x in point)]:
+            raise ValueError(f"breakpoint {bad[0]!r} is not finite")
         _check_breakpoints(points)
-        self.points, self._lattice = points, None
+        self._points, self._lattice = points, None
 
     @classmethod
-    def _checked(cls, points: tuple, lattice=None) -> "PiecewiseLinearCurve":
-        """The curve on ``points``, which ``_check_breakpoints`` passed on some positive rescaling."""
+    def _checked(cls, points: list, scale: int | None, ks: tuple) -> "PiecewiseLinearCurve":
+        """A sweep's curve, kept on its lattice if it has a ``scale``; ``_check_breakpoints`` passed its points."""
         curve = cls.__new__(cls)
-        curve.points, curve._lattice = points, lattice
+        curve._points, curve._lattice = (tuple(points), None) if scale is None else (None, (scale, points, ks))
         return curve
+
+    @property
+    def points(self) -> tuple:
+        if self._points is None:
+            self._points = tuple(map(self._point, range(len(self))))
+        return self._points
+
+    def _point(self, i):  # breakpoint i, made alone from the lattice while the points are not
+        return self._points[i] if self._points else tuple(_number(self._lattice[0], x) for x in self._lattice[1][i])
+
+    def _count(self, t) -> int:  # breakpoints at or before t: on a lattice, at or before floor(t*scale)
+        if not self._lattice:
+            return bisect_right(self._points, (t, math.inf))  # (t, inf) sorts after every breakpoint at t
+        return bisect_right(self._lattice[1], (math.floor(Fraction(t) * self._lattice[0]), math.inf))
 
     def __iter__(self):
         return iter(self.points)
 
     def __len__(self):
-        return len(self.points)
+        return len(self._points or self._lattice[1])
 
     @property
     def start(self):
-        return self.points[0][0]
+        return self._point(0)[0]
 
     @property
     def end(self):
-        return self.points[-1][0]
+        return self._point(-1)[0]
 
     def value_at(self, t):
-        pts = self.points
-        if not (pts[0][0] <= t <= pts[-1][0]):
-            raise ValueError(f"time {t} outside curve domain [{pts[0][0]}, {pts[-1][0]}]")
-        hi = min(bisect_right(pts, (t, math.inf)), len(pts) - 1)  # (t, inf) sorts after every breakpoint at t
-        return _between(t, *pts[hi - 1], *pts[hi])
+        if not (self.start <= t <= self.end):
+            raise ValueError(f"time {t} outside curve domain [{self.start}, {self.end}]")
+        hi = min(self._count(t), len(self) - 1)
+        return _between(t, *self._point(hi - 1), *self._point(hi))
+
+
+def _number(scale, n, den=1):
+    """The number ``n / (den * scale)`` of a lattice: a Fraction, or with no scale (float mode) a float."""
+    return n / den if scale is None else Fraction(n) if den * scale == 1 else Fraction(n, den * scale)
 
 
 def _between(t, t0, v0, t1, v1):
@@ -173,14 +194,13 @@ class ConsumptionCurves(NamedTuple):
 
 
 class _Lattice(NamedTuple):
-    """A system and a horizon as integer numerators over one scale (float mode: as they are)."""
+    """A system and a horizon as integer numerators over one scale (float mode: as they are); see ``_number``."""
 
     mode: str
     zero: object
     head: object
     pairs: dict  # side -> (gap, height) pairs
     horizon: object
-    number: object  # (n, den=1) -> the system number n / (den * scale)
     scale: int | None = None  # None in float mode
 
 
@@ -192,19 +212,16 @@ def _scaled(system: BarrierSystem, horizon=None) -> _Lattice:
     """
     pairs = {side: system.pairs(side) for side in SIDES}
     if system.mode == FLOAT:
-        return _Lattice(FLOAT, 0.0, system.head_start, pairs, horizon, lambda n, den=1: n / den)
+        return _Lattice(FLOAT, 0.0, system.head_start, pairs, horizon)
     lengths = [system.head_start] + [x for side in SIDES for pair in pairs[side] for x in pair]
     scale = math.lcm(*(x.denominator for x in lengths + ([] if horizon is None else [horizon])))
 
     def on(x):
         return x.numerator * (scale // x.denominator)
 
-    def number(n, den=1):
-        return Fraction(n) if den * scale == 1 else Fraction(n, den * scale)
-
     pairs = {side: [(on(g), on(h)) for g, h in pairs[side]] for side in SIDES}
     horizon = None if horizon is None else on(horizon)
-    return _Lattice(system.mode, 0, on(system.head_start), pairs, horizon, number, scale)
+    return _Lattice(system.mode, 0, on(system.head_start), pairs, horizon, scale)
 
 
 def _earliest_top(lat: _Lattice, back: int):
@@ -218,7 +235,7 @@ def _system_top(system: BarrierSystem, back: int):
     """``_earliest_top`` of the system's own lattice, as a system number."""
     lat = _scaled(system)
     top = _earliest_top(lat, back)
-    return None if top is None else lat.number(top)
+    return None if top is None else _number(lat.scale, top)
 
 
 def valid_horizon(system: BarrierSystem):
@@ -255,7 +272,7 @@ def _lattice(system: BarrierSystem, horizon=None, truncated: bool = False) -> _L
     lat = _scaled(system, horizon)
     if not truncated and (bound := _earliest_top(lat, 2)) is not None and lat.horizon > bound:
         raise ValueError(
-            f"horizon {approx(horizon)} exceeds the valid horizon {approx(lat.number(bound))}; "
+            f"horizon {approx(horizon)} exceeds the valid horizon {approx(_number(lat.scale, bound))}; "
             "pass truncated=True to simulate the truncated system anyway"
         )
     return lat
@@ -312,7 +329,8 @@ def _sweep(events: list, lat: _Lattice):
     The first event of a run is a breakpoint; the others share its time, or
     in float mode lie within ``MERGE_RTOL`` of it relative to their own (times
     are >= 0), and only change k, in any order.  The horizon closes the last
-    segment and is never merged.  Adjacent segments never share a k.
+    segment and is never merged.  Adjacent segments never share a k.  A float
+    curve that ends past the float range (and none before its end) is refused.
     """
     exact = lat.mode != FLOAT
     points, slopes, k, run = [(lat.zero, lat.zero)], [], 0, lat.zero
@@ -325,6 +343,9 @@ def _sweep(events: list, lat: _Lattice):
             slopes.append(k)
             run = t
         k += delta
+    if not exact and not (math.isfinite(points[-1][0]) and math.isfinite(points[-1][1])):
+        t = next(t for t, v in points if not (math.isfinite(t) and math.isfinite(v)))
+        raise ValueError(f"float curve leaves the float range at t = {approx(t)}; use rational mode for exact results")
     return points, tuple(slopes)
 
 
@@ -340,12 +361,11 @@ def consumption_curve(
     """
     lat = _lattice(system, horizon, truncated)
     right, left = _events(_side_ramps(lat, RIGHT)), _events(_side_ramps(lat, LEFT))  # the total's sort: one merge
-    curves, ks = {}, {}
-    for side, events in ((RIGHT, right), (LEFT, left), (TOTAL, sorted(right + left, key=itemgetter(0)))):
+    curves, ks = {}, dict.fromkeys((RIGHT, LEFT, TOTAL))  # in document order; the total, swept first, overflows first
+    for side, events in ((TOTAL, sorted(right + left, key=itemgetter(0))), (RIGHT, right), (LEFT, left)):
         points, ks[side] = _sweep(events, lat)
         _check_breakpoints(points)  # on the lattice: a positive scale keeps both orders
-        lattice = None if lat.scale is None else (lat.scale, points, ks[side])
-        curves[side] = PiecewiseLinearCurve._checked(tuple((lat.number(t), lat.number(v)) for t, v in points), lattice)
+        curves[side] = PiecewiseLinearCurve._checked(points, lat.scale, ks[side])
     return ConsumptionCurves(curves[TOTAL], curves[LEFT], curves[RIGHT], ks)
 
 
@@ -380,30 +400,34 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     """
     if valid_horizon is not None and not (isinstance(valid_horizon, numbers.Real) and valid_horizon == valid_horizon):
         raise ValueError(f"valid horizon must be a real number other than nan, got {valid_horizon!r}")
-    pts = curve.points
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
     if bound <= 0:
         raise ValueError(f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]")
     if bound <= curve.start:
         raise ValueError(f"valid horizon {bound} not inside curve domain")
-    lo, hi = max(bisect_right(pts, (0, math.inf)), 1), min(bisect_right(pts, (bound, math.inf)), len(pts) - 1)
+    lo, hi = max(curve._count(0), 1), min(curve._count(bound), len(curve) - 1)
+    scale, pts, ks = curve._lattice or (None, curve.points, None)
     window = pts[lo - 1 : hi + 1] if lo < hi else ()  # the candidates pts[lo:hi] and their neighbours
-    if curve._lattice:  # v*t0 - v0*t = (t - t0)*(k*t0 - v0); pairs beside no candidate are never read
-        ints = curve._lattice[1][lo - 1 : hi + 1]
-        rises = [k * t0 > v0 for (t0, v0), k in zip(ints, curve._lattice[2][lo - 1 : hi])]
+    if scale:  # v*t0 - v0*t = (t - t0)*(k*t0 - v0); pairs beside no candidate are never read
+        ints, rises = window, [k * t0 > v0 for (t0, v0), k in zip(window, ks[lo - 1 : hi])]
     else:
         _, [ints] = _on_one_scale(window)
         rises = [v1 * t0 > v0 * t1 for (t0, v0), (t1, v1) in zip(ints, ints[1:])]
-    _, [[bound_ints]] = _on_one_scale([at_bound := (bound, curve.value_at(bound))])
+
+    def reported(i):  # candidate i as (t, Q(t)), published
+        t, v = window[i]
+        return (_number(scale, t), Fraction(v, t)) if scale else (t, v / t)
+    _, [[bound_ints]] = _on_one_scale([(bound, at_bound := curve.value_at(bound))])
     peaks = [i for i in range(1, len(window) - 1) if rises[i - 1] and not rises[i]]
-    # only the first and the last candidate, the local maxima and the bound can hold the first largest Q
+    # only the first and the last candidate, the local maxima and the bound (None) can hold the first largest Q
     order = [1, *peaks, len(window) - 2] if window else []
-    ((sup_time, sup_value), (s, w)), *rest = [(window[i], ints[i]) for i in order] + [(at_bound, bound_ints)]
-    for point, (t, v) in rest:
+    (sup, (s, w)), *rest = [(i, ints[i]) for i in order] + [(None, bound_ints)]
+    for i, (t, v) in rest:
         if v * s > w * t:
-            (sup_time, sup_value), (s, w) = point, (t, v)
-    maxima = tuple((window[i][0], window[i][1] / window[i][0]) for i in peaks)
-    return RatioReport(local_maxima=maxima, supremum=sup_value / sup_time, sup_time=sup_time, valid_horizon=bound)
+            sup, (s, w) = i, (t, v)
+    maxima = tuple(map(reported, peaks))
+    sup_time, sup_q = (bound, at_bound / bound) if sup is None else reported(sup)
+    return RatioReport(local_maxima=maxima, supremum=sup_q, sup_time=sup_time, valid_horizon=bound)
 
 
 def _on_one_scale(*curves):
@@ -454,7 +478,7 @@ def check_speed(system: BarrierSystem, speed, horizon=None, truncated: bool = Fa
     lat = _lattice(system, horizon, truncated)
     points, _ = _sweep(_events(_side_ramps(lat, RIGHT) + _side_ramps(lat, LEFT)), lat)
     hit = _feasibility(points, speed)
-    return SpeedCheck(hit is None, speed, lat.number(lat.horizon), None if hit is None else lat.number(*hit))
+    return SpeedCheck(hit is None, speed, _number(lat.scale, lat.horizon), hit and _number(lat.scale, *hit))
 
 
 def ratio_report(system: BarrierSystem, horizon=None, speed=None, truncated: bool = False):
@@ -576,7 +600,8 @@ def intervals_to_document(curves: ConsumptionCurves, mode: str) -> dict:
         curve = getattr(curves, side)
         scale, ints, _ = curve._lattice or (None, curve.points, None)  # no lattice: its own times, its own dict
         seen = texts.setdefault(scale, {}) if scale else {}
-        times = [seen.get(n) or seen.setdefault(n, render_number(t, mode)) for (n, _), (t, _) in zip(ints, curve)]
+        times = [seen.get(n) or seen.setdefault(n, render_number(_number(scale, n) if scale else n, mode))
+                 for n, _ in ints]
         doc[side] = [{"t_start": t0, "t_end": t1, "k": k} for k, t0, t1 in zip(ks, times, times[1:])]
     return doc
 

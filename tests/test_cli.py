@@ -396,6 +396,18 @@ class TestPastTheFloatRange:
         assert run(["oracle", "--system", str(deep), "--cell", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: horizon 5.86767e+311")
 
+    # the curves end at (1.2e308, inf); with one vertical the horizon, its top, is inf
+    @pytest.mark.parametrize("pairs, t", [
+        (((1e307, 1e307), (1e307, 1e308)), "1.2e+308"), (((1e308, 1e308),), "1e+308"),
+    ])
+    @pytest.mark.parametrize("argv", [["simulate"], ["maxima"], ["check", "--speed", "2"]])
+    def test_a_float_curve_past_the_float_range_is_usage_error(self, tmp_path, capsys, pairs, t, argv):
+        doc = tmp_path / "overflow.json"
+        save(BarrierSystem(mode="float", head_start=1.0, right=pairs, left=pairs), doc)
+        assert run(argv[:1] + ["--system", str(doc)] + argv[1:]) == 2
+        assert capsys.readouterr().err == (
+            f"error: float curve leaves the float range at t = {t}; use rational mode for exact results\n")
+
 
 NUMBER_TEXT = st.one_of(
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10**5), 10**5), st.integers(-3, 10**5)),

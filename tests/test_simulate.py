@@ -2,8 +2,10 @@
 
 import json
 import math
+import pickle
 import random
 from collections import Counter
+from copy import deepcopy
 from fractions import Fraction
 from itertools import accumulate
 
@@ -42,7 +44,7 @@ from firebreak import (
 from firebreak.geodesic import GROUND, VERTICAL_RIGHT
 from firebreak.model import render_number
 from firebreak.simulate import (
-    MERGE_RTOL, TOTAL, _events, _Lattice, _lattice, _side_ramps, _sweep, intervals_to_document,
+    MERGE_RTOL, TOTAL, _events, _Lattice, _lattice, _number, _side_ramps, _sweep, intervals_to_document,
 )
 
 from conftest import random_rational_system
@@ -191,6 +193,22 @@ class TestRatioMaxima:
             PiecewiseLinearCurve(points)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("points, message", [
+        ([(0, math.nan), (1, 1)], "breakpoint (0, nan) is not finite"),
+        ([(0, 0), (1, math.nan)], "breakpoint (1, nan) is not finite"),
+        ([(0, 0), (math.inf, 1)], "breakpoint (inf, 1) is not finite"),
+        ([(-math.inf, 0), (0, 0)], "breakpoint (-inf, 0) is not finite"),
+        ([(0, 0), (Fraction(1, 2), 1), (1, math.inf)], "breakpoint (1, inf) is not finite"),
+    ])
+    def test_non_finite_breakpoints_rejected(self, points, message):
+        with pytest.raises(ValueError) as info:
+            PiecewiseLinearCurve(points)
+        assert str(info.value) == message
+
+    def test_exact_breakpoints_past_the_float_range_are_finite(self):
+        curve = PiecewiseLinearCurve([(0, 0), (10**400, Fraction(10**401, 3))])
+        assert curve.value_at(10**400) == Fraction(10**401, 3)
+
     @pytest.mark.parametrize("bound", [1, Fraction(1, 2)])
     def test_bound_at_or_before_the_start_rejected(self, bound):
         curve = PiecewiseLinearCurve([(1, 0), (2, 1)])
@@ -232,6 +250,25 @@ class TestCheckSpeed:
     def test_rejects_non_positive_speed(self, sys17):
         with pytest.raises(ValueError):
             check_speed(sys17, 0)
+
+    # the first system's curves end at (1.2e308, inf); the second's horizon, its first top, is inf
+    @pytest.mark.parametrize("pairs, t", [
+        (((1e307, 1e307), (1e307, 1e308)), "1.2e+308"), (((1e308, 1e308),), "1e+308"),
+    ])
+    def test_float_curves_past_the_float_range_are_refused(self, pairs, t):
+        system = BarrierSystem(FLOAT, 1.0, right=pairs, left=pairs)
+        for call in (consumption_curve, ratio_report, lambda system: check_speed(system, 2.0)):
+            with pytest.raises(ValueError) as info:
+                call(system)
+            assert str(info.value) == (
+                f"float curve leaves the float range at t = {t}; use rational mode for exact results")
+
+    @pytest.mark.parametrize("cycles, end", [(128, 4.24e154), (253, 9.90e306)])
+    def test_the_improved_scheme_stays_inside_the_float_range(self, cycles, end):
+        system = build_improved(InterlacingParams(cycles=cycles))
+        curve = consumption_curve(system).total
+        assert curve.end == pytest.approx(end, rel=1e-3) and math.isfinite(curve.value_at(curve.end))
+        assert check_speed(system, 1.8772).feasible
 
 
 class TestPredictIntervals:
@@ -703,7 +740,7 @@ def assert_ramps_match_profiles(system, horizon):
     """``_side_ramps`` on the lattice equals ``profile_ramps`` as a multiset, with the type of every number."""
     lat = _lattice(system, horizon, truncated=True)
     for side in (RIGHT, LEFT):
-        got = Counter((typed(lat.number(lo)), typed(lat.number(hi))) for lo, hi in _side_ramps(lat, side))
+        got = Counter(tuple(typed(_number(lat.scale, x)) for x in ramp) for ramp in _side_ramps(lat, side))
         want = Counter((typed(lo), typed(hi)) for lo, hi in profile_ramps(system, side, horizon))
         assert got == want, side
 
@@ -920,6 +957,14 @@ def bare(curves):
     return ConsumptionCurves(*(PiecewiseLinearCurve(c.points) for c in curves[:3]), curves.ks)
 
 
+def value_key(curve, t):
+    """``value_at(t)`` as its ``repr`` and type, or the error it raised."""
+    try:
+        return repr(typed(curve.value_at(t)))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def maxima_key(curve, bound):
     """``ratio_maxima``'s report as its ``repr`` and the type of every number in it, or the error it raised."""
     try:
@@ -943,9 +988,9 @@ class TestCurvesKeepTheirLattice:
                 assert curve._lattice is None
                 continue
             scale_, ints, ks = curve._lattice
-            assert [(typed(Fraction(t, scale_)), typed(Fraction(v, scale_))) for t, v in ints] == [
-                (typed(t), typed(v)) for t, v in curve.points
-            ]
+            eager = [tuple(typed(Fraction(x) if scale_ == 1 else Fraction(x, scale_)) for x in point)
+                     for point in ints]  # each lattice number made alone, Fraction(n) at scale 1
+            assert repr([(typed(t), typed(v)) for t, v in curve.points]) == repr(eager)
             assert len(ks) == len(ints) - 1 and ks == curves.ks[side]
             assert all(v1 - v0 == k * (t1 - t0) for (t0, v0), (t1, v1), k in zip(ints, ints[1:], ks))
 
@@ -1007,6 +1052,56 @@ class TestCurvesKeepTheirLattice:
         assert intervals_to_document(curves, RATIONAL) == {
             TOTAL: [{"t_start": "0", "t_end": "1", "k": 1}], LEFT: [{"t_start": "0.0", "t_end": "1.0", "k": 1}],
         }
+
+    # fresh curves: the session fixtures' points are read by other tests
+    @settings(max_examples=60, deadline=None)
+    @given(rational_cases(), st.booleans(), BOUNDS)
+    def test_the_readers_publish_no_points(self, case, floating, bound):
+        system, horizon = case
+        if floating:
+            system, horizon = as_float(system), float(horizon)
+        curves = consumption_curve(system, horizon, truncated=True)
+        maxima_key(curves.total, bound)
+        intervals_to_document(curves, system.mode)
+        curve_to_csv(curves)
+        for curve in curves[:3]:
+            len(curve), curve.start, curve.value_at(curve.end)
+        for curve in curves[:3]:
+            if floating:  # the sweep's own floats, published as it made them
+                assert curve._lattice is None and all(type(x) is float for point in curve._points for x in point)
+            else:
+                assert curve._points is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_cases(), st.lists(st.fractions(Fraction(-1, 10), Fraction(11, 10), max_denominator=60),
+                                      min_size=1, max_size=3))
+    def test_value_at_and_ratio_maxima_do_not_depend_on_a_read_of_the_points(self, case, shares):
+        system, horizon = case
+        fresh, read = (consumption_curve(system, horizon, truncated=True).total for _ in range(2))
+        step = Fraction(1, 2 * read._lattice[0])  # half a lattice step: floor(t*scale) is not t*scale
+        times = [t + dt for t, _ in read.points[1:] for dt in (0, -step)] + [share * read.end for share in shares]
+        copy = PiecewiseLinearCurve(read.points)  # keeps no lattice
+        for t in times:
+            for x in (t, int(t), float(t)):
+                assert value_key(fresh, x) == value_key(read, x) == value_key(copy, x)
+                assert maxima_key(fresh, x) == maxima_key(read, x) == maxima_key(copy, x)
+        assert fresh._points is None
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_pickle_and_deepcopy_before_and_after_a_read(self, read):
+        curve = consumption_curve(build_seventeen_ninths(Fraction(7, 3), cycles=4)).total
+        if read:
+            curve.points
+        copies = [pickle.loads(pickle.dumps(curve)), deepcopy(curve)]
+        for twin in copies:
+            assert (twin._points is not None) == read and twin._lattice == curve._lattice
+            assert maxima_key(twin, None) == maxima_key(curve, None)
+            assert repr(twin.points) == repr(curve.points)
+
+    def test_points_cannot_be_assigned(self):
+        for curve in (PiecewiseLinearCurve([(0, 0), (1, 1)]), consumption_curve(build_seventeen_ninths(1, 3)).total):
+            with pytest.raises(AttributeError):
+                curve.points = ((0, 0), (1, 2))
 
     @pytest.mark.parametrize("bound", [math.nan, "5"])
     @pytest.mark.parametrize("keeps_lattice", [True, False])
