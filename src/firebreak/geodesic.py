@@ -18,6 +18,7 @@ the front reaches only at the horizon has no profile.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .model import LEFT, RIGHT, BarrierSystem
@@ -53,6 +54,8 @@ def forced_descent(heights, terminal_height):
 def geodesic_distance(system: BarrierSystem, point) -> object:
     """Arrival time of the fire at ``point`` (min over faces for on-barrier points)."""
     x, y = point
+    if not (-math.inf < x < math.inf and -math.inf < y < math.inf):  # nan fails too; no float made of a Fraction
+        raise ValueError(f"point {point!r} has a coordinate that is not finite")
     if y < 0:
         raise ValueError(f"point must lie in the upper half-plane, got y={y}")
     ax = x if x >= 0 else -x

@@ -55,17 +55,16 @@ def interlaced_maxima(beta: float, delta: float) -> tuple:
     return first, second
 
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-9):
-    """Golden-section search for the minimum of a unimodal f on [lo, hi].
+def golden_section_min(f, a: float, b: float):
+    """Golden-section search for the minimum of a unimodal f on [a, b], a < b.
 
-    Returns (argmin, f(argmin), iterations) with the bracket narrowed to tol.
+    Returns (argmin, f(argmin), iterations) with the bracket narrowed to 1e-9.
     """
-    a, b = (lo, hi) if lo < hi else (hi, lo)
     h = b - a
     c = a + INV_PHI_SQ * h
     d = a + INV_PHI * h
     yc, yd = f(c), f(d)
-    n = max(0, int(math.ceil(math.log(tol / h) / math.log(INV_PHI)))) if h > tol else 0
+    n = math.ceil(math.log(1e-9 / h) / math.log(INV_PHI))
     for _ in range(n):
         if yc < yd:
             b, d, yd = d, c, yc

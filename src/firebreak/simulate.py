@@ -148,19 +148,12 @@ class KInterval(NamedTuple):
 
 
 class RatioReport(NamedTuple):
-    """Local maxima and supremum of the consumption ratio Q(t) = B(t)/t.
-
-    With ``feasible_for`` set, ``earliest_violation`` is as in ``SpeedCheck``,
-    over (0, valid_horizon].
-    """
+    """Local maxima and supremum of the consumption ratio Q(t) = B(t)/t; ``check_speed`` decides a speed."""
 
     local_maxima: tuple
     supremum: object
     sup_time: object
     valid_horizon: object
-    feasible_for: object = None
-    feasible: bool | None = None
-    earliest_violation: object = None
 
 
 class SpeedCheck(NamedTuple):
@@ -196,12 +189,14 @@ class ConsumptionCurves(NamedTuple):
 class _Lattice(NamedTuple):
     """A system and a horizon as integer numerators over one scale (float mode: as they are); see ``_number``."""
 
-    mode: str
-    zero: object
     head: object
     pairs: dict  # side -> (gap, height) pairs
     horizon: object
     scale: int | None = None  # None in float mode
+
+    @property
+    def zero(self):  # a float curve starts at (0.0, 0.0)
+        return 0.0 if self.scale is None else 0
 
 
 def _scaled(system: BarrierSystem, horizon=None) -> _Lattice:
@@ -212,7 +207,7 @@ def _scaled(system: BarrierSystem, horizon=None) -> _Lattice:
     """
     pairs = {side: system.pairs(side) for side in SIDES}
     if system.mode == FLOAT:
-        return _Lattice(FLOAT, 0.0, system.head_start, pairs, horizon)
+        return _Lattice(system.head_start, pairs, horizon)
     lengths = [system.head_start] + [x for side in SIDES for pair in pairs[side] for x in pair]
     scale = math.lcm(*(x.denominator for x in lengths + ([] if horizon is None else [horizon])))
 
@@ -221,7 +216,7 @@ def _scaled(system: BarrierSystem, horizon=None) -> _Lattice:
 
     pairs = {side: [(on(g), on(h)) for g, h in pairs[side]] for side in SIDES}
     horizon = None if horizon is None else on(horizon)
-    return _Lattice(system.mode, 0, on(system.head_start), pairs, horizon, scale)
+    return _Lattice(on(system.head_start), pairs, horizon, scale)
 
 
 def _earliest_top(lat: _Lattice, back: int):
@@ -332,7 +327,7 @@ def _sweep(events: list, lat: _Lattice):
     segment and is never merged.  Adjacent segments never share a k.  A float
     curve that ends past the float range (and none before its end) is refused.
     """
-    exact = lat.mode != FLOAT
+    exact = lat.scale is not None
     points, slopes, k, run = [(lat.zero, lat.zero)], [], 0, lat.zero
     for t, delta in chain(events, [(lat.horizon, 0)]):
         if t > run and (exact or not delta or t - run > MERGE_RTOL * t):  # a run's first time, or the horizon
@@ -398,8 +393,9 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     one lattice.  Q(t) > Q(s) iff v*s > w*t, each pair on its own scale.  Q is
     divided, as v/t in the points' own types, only for the reported points.
     """
-    if valid_horizon is not None and not (isinstance(valid_horizon, numbers.Real) and valid_horizon == valid_horizon):
-        raise ValueError(f"valid horizon must be a real number other than nan, got {valid_horizon!r}")
+    if valid_horizon is not None and (isinstance(valid_horizon, bool) or not isinstance(valid_horizon, numbers.Real)
+                                      or valid_horizon != valid_horizon):
+        raise ValueError(f"valid horizon must be a real number other than a bool or nan, got {valid_horizon!r}")
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
     if bound <= 0:
         raise ValueError(f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]")
@@ -465,7 +461,7 @@ def _feasibility(points, speed):
 
 
 def check_speed(system: BarrierSystem, speed, horizon=None, truncated: bool = False) -> SpeedCheck:
-    """Feasibility of build speed ``speed``: B(t) <= speed*t up to the horizon.
+    """The library's one speed verdict: whether B(t) <= speed*t holds up to the horizon.
 
     Sweeps only the total, on the integer lattice; no curve objects are built.
     ``earliest_violation`` is the infimum of the times in (0, horizon] where
@@ -481,22 +477,10 @@ def check_speed(system: BarrierSystem, speed, horizon=None, truncated: bool = Fa
     return SpeedCheck(hit is None, speed, _number(lat.scale, lat.horizon), hit and _number(lat.scale, *hit))
 
 
-def ratio_report(system: BarrierSystem, horizon=None, speed=None, truncated: bool = False):
-    """Simulate, then analyze Q over the valid horizon.
-
-    With ``speed``, the report's feasibility fields are ``check_speed`` over
-    the report's valid horizon.
-    """
+def ratio_report(system: BarrierSystem, horizon=None, truncated: bool = False):
+    """Simulate, then analyze Q over the valid horizon."""
     curves = consumption_curve(system, horizon, truncated=truncated)
-    report = ratio_maxima(curves.total, valid_horizon(system))
-    if speed is not None:
-        verdict = check_speed(system, speed, report.valid_horizon, truncated=True)
-        report = report._replace(
-            feasible_for=verdict.speed,
-            feasible=verdict.feasible,
-            earliest_violation=verdict.earliest_violation,
-        )
-    return curves, report
+    return curves, ratio_maxima(curves.total, valid_horizon(system))
 
 
 # -- analytic k-interval cycle -----------------------------------------------------
@@ -614,7 +598,8 @@ def report_to_document(report: RatioReport, mode: str) -> dict:
         "supremum": render_number(report.supremum, mode),
         "sup_time": render_number(report.sup_time, mode),
         "valid_horizon": render_number(report.valid_horizon, mode),
-        "feasible_for": render_number(report.feasible_for, mode),
-        "feasible": report.feasible,
-        "earliest_violation": render_number(report.earliest_violation, mode),
+        # a report holds no verdict (``check_speed`` gives one); the keys stay null while stored digests pin them
+        "feasible_for": None,
+        "feasible": None,
+        "earliest_violation": None,
     }

@@ -44,13 +44,14 @@ def verdict(criterion: int, label: str, detail: str) -> None:
 def test_criterion_1_seventeen_ninths_exactness():
     system = build_seventeen_ninths(1, cycles=8)
     started = time.perf_counter()
-    curves, report = ratio_report(system, speed=Fraction(17, 9))
+    curves, report = ratio_report(system)
+    speed_check = check_speed(system, Fraction(17, 9), report.valid_horizon, truncated=True)
     elapsed = time.perf_counter() - started
     target = Fraction(17, 9)
     assert len(report.local_maxima) >= 10
     assert all(q == target for _, q in report.local_maxima)  # exact, zero tolerance
     assert report.supremum == target
-    assert report.feasible is True
+    assert speed_check.feasible is True and speed_check.horizon == report.valid_horizon
     assert elapsed < 1.0
     verdict(
         1,

@@ -1,5 +1,6 @@
 """Geodesic distances and face arrival profiles, cross-checked by the grid oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -98,6 +99,20 @@ class TestGeodesicDistance:
     def test_rejects_lower_half_plane(self, sys17):
         with pytest.raises(ValueError):
             geodesic_distance(sys17, (1, -1))
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("point", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 0), (1, math.nan), (2, math.inf)])
+    def test_rejects_a_coordinate_that_is_not_finite(self, mode, point):
+        # such a point got a nan or infinite arrival time
+        system = BarrierSystem(mode, 1, right=((1, 17),), left=((1, 34),))
+        with pytest.raises(ValueError) as info:
+            geodesic_distance(system, point)
+        assert str(info.value) == f"point {point!r} has a coordinate that is not finite"
+
+    def test_a_fraction_past_the_float_range_is_a_point(self):
+        # math.isfinite would raise OverflowError on it
+        assert geodesic_distance(SINGLE, (Fraction(10**400), 0)) == 10**400 + 34
+        assert geodesic_distance(SINGLE, (-Fraction(10**400, 3), 1)) == Fraction(10**400, 3) + 1
 
     def test_lipschitz_within_free_cell(self):
         rng = random.Random(5)

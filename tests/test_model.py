@@ -98,7 +98,7 @@ def records():
         report,
         FaceArrivalProfile("right", "vertical", 1, ((0, 1), (17, 18))),
         KInterval("right", Fraction(1), Fraction(2), 1),
-        ratio_report(system, speed="17/9")[1],
+        ratio_report(system)[1],
         check_speed(system, Fraction(17, 9)),
         InterlacingParams(beta=4.0),
         Optimum(beta=4.0, v=1.9, delta=1.25, achieved_maxima=(1.9, 1.9), iterations=3),
@@ -140,10 +140,13 @@ class TestRecords:
         assert repr(check_speed(system, Fraction(17, 9))) == (
             "SpeedCheck(feasible=True, speed=Fraction(17, 9), horizon=Fraction(171, 1), earliest_violation=None)"
         )
-        assert repr(ratio_report(system, speed="17/9")[1]) == (
+        _, report = ratio_report(system)
+        assert repr(report) == (
             "RatioReport(local_maxima=((Fraction(18, 1), Fraction(17, 9)),), supremum=Fraction(17, 9), "
-            "sup_time=Fraction(18, 1), valid_horizon=Fraction(18, 1), feasible_for=Fraction(17, 9), "
-            "feasible=True, earliest_violation=None)"
+            "sup_time=Fraction(18, 1), valid_horizon=Fraction(18, 1))"
+        )
+        assert repr(check_speed(system, "17/9", report.valid_horizon, truncated=True)) == (
+            "SpeedCheck(feasible=True, speed=Fraction(17, 9), horizon=Fraction(18, 1), earliest_violation=None)"
         )
         assert repr(build_seventeen_ninths(1, cycles=1)) == (
             "BarrierSystem(mode='rational', head_start=Fraction(1, 1), "

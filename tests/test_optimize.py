@@ -144,7 +144,7 @@ class TestOptimizeBeta:
         assert abs(one_valley(equalized_ratio, 2.5, 10.0) - optimal_beta_closed_form()) < 0.01
 
     def test_golden_section_on_parabola(self):
-        x, y, _ = golden_section_min(lambda x: (x - 1.25) ** 2, 0, 10, tol=1e-10)
+        x, y, _ = golden_section_min(lambda x: (x - 1.25) ** 2, 0, 10)
         assert x == pytest.approx(1.25, abs=1e-8)
 
 

@@ -241,9 +241,10 @@ class TestCheckSpeed:
         # the infimum of the violating times is the origin itself
         system = rational(0, right=((1, 2),), left=((1, 2),))
         verdict = check_speed(system, 1, horizon=5, truncated=True)
-        curves, report = ratio_report(system, 5, speed=1, truncated=True)
+        curves, report = ratio_report(system, 5, truncated=True)
         total = curves.total
-        assert verdict.earliest_violation == report.earliest_violation == 0
+        over_valid = check_speed(system, 1, report.valid_horizon, truncated=True)
+        assert verdict.earliest_violation == over_valid.earliest_violation == 0
         half = total.points[1][0] / 2
         assert total.value_at(half) > half
 
@@ -648,18 +649,17 @@ class TestLatticeProperties:
 
     @settings(max_examples=80, deadline=None)
     @given(rational_cases(), st.fractions(min_value=1, max_value=3, max_denominator=20), st.booleans())
-    def test_ratio_report_speed_is_check_speed_over_the_valid_horizon(self, case, speed, floating):
+    def test_check_speed_over_the_valid_horizon_matches_the_longer_curve(self, case, speed, floating):
         system, horizon = case
         if floating:
             system, horizon, speed = as_float(system), float(horizon), float(speed)
-        curves, report = ratio_report(system, horizon, speed=speed, truncated=True)
+        curves, report = ratio_report(system, horizon, truncated=True)
         verdict = check_speed(system, speed, report.valid_horizon, truncated=True)
-        got = (report.feasible_for, report.feasible, report.earliest_violation)
-        want = (verdict.speed, verdict.feasible, verdict.earliest_violation)
-        assert [typed(x) for x in got] == [typed(x) for x in want]
+        assert typed(verdict.speed) == typed(system.number(speed))
+        assert typed(verdict.horizon) == typed(report.valid_horizon)
         # the scan of the longer curve up to the valid horizon agrees, bit for bit
         violation = reference_feasibility(curves.total.points, system.number(speed), report.valid_horizon)
-        assert typed(report.earliest_violation) == typed(violation)
+        assert (verdict.feasible, typed(verdict.earliest_violation)) == (violation is None, typed(violation))
 
     @settings(max_examples=100, deadline=None)
     @given(speed_cases(), st.sampled_from(["rational", "float", "touching"]))
@@ -751,7 +751,7 @@ STEPS = ((1, 3), (2, 10), (4, 2)), ((3, 1), (1, 4))
 
 
 def float_lattice(horizon):
-    return _Lattice(FLOAT, 0.0, 0.0, {}, horizon, None)
+    return _Lattice(0.0, {}, horizon, None)
 
 
 class TestRampsAndSweep:
@@ -1103,14 +1103,14 @@ class TestCurvesKeepTheirLattice:
             with pytest.raises(AttributeError):
                 curve.points = ((0, 0), (1, 2))
 
-    @pytest.mark.parametrize("bound", [math.nan, "5"])
+    @pytest.mark.parametrize("bound", [math.nan, "5", True, False])  # a bool is no length, as in coerce_length
     @pytest.mark.parametrize("keeps_lattice", [True, False])
     def test_a_nan_or_non_numeric_valid_horizon_is_refused(self, sys17_curves, bound, keeps_lattice):
         curve = sys17_curves.total if keeps_lattice else PiecewiseLinearCurve(sys17_curves.total.points)
         assert (curve._lattice is not None) == keeps_lattice
         with pytest.raises(ValueError) as info:
             ratio_maxima(curve, bound)
-        assert str(info.value) == f"valid horizon must be a real number other than nan, got {bound!r}"
+        assert str(info.value) == f"valid horizon must be a real number other than a bool or nan, got {bound!r}"
 
 
 # -- horizons read from the tops --------------------------------------------------------
