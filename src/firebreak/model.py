@@ -58,22 +58,20 @@ def coerce_length(value, mode: str) -> Number:
     """Coerce ``value`` to the numeric type of ``mode``.
 
     Rational mode accepts ints, Fractions and strings ("p/q", "17", "7.5");
-    floats are rejected as lossy.  Float mode accepts anything float() takes,
-    and a "p/q" string, which it reads exactly and rounds once.
+    floats are rejected as lossy.  Float mode takes what float() does but a
+    bool, and a "p/q" string, which it reads exactly and rounds once.
 
     A Fraction is returned as it is, and "p" or "p/q" in ASCII digits, the
     form documents write, is read with ``int``; any other string goes
     through ``Fraction(str)``, with the same result, unless its exponent
     would build a power of ten longer than ``int_digit_limit()``.
     """
+    if type(value) is Fraction and mode == RATIONAL:
+        return value
+    if isinstance(value, bool):
+        raise ValidationError(f"not a length: {value!r}")
     if mode == RATIONAL:
-        if type(value) is Fraction:
-            return value
-        if isinstance(value, bool):
-            raise ValidationError(f"not a length: {value!r}")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, str):  # first: documents give strings, and Fraction's isinstance is an ABC check
             num, slash, den = value.partition("/")
             try:
                 if num.isascii() and num.isdecimal():
@@ -92,6 +90,8 @@ def coerce_length(value, mode: str) -> Number:
                 f"cannot parse rational {value!r}: its power of ten has more digits than "
                 f"the limit of {limit} (sys.get_int_max_str_digits())"
             )
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
         if isinstance(value, float):
             raise ValidationError(
                 f"float {value!r} not accepted in rational mode (lossy); "
@@ -133,7 +133,8 @@ class BarrierSystem(namedtuple("BarrierSystem", "mode head_start right left")):
             head_start = coerce_length(head_start, mode)
         except ValidationError as exc:
             raise ValidationError(f"head_start: {exc}") from exc
-        if head_start < 0:
+        rational = mode == RATIONAL  # a Fraction's sign is its numerator's: an int test, not Fraction.__le__
+        if (head_start.numerator if rational else head_start) < 0:
             raise ValidationError(f"head_start must be >= 0, got {head_start}")
         sides = []
         for name, pairs in zip(SIDES, (right, left)):
@@ -147,9 +148,9 @@ class BarrierSystem(namedtuple("BarrierSystem", "mode head_start right left")):
                     gap, height = coerce_length(gap, mode), coerce_length(height, mode)
                 except ValidationError as exc:  # labels only on failure: this loop is hot at 512 cycles
                     raise ValidationError(f"{name}[{i}]: {exc}") from exc
-                if gap <= 0:
+                if (gap.numerator if rational else gap) <= 0:
                     raise ValidationError(f"{name}[{i}] gap must be > 0, got {gap}")
-                if height <= 0:
+                if (height.numerator if rational else height) <= 0:
                     raise ValidationError(f"{name}[{i}] height must be > 0, got {height}")
                 fixed.append((gap, height))
             sides.append(tuple(fixed))
@@ -396,15 +397,16 @@ def to_document(system: BarrierSystem) -> dict:
     }
 
 
-def _parse_side(entries, keys: tuple, side: str) -> tuple:
+def _parse_side(entries, gap: str, height: str, side: str) -> tuple:
     """The raw (gap, height) values of one side; ``BarrierSystem`` coerces them."""
     if not isinstance(entries, list):
         raise DocumentError(f"field {side!r} must be a list")
     pairs = []
     for i, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict) or not all(k in entry for k in keys):
-            raise DocumentError(f"{side}[{i}] must be an object with keys {keys}")
-        pairs.append(tuple(entry[k] for k in keys))
+        # membership first: a defaultdict missing a key is refused, not read as its default
+        if not isinstance(entry, dict) or gap not in entry or height not in entry:
+            raise DocumentError(f"{side}[{i}] must be an object with keys {(gap, height)}")
+        pairs.append((entry[gap], entry[height]))
     return tuple(pairs)
 
 
@@ -415,8 +417,8 @@ def from_document(document: dict) -> BarrierSystem:
     for field in ("mode", "head_start", "right", "left"):
         if field not in document:
             raise DocumentError(f"document missing field {field!r}")
-    right = _parse_side(document["right"], ("a", "b"), "right")
-    left = _parse_side(document["left"], ("c", "d"), "left")
+    right = _parse_side(document["right"], "a", "b", "right")
+    left = _parse_side(document["left"], "c", "d", "left")
     try:
         return BarrierSystem(mode=document["mode"], head_start=document["head_start"], right=right, left=left)
     except ValidationError as exc:
@@ -424,7 +426,15 @@ def from_document(document: dict) -> BarrierSystem:
 
 
 def dumps(system: BarrierSystem) -> str:
-    return json.dumps(to_document(system), indent=2) + "\n"
+    """``json.dumps(to_document(system), indent=2) + "\\n"``, written in one pass without the pure-Python encoder."""
+    q = '"' if system.mode == RATIONAL else ""  # json writes a float as float.__repr__, which is also its str
+
+    def side(pairs, a, b):
+        entries = ",\n".join(f'    {{\n      "{a}": {q}{g!s}{q},\n      "{b}": {q}{h!s}{q}\n    }}' for g, h in pairs)
+        return f"[\n{entries}\n  ]" if pairs else "[]"
+
+    return (f'{{\n  "mode": "{system.mode}",\n  "head_start": {q}{system.head_start!s}{q},\n'
+            f'  "right": {side(system.right, "a", "b")},\n  "left": {side(system.left, "c", "d")}\n}}\n')
 
 
 def loads(text: str) -> BarrierSystem:

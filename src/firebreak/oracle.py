@@ -392,7 +392,7 @@ def grid_consumption(
 
 def consumption_tolerance(system: BarrierSystem, cell: float) -> float:
     """Acceptance bound for |sampled - exact|: two cells per face plus two."""
-    if not (isinstance(cell, numbers.Real) and 0 < cell < math.inf):
+    if isinstance(cell, bool) or not (isinstance(cell, numbers.Real) and 0 < cell < math.inf):
         raise ValueError(f"cell size must be > 0 and finite, got {cell!r}")
     faces = len(system.right) + len(system.left)
     return 2.0 * cell * (faces + 2)

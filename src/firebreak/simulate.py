@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .geodesic import _verticals
-from .model import FLOAT, LEFT, RIGHT, SIDES, BarrierSystem, approx, render_number, validate
+from .model import FLOAT, LEFT, RATIONAL, RIGHT, SIDES, BarrierSystem, approx, render_number, validate
 
 TOTAL = "total"
 
@@ -584,8 +584,11 @@ def intervals_to_document(curves: ConsumptionCurves, mode: str) -> dict:
         curve = getattr(curves, side)
         scale, ints, _ = curve._lattice or (None, curve.points, None)  # no lattice: its own times, its own dict
         seen = texts.setdefault(scale, {}) if scale else {}
-        times = [seen.get(n) or seen.setdefault(n, render_number(_number(scale, n) if scale else n, mode))
-                 for n, _ in ints]
+        if scale and mode == RATIONAL:  # the text of n / scale from the int: no Fraction made only to be printed
+            render = str if scale == 1 else lambda n: str(Fraction(n, scale))
+        else:  # float text keeps the messages of float(Fraction), which float(int) words otherwise past 1e308
+            render = lambda n: render_number(_number(scale, n) if scale else n, mode)
+        times = [seen.get(n) or seen.setdefault(n, render(n)) for n, _ in ints]
         doc[side] = [{"t_start": t0, "t_end": t1, "k": k} for k, t0, t1 in zip(ks, times, times[1:])]
     return doc
 

@@ -1,13 +1,15 @@
 """Barrier-system model: validation, normalization, scaling, documents, records."""
 
+import json
 import pickle
 import random
 import sys
+from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firebreak import (
@@ -23,6 +25,7 @@ from firebreak import (
     Optimum,
     SampledCurve,
     ValidationError,
+    build_improved,
     build_seventeen_ninths,
     check_speed,
     consumption_curve,
@@ -76,6 +79,36 @@ class TestConstruction:
             BarrierSystem(mode=RATIONAL, head_start=1, right=[("x", 1)], left=())
         with pytest.raises(ValidationError, match=r"^head_start: cannot parse rational 'y'$"):
             rational("y")
+
+    # rational lengths are tested on their numerators, float lengths as floats; both keep these messages
+    @pytest.mark.parametrize("mode, length, at, message", [
+        (RATIONAL, "0/5", "gap", "right[1] gap must be > 0, got 0"),
+        (RATIONAL, "0/5", "height", "right[1] height must be > 0, got 0"),
+        (RATIONAL, Fraction(-1, 3), "head_start", "head_start must be >= 0, got -1/3"),
+        (RATIONAL, Fraction(-1, 3), "gap", "right[1] gap must be > 0, got -1/3"),
+        (RATIONAL, Fraction(-1, 3), "height", "right[1] height must be > 0, got -1/3"),
+        (RATIONAL, 0.0, "gap", "right[1]: float 0.0 not accepted in rational mode (lossy); "
+                               "pass an int, Fraction or 'p/q' string"),
+        (RATIONAL, -0.0, "height", "right[1]: float -0.0 not accepted in rational mode (lossy); "
+                                   "pass an int, Fraction or 'p/q' string"),
+        (FLOAT, "0/5", "gap", "right[1] gap must be > 0, got 0.0"),
+        (FLOAT, "0/5", "height", "right[1] height must be > 0, got 0.0"),
+        (FLOAT, Fraction(-1, 3), "head_start", "head_start must be >= 0, got -0.3333333333333333"),
+        (FLOAT, Fraction(-1, 3), "gap", "right[1] gap must be > 0, got -0.3333333333333333"),
+        (FLOAT, Fraction(-1, 3), "height", "right[1] height must be > 0, got -0.3333333333333333"),
+        (FLOAT, 0.0, "gap", "right[1] gap must be > 0, got 0.0"),
+        (FLOAT, -0.0, "height", "right[1] height must be > 0, got -0.0"),
+    ])
+    def test_refusal_messages_in_both_modes(self, mode, length, at, message):
+        head_start = length if at == "head_start" else 1
+        pair = (length, 2) if at == "gap" else (1, length)
+        with pytest.raises(ValidationError) as info:
+            BarrierSystem(mode, head_start, () if at == "head_start" else (pair,), ())
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mode, head_start", [(RATIONAL, "0/5"), (RATIONAL, 0), (FLOAT, "0/5"), (FLOAT, -0.0)])
+    def test_a_zero_head_start_is_accepted(self, mode, head_start):
+        assert BarrierSystem(mode, head_start, (), ()).head_start == 0
 
     def test_accepts_fraction_strings(self):
         system = rational("1/2", right=(("3/2", "17"),))
@@ -348,6 +381,11 @@ class TestDocuments:
         ("rational", "1", [], [{"c": "1/0", "d": "1"}], "left[1]: cannot parse rational '1/0'"),
         ("rational", "-1", [], [], "head_start must be >= 0, got -1"),
         ("rational", True, [], [], "head_start: not a length: True"),
+        ("float", True, [], [], "head_start: not a length: True"),
+        ("float", 1, [{"a": 1, "b": False}], [], "right[1]: not a length: False"),
+        ("rational", "1", [[1, 2]], [], "right[1] must be an object with keys ('a', 'b')"),
+        ("float", 1, [], [{"d": 2}], "left[1] must be an object with keys ('c', 'd')"),
+        ("rational", "1", [defaultdict(str, a="1")], [], "right[1] must be an object with keys ('a', 'b')"),
         ("float", "inf", [], [], "head_start: non-finite length 'inf'"),
         ("float", 1, [{"a": "nan", "b": 1}], [], "right[1]: non-finite length 'nan'"),
         ("rational", "1", [{"a": [1], "b": "1"}], [], "right[1]: cannot coerce [1] to a rational length"),
@@ -362,6 +400,11 @@ class TestDocuments:
         with pytest.raises(DocumentError) as excinfo:
             from_document(doc)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_an_entry_of_a_dict_subclass_is_read(self, mode):
+        doc = {"mode": mode, "head_start": "1", "right": [OrderedDict(b="17", a="1")], "left": [OrderedDict(c="1", d="34")]}
+        assert from_document(doc) == BarrierSystem(mode, 1, ((1, 17),), ((1, 34),))
 
     def test_library_save_past_the_digit_limit_leaves_no_file(self, tmp_path, digit_limit):
         path = tmp_path / "huge.json"
@@ -378,9 +421,55 @@ class TestDocuments:
         assert back.right[0][1] == 4.06887  # repr round-trip is exact
 
 
+@st.composite
+def systems(draw):
+    """Random systems in both modes: empty sides, zero head starts (-0.0 in float mode), Fractions with denominators."""
+    mode = draw(st.sampled_from([RATIONAL, FLOAT]))
+    if mode == RATIONAL:
+        length = st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**12))
+        head_start = st.one_of(st.just(0), length)
+    else:
+        length = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        head_start = st.one_of(st.sampled_from([0.0, -0.0]), length)
+    side = st.lists(st.tuples(length, length), max_size=4).map(tuple)
+    return BarrierSystem(mode, draw(head_start), draw(side), draw(side))
+
+
+class TestDocumentText:
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    @example(build_seventeen_ninths(1, cycles=64))
+    @example(build_seventeen_ninths(Fraction(7, 3), cycles=64))
+    @example(build_improved(InterlacingParams(cycles=8)))
+    @example(BarrierSystem(FLOAT, -0.0, (), ()))
+    @example(BarrierSystem(RATIONAL, 0, (), ((Fraction(22, 7), Fraction(17, 9)),)))
+    def test_dumps_writes_the_bytes_of_the_json_encoder(self, system):
+        text = dumps(system)
+        assert text == json.dumps(to_document(system), indent=2) + "\n"
+        back = loads(text)
+        assert back == system and repr(back) == repr(system)  # repr: -0.0 stays -0.0
+
+
 class TestCoerce:
     def test_decimal_string_is_exact_in_rational_mode(self):
         assert coerce_length("7.5", RATIONAL) == Fraction(15, 2)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_is_not_a_length_in_either_mode(self, mode, value):
+        with pytest.raises(ValidationError) as info:
+            coerce_length(value, mode)
+        assert str(info.value) == f"not a length: {value!r}"
+
+    def test_float_systems_refuse_a_bool_head_start_speed_and_horizon(self):
+        # float(True) is 1.0: without the refusal each of these would run as if given 1.0
+        with pytest.raises(ValidationError, match=r"^head_start: not a length: True$"):
+            BarrierSystem(FLOAT, True, ((1.0, 17.0),), ())
+        system = BarrierSystem(FLOAT, 1.0, ((1.0, 17.0),), ())
+        with pytest.raises(ValidationError, match=r"^not a length: True$"):
+            check_speed(system, True)
+        with pytest.raises(ValidationError, match=r"^not a length: True$"):
+            consumption_curve(system, True, truncated=True)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):

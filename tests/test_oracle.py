@@ -214,9 +214,9 @@ class TestCompare:
         with pytest.raises(ValueError, match="^tolerance is nan; give a number$"):
             compare(exact, sampled, math.nan)
 
-    @pytest.mark.parametrize("cell", [-1.0, 0, 0.0, -math.inf, math.inf, math.nan, "1"])
+    @pytest.mark.parametrize("cell", [-1.0, 0, 0.0, -math.inf, math.inf, math.nan, "1", True, False])
     def test_tolerance_of_a_cell_that_is_not_a_finite_number_above_zero_refused(self, cell):
-        # a cell of -1.0 gave the tolerance -16.0, which fails every compare
+        # a cell of -1.0 gave the tolerance -16.0, which fails every compare, and True gave 8.0
         with pytest.raises(ValueError) as info:
             consumption_tolerance(SINGLE, cell)
         assert str(info.value) == f"cell size must be > 0 and finite, got {cell!r}"

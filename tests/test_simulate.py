@@ -974,6 +974,17 @@ def maxima_key(curve, bound):
     return repr(report), [typed(x) for x in [x for pair in report.local_maxima for x in pair] + list(report[1:])]
 
 
+def reference_intervals_document(curves, mode):
+    """``intervals_to_document`` with every time rendered as ``render_number(_number(scale, n), mode)``."""
+    doc = {}
+    for side, ks in curves.ks.items():
+        curve = getattr(curves, side)
+        scale, ints, _ = curve._lattice or (None, curve.points, None)
+        times = [render_number(_number(scale, n) if scale else n, mode) for n, _ in ints]
+        doc[side] = [{"t_start": t0, "t_end": t1, "k": k} for k, t0, t1 in zip(ks, times, times[1:])]
+    return doc
+
+
 class TestCurvesKeepTheirLattice:
     @settings(max_examples=100, deadline=None)
     @given(rational_cases(), st.booleans())
@@ -1052,6 +1063,32 @@ class TestCurvesKeepTheirLattice:
         assert intervals_to_document(curves, RATIONAL) == {
             TOTAL: [{"t_start": "0", "t_end": "1", "k": 1}], LEFT: [{"t_start": "0.0", "t_end": "1.0", "k": 1}],
         }
+
+    @pytest.mark.parametrize("system, lattice_scale", [
+        (build_seventeen_ninths(1, cycles=64), 1),
+        (build_seventeen_ninths(Fraction(7, 3), cycles=64), 3),
+        (build_seventeen_ninths(Fraction(1, 6), cycles=64), 6),
+        (build_improved(InterlacingParams(cycles=8)), None),
+    ], ids=["scale-1", "scale-3", "scale-6", "float"])
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_intervals_document_renders_each_time_as_the_reference(self, system, lattice_scale, mode):
+        # rational text from the lattice int, float text through the Fraction; no curve's points are read
+        curves = consumption_curve(system)
+        assert (curves.total._lattice or (None,))[0] == lattice_scale
+        got = json.dumps(intervals_to_document(curves, mode))
+        assert got == json.dumps(reference_intervals_document(curves, mode))
+        assert got == json.dumps(intervals_to_document(bare(curves), mode))
+
+    def test_intervals_document_past_the_float_range_raises_as_the_reference_does(self):
+        # float(int) would say "int too large to convert to float"
+        curves = consumption_curve(build_seventeen_ninths(1, 300))
+        assert json.dumps(intervals_to_document(curves, RATIONAL)) == json.dumps(
+            reference_intervals_document(curves, RATIONAL))
+        with pytest.raises(OverflowError) as want:
+            reference_intervals_document(curves, FLOAT)
+        with pytest.raises(OverflowError) as got:
+            intervals_to_document(curves, FLOAT)
+        assert str(got.value) == str(want.value) == "integer division result too large for a float"
 
     # fresh curves: the session fixtures' points are read by other tests
     @settings(max_examples=60, deadline=None)
