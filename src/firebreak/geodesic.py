@@ -19,9 +19,11 @@ the front reaches only at the horizon has no profile.
 from __future__ import annotations
 
 import math
+import numbers
+from fractions import Fraction
 from typing import NamedTuple
 
-from .model import LEFT, RIGHT, BarrierSystem
+from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem
 
 GROUND = "ground"
 VERTICAL_LEFT = "vertical_left"    # face toward the origin
@@ -36,13 +38,13 @@ def forced_descent(heights, terminal_height):
     max(0, max(heights) - terminal_height): only descents from running peaks
     are ever forced.
     """
-    heights = list(heights)
-    if terminal_height < 0:
-        raise ValueError(f"terminal height must be >= 0, got {terminal_height}")
-    total = 0
-    suffix_max = 0
+    if isinstance(terminal_height, bool) or not terminal_height >= 0:  # nan fails the test too
+        raise ValueError(f"terminal height must be a number >= 0, got {terminal_height}")
+    total = suffix_max = 0
     # accumulate from the back so the suffix maximum is available
-    for h in reversed(heights):
+    for h in reversed(list(heights)):
+        if isinstance(h, bool) or h != h:
+            raise ValueError(f"height {h} is not a number")
         floor = suffix_max if suffix_max > terminal_height else terminal_height
         if h > floor:
             total = total + (h - floor)
@@ -52,15 +54,27 @@ def forced_descent(heights, terminal_height):
 
 
 def geodesic_distance(system: BarrierSystem, point) -> object:
-    """Arrival time of the fire at ``point`` (min over faces for on-barrier points)."""
+    """Arrival time of the fire at ``point`` (min over faces for on-barrier points).
+
+    On a rational system an int or Fraction point runs on its side's lattice and gives a Fraction; floats give a float.
+    """
     x, y = point
+    for c in (x, y):  # the type test first: an ABC check is slow
+        if type(c) not in (int, float, Fraction) and (isinstance(c, bool) or not isinstance(c, numbers.Real)):
+            raise ValueError(f"point {point!r} has a coordinate that is not a real number")
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):  # nan fails too; no float made of a Fraction
         raise ValueError(f"point {point!r} has a coordinate that is not finite")
     if y < 0:
         raise ValueError(f"point must lie in the upper half-plane, got y={y}")
+    try:  # a float system reads the point as its numbers
+        x, y = (float(x), float(y)) if system.mode == FLOAT else (x, y)
+    except OverflowError:
+        raise ValueError(f"point {point!r} has a coordinate past the float range") from None
     ax = x if x >= 0 else -x
-    side = RIGHT if x >= 0 else LEFT
-    for _, foot, height, clearance, top in _verticals(system.pairs(side), system.zero):
+    pairs, scale = system.pairs(RIGHT if x >= 0 else LEFT), None
+    if system.mode == RATIONAL and type(x) in (int, Fraction) and type(y) in (int, Fraction):
+        scale, (pairs, [(ax, y)]) = _on_one_scale(pairs, [(ax, y)])
+    for _, foot, height, clearance, top in _verticals(pairs, system.zero if scale is None else 0):
         if foot is None or foot >= ax:
             break
     # up over the clearance and down to y, or straight up: at (foot, height) this is the top
@@ -68,13 +82,24 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
     # points on a vertical barrier see both faces; the top is the pivot
     if foot == ax and y <= height:
         over_the_top = top + (height - y)
-        return direct if direct <= over_the_top else over_the_top
-    return direct
+        direct = direct if direct <= over_the_top else over_the_top
+    return direct if scale is None else Fraction(direct, scale)
 
 
 def top_arrival_times(system: BarrierSystem, side: str) -> tuple:
     """Arrival time of the fire at the top of each vertical on one side."""
     return tuple(top for *_, top in _verticals(system.pairs(side), system.zero))[:-1]  # not the ray
+
+
+def _on_one_scale(*curves):
+    """Point lists as int pairs over the LCM of all their denominators, and that LCM.
+
+    Ints, Fractions and floats all read exactly through ``as_integer_ratio``;
+    each int pair divided by the LCM is its point.
+    """
+    ratios = [[(t.as_integer_ratio(), v.as_integer_ratio()) for t, v in points] for points in curves]
+    scale = math.lcm(*(den for points in ratios for (_, dt), (_, dv) in points for den in (dt, dv)))
+    return scale, [[(nt * (scale // dt), nv * (scale // dv)) for (nt, dt), (nv, dv) in points] for points in ratios]
 
 
 def _verticals(pairs, zero):

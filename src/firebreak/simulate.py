@@ -24,10 +24,12 @@ are a boundary type: one is made for each number a caller reads, and none
 is compared or combined again in a loop.  Float mode runs the same code at
 scale 1.  On a kept lattice the ratio scan tests a rise of Q by
 ``k*t0 > v0``, each CSV cell is one int division, and the k-interval
-document renders each time once, from its int.  Other curves are read
-exactly on one lattice of ints made from their points, by the CSV export
-only without a float: curves with a float, and the grid oracle's
-``compare``, are read by one float evaluator, ``value_at`` bit for bit.
+document renders each time once, from its int.  On a curve of floats the
+ratio scan's float products decide where they differ, and equal ones are
+read on exact ints.  Other curves are read exactly on one lattice of ints
+made from their points, by the CSV export only without a float: curves with
+a float, and the grid oracle's ``compare``, are read by one float
+evaluator, ``value_at`` bit for bit.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -43,8 +45,8 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .geodesic import _verticals
-from .model import FLOAT, LEFT, RATIONAL, RIGHT, SIDES, BarrierSystem, approx, render_number, validate
+from .geodesic import _on_one_scale, _verticals
+from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, approx, render_number, validate
 
 TOTAL = "total"
 
@@ -205,18 +207,10 @@ def _scaled(system: BarrierSystem, horizon=None) -> _Lattice:
     Times and consumed lengths scale together, so Q(t) and feasibility are
     unchanged; tops, ramps, sweeps and checks then run on Python ints.
     """
-    pairs = {side: system.pairs(side) for side in SIDES}
     if system.mode == FLOAT:
-        return _Lattice(system.head_start, pairs, horizon)
-    lengths = [system.head_start] + [x for side in SIDES for pair in pairs[side] for x in pair]
-    scale = math.lcm(*(x.denominator for x in lengths + ([] if horizon is None else [horizon])))
-
-    def on(x):
-        return x.numerator * (scale // x.denominator)
-
-    pairs = {side: [(on(g), on(h)) for g, h in pairs[side]] for side in SIDES}
-    horizon = None if horizon is None else on(horizon)
-    return _Lattice(on(system.head_start), pairs, horizon, scale)
+        return _Lattice(system.head_start, {RIGHT: system.right, LEFT: system.left}, horizon)
+    scale, (right, left, [(head, end)]) = _on_one_scale(system.right, system.left, [(system.head_start, horizon or 0)])
+    return _Lattice(head, {RIGHT: right, LEFT: left}, None if horizon is None else end, scale)
 
 
 def _earliest_top(lat: _Lattice, back: int):
@@ -389,8 +383,9 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
 
     Every test is exact, whatever the points' types: the slope k into (t, v)
     exceeds Q(t) iff v*t0 > v0*t, that is iff k*t0 > v0, which is read on the
-    ints of a curve that keeps its lattice; any other curve is read as ints on
-    one lattice.  Q(t) > Q(s) iff v*s > w*t, each pair on its own scale.  Q is
+    ints of a curve that keeps its lattice, on float products where a curve
+    of floats gives two that differ (``_rises``), else as ints on one
+    lattice.  Q(t) > Q(s) iff v*s > w*t, each pair on its own scale.  Q is
     divided, as v/t in the points' own types, only for the reported points.
     """
     if valid_horizon is not None and (isinstance(valid_horizon, bool) or not isinstance(valid_horizon, numbers.Real)
@@ -404,8 +399,11 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     lo, hi = max(curve._count(0), 1), min(curve._count(bound), len(curve) - 1)
     scale, pts, ks = curve._lattice or (None, curve.points, None)
     window = pts[lo - 1 : hi + 1] if lo < hi else ()  # the candidates pts[lo:hi] and their neighbours
+    floats = not scale and type(pts[0][0]) is float  # a float curve: read by ``_rises``
     if scale:  # v*t0 - v0*t = (t - t0)*(k*t0 - v0); pairs beside no candidate are never read
         ints, rises = window, [k * t0 > v0 for (t0, v0), k in zip(window, ks[lo - 1 : hi])]
+    elif floats:
+        ints, rises = window, list(map(_rises, window, window[1:]))
     else:
         _, [ints] = _on_one_scale(window)
         rises = [v1 * t0 > v0 * t1 for (t0, v0), (t1, v1) in zip(ints, ints[1:])]
@@ -413,28 +411,30 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     def reported(i):  # candidate i as (t, Q(t)), published
         t, v = window[i]
         return (_number(scale, t), Fraction(v, t)) if scale else (t, v / t)
-    _, [[bound_ints]] = _on_one_scale([(bound, at_bound := curve.value_at(bound))])
     peaks = [i for i in range(1, len(window) - 1) if rises[i - 1] and not rises[i]]
     # only the first and the last candidate, the local maxima and the bound (None) can hold the first largest Q
-    order = [1, *peaks, len(window) - 2] if window else []
-    (sup, (s, w)), *rest = [(i, ints[i]) for i in order] + [(None, bound_ints)]
-    for i, (t, v) in rest:
-        if v * s > w * t:
-            sup, (s, w) = i, (t, v)
+    sup, *rest = [1, *peaks, len(window) - 2] if window else [None]
+    for i in rest:
+        a, b = ints[sup], ints[i]
+        if _rises(a, b) if floats else b[1] * a[0] > a[1] * b[0]:
+            sup = i
+    at_bound = curve.value_at(bound)
+    sup = None if sup is None or _rises(ints[sup], (bound, at_bound)) else sup  # the bound, last
     maxima = tuple(map(reported, peaks))
     sup_time, sup_q = (bound, at_bound / bound) if sup is None else reported(sup)
     return RatioReport(local_maxima=maxima, supremum=sup_q, sup_time=sup_time, valid_horizon=bound)
 
 
-def _on_one_scale(*curves):
-    """Point lists as int pairs over the LCM of all their denominators, and that LCM.
+def _rises(a, b) -> bool:
+    """Whether Q rises from a = (t0, v0) to b = (t1, v1), that is v1*t0 > v0*t1, exactly; each point on any scale.
 
-    Ints, Fractions and floats all read exactly through ``as_integer_ratio``;
-    each int pair divided by the LCM is its point.
-    """
-    ratios = [[(t.as_integer_ratio(), v.as_integer_ratio()) for t, v in points] for points in curves]
-    scale = math.lcm(*(den for points in ratios for (_, dt), (_, dv) in points for den in (dt, dv)))
-    return scale, [[(nt * (scale // dt), nv * (scale // dv)) for (nt, dt), (nv, dv) in points] for points in ratios]
+    Rounding is monotone, so float products that differ decide it, also past the float range and below it;
+    equal ones (ties, the origin segment) and points not all floats are read on exact ints."""
+    (t0, v0), (t1, v1) = a, b
+    if type(t0) is type(v0) is type(t1) is type(v1) is float and (p := v1 * t0) != (q := v0 * t1):
+        return p > q
+    _, [[(t0, v0), (t1, v1)]] = _on_one_scale([a, b])
+    return v1 * t0 > v0 * t1
 
 
 def _feasibility(points, speed):

@@ -72,6 +72,19 @@ class TestForcedDescent:
         with pytest.raises(ValueError):
             forced_descent([1], -1)
 
+    @pytest.mark.parametrize("heights, terminal, message", [
+        # each gave an answer: 0, 2 and 3
+        ([3, 2], math.nan, "terminal height must be a number >= 0, got nan"),
+        ([3], True, "terminal height must be a number >= 0, got True"),
+        ([3, math.nan], 0, "height nan is not a number"),
+        ([math.nan, 3], 0, "height nan is not a number"),
+        ([3, False], 0, "height False is not a number"),
+    ])
+    def test_rejects_a_nan_or_bool(self, heights, terminal, message):
+        with pytest.raises(ValueError) as info:
+            forced_descent(heights, terminal)
+        assert str(info.value) == message
+
 
 class TestGeodesicDistance:
     def test_top_of_first_barrier(self, sys17):
@@ -108,6 +121,38 @@ class TestGeodesicDistance:
         with pytest.raises(ValueError) as info:
             geodesic_distance(system, point)
         assert str(info.value) == f"point {point!r} has a coordinate that is not finite"
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("point", [(True, 0), (0, False), ("1", 0), (None, 0), (1 + 0j, 0), (0, "1/2")])
+    def test_rejects_a_coordinate_that_is_not_a_real_number(self, mode, point):
+        # (True, 0) was read as (1, 0); the others raised TypeError from a comparison
+        system = BarrierSystem(mode, 1, right=((1, 17),), left=((1, 34),))
+        with pytest.raises(ValueError) as info:
+            geodesic_distance(system, point)
+        assert str(info.value) == f"point {point!r} has a coordinate that is not a real number"
+
+    @pytest.mark.parametrize("point", [(10**400, 0), (-(10**400), 0), (0, Fraction(10**400, 3))])
+    def test_a_float_system_rejects_a_coordinate_past_the_float_range(self, point):
+        # it raised OverflowError: int too large to convert to float
+        system = BarrierSystem(FLOAT, 1, right=((1, 17),), left=((1, 34),))
+        with pytest.raises(ValueError) as info:
+            geodesic_distance(system, point)
+        assert str(info.value) == f"point {point!r} has a coordinate past the float range"
+
+    @pytest.mark.parametrize("point, distance", [
+        # (0, 5) gave the int 5: no system number entered its sum
+        ((0, 5), Fraction(5)), ((10, 0), Fraction(44)), ((Fraction(1, 3), 2), Fraction(7, 3)), ((1, 17), Fraction(18)),
+        ((-1, 10), Fraction(11)), ((10.0, 0), 44.0), ((0, 5.0), 5.0), ((Fraction(-1, 2), 0.5), 1.0),
+    ])
+    def test_result_type_on_a_rational_system(self, sys17, point, distance):
+        assert typed(geodesic_distance(sys17, point)) == typed(distance)
+
+    @pytest.mark.parametrize("point, distance", [
+        ((0, 5), 5.0), ((10, 0), 44.0), ((Fraction(1, 2), Fraction(1, 4)), 0.75), ((1.0, 17.0), 18.0),
+    ])
+    def test_result_type_on_a_float_system(self, point, distance):
+        system = BarrierSystem(FLOAT, 1, right=((1, 17),), left=((1, 34),))
+        assert typed(geodesic_distance(system, point)) == typed(distance)
 
     def test_a_fraction_past_the_float_range_is_a_point(self):
         # math.isfinite would raise OverflowError on it

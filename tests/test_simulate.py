@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from copy import deepcopy
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +44,8 @@ from firebreak import (
 from firebreak.geodesic import GROUND, VERTICAL_RIGHT
 from firebreak.model import render_number
 from firebreak.simulate import (
-    MERGE_RTOL, TOTAL, _events, _Lattice, _lattice, _number, _side_ramps, _sweep, intervals_to_document,
+    MERGE_RTOL, TOTAL, _events, _Lattice, _lattice, _number, _on_one_scale, _rises, _side_ramps, _sweep,
+    intervals_to_document,
 )
 
 from conftest import random_rational_system
@@ -890,6 +891,32 @@ def ratio_curves(draw):
     return PiecewiseLinearCurve(cast_points)
 
 
+@st.composite
+def float_curves(draw):
+    """A nondecreasing float curve and a bound, at a scale of 2**e whose products overflow, underflow or neither.
+
+    A breakpoint on the ray v = c*t, rounded, makes Q nearly or exactly
+    equal at two breakpoints, so that float products often tie.
+    """
+    unit = 2.0 ** draw(st.sampled_from([-1066, -1000, -540, 0, 540, 1000]))  # 2**-1070 steps are subnormal
+    c = draw(st.sampled_from([0.1, 1 / 3, 0.7, 1.5]))
+    t, v = (0.0, 0.0) if draw(st.booleans()) else (-draw(st.integers(1, 8)) * unit, draw(st.integers(-8, 8)) * unit)
+    points = [(t, v)]
+    for step, rise, on_ray in draw(st.lists(st.tuples(st.integers(1, 64), st.integers(0, 64), st.booleans()),
+                                            min_size=1, max_size=11)):
+        t += step * unit / 16
+        v = max(v, c * t) if on_ray else v + rise * unit / 16
+        points.append((t, v))
+    bound = draw(st.sampled_from([None, *(t for t, _ in points[1:])]))
+    return PiecewiseLinearCurve(points), bound if bound is None or draw(st.booleans()) else Fraction(bound) * 2 / 3
+
+
+def exact_rises(a, b):
+    """Whether Q rises from a to b, on the points' exact ints."""
+    _, [[(t0, v0), (t1, v1)]] = _on_one_scale([a, b])
+    return v1 * t0 > v0 * t1
+
+
 BOUNDS = st.one_of(
     st.none(), st.integers(-2, 40), st.integers(-2, 40).map(float), st.fractions(-2, 40, max_denominator=6),
     st.floats(-2, 40),
@@ -932,6 +959,38 @@ class TestRatioScanMatchesTheDividingScan:
         with pytest.raises(ValueError) as info:
             ratio_maxima(curve, bound)
         assert str(info.value) == f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_curves())
+    def test_the_float_filter_decides_as_the_exact_ints(self, case):
+        # every pair, as the supremum scan compares any two candidates; then the whole report
+        curve, bound = case
+        pairs = list(combinations(curve.points, 2))
+        assert [_rises(a, b) for a, b in pairs] == [exact_rises(a, b) for a, b in pairs]
+        assert outcome(ratio_maxima, curve, bound) == outcome(reference_ratio_maxima, curve, bound)
+
+    @pytest.mark.parametrize("points, tie", [
+        # the origin segment: both products are 0
+        ([(0.0, 0.0), (1.0, 0.5), (2.0, 1.5)], ((0.0, 0.0), (1.0, 0.5))),
+        # Q is exactly 1/2 at t = 1 and t = 2: the first of them is the supremum
+        ([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (3.0, 1.0)], ((1.0, 0.5), (2.0, 1.0))),
+        # the products round to one float, yet Q(3) exceeds Q(1) = 0.1, and t = 3 is a local maximum
+        ([(0.0, 0.0), (1.0, 0.1), (3.0, 0.30000000000000004), (4.0, 0.30000000000000004)],
+         ((1.0, 0.1), (3.0, 0.30000000000000004))),
+        # past 1e308: 1e110 * 1e200 is inf and decides a rise over 2e200; both products of the next pair are inf
+        ([(0.0, 0.0), (1e200, 1.0), (2e200, 1e110), (3e200, 1e110)], ((2e200, 1e110), (3e200, 1e110))),
+        # subnormal products: the tie above scaled by 2**-530 in t and in v
+        ([(x * 2.0**-530, y * 2.0**-530) for x, y in [(0.0, 0.0), (1.0, 0.1), (3.0, 0.30000000000000004),
+                                                          (4.0, 0.30000000000000004)]],
+         ((2.0**-530, 0.1 * 2.0**-530), (3 * 2.0**-530, 0.30000000000000004 * 2.0**-530))),
+    ], ids=["origin", "exact-tie", "rounded-tie", "overflow", "subnormal"])
+    def test_pinned_float_curves(self, points, tie):
+        (t0, v0), (t1, v1) = tie
+        assert v1 * t0 == v0 * t1  # the float products tie: only the exact ints decide this pair
+        curve = PiecewiseLinearCurve(points)
+        pairs = list(combinations(points, 2))
+        assert [_rises(a, b) for a, b in pairs] == [exact_rises(a, b) for a, b in pairs]
+        assert repr(ratio_maxima(curve)) == repr(reference_ratio_maxima(curve))
 
     def test_improved_scheme_at_its_largest_cycle_count(self):
         # the breakpoints near the valid horizon (~6e305) would overflow any product of two of them
