@@ -56,7 +56,7 @@ def forced_descent(heights, terminal_height):
 def geodesic_distance(system: BarrierSystem, point) -> object:
     """Arrival time of the fire at ``point`` (min over faces for on-barrier points).
 
-    On a rational system an int or Fraction point runs on its side's lattice and gives a Fraction; floats give a float.
+    In rational mode an int or Fraction point runs on the lattice of its side up to it for a Fraction; floats, a float.
     """
     x, y = point
     for c in (x, y):  # the type test first: an ABC check is slow
@@ -73,6 +73,12 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
     ax = x if x >= 0 else -x
     pairs, scale = system.pairs(RIGHT if x >= 0 else LEFT), None
     if system.mode == RATIONAL and type(x) in (int, Fraction) and type(y) in (int, Fraction):
+        (a, b), foot, den = ax.as_integer_ratio(), 0, 1  # the feet on a growing lattice, up to the first at ax or past
+        for cut, (n, d) in enumerate(gap.as_integer_ratio() for gap, _ in pairs):
+            foot, den = foot * (m := d // math.gcd(den, d)) + n * (den * m // d), den * m
+            if foot * b >= a * den:
+                pairs = pairs[: cut + 1]  # the pairs after it are never read
+                break
         scale, (pairs, [(ax, y)]) = _on_one_scale(pairs, [(ax, y)])
     for _, foot, height, clearance, top in _verticals(pairs, system.zero if scale is None else 0):
         if foot is None or foot >= ax:
@@ -94,9 +100,7 @@ def top_arrival_times(system: BarrierSystem, side: str) -> tuple:
 def _on_one_scale(*curves):
     """Point lists as int pairs over the LCM of all their denominators, and that LCM.
 
-    Ints, Fractions and floats all read exactly through ``as_integer_ratio``;
-    each int pair divided by the LCM is its point.
-    """
+    Ints, Fractions and floats all read exactly through ``as_integer_ratio``."""
     ratios = [[(t.as_integer_ratio(), v.as_integer_ratio()) for t, v in points] for points in curves]
     scale = math.lcm(*(den for points in ratios for (_, dt), (_, dv) in points for den in (dt, dv)))
     return scale, [[(nt * (scale // dt), nv * (scale // dv)) for (nt, dt), (nv, dv) in points] for points in ratios]

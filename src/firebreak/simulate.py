@@ -24,12 +24,12 @@ are a boundary type: one is made for each number a caller reads, and none
 is compared or combined again in a loop.  Float mode runs the same code at
 scale 1.  On a kept lattice the ratio scan tests a rise of Q by
 ``k*t0 > v0``, each CSV cell is one int division, and the k-interval
-document renders each time once, from its int.  On a curve of floats the
-ratio scan's float products decide where they differ, and equal ones are
-read on exact ints.  Other curves are read exactly on one lattice of ints
-made from their points, by the CSV export only without a float: curves with
-a float, and the grid oracle's ``compare``, are read by one float
-evaluator, ``value_at`` bit for bit.
+document renders each time once, from its int.  Off a lattice the ratio
+scan's float products decide where they differ, and every other pair is
+read on its exact integer ratios.  Other curves are read exactly on one
+lattice of ints made from their points, by the CSV export only without a
+float: curves with a float, and the grid oracle's ``compare``, are read by
+one float evaluator, ``value_at`` bit for bit.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -383,10 +383,10 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
 
     Every test is exact, whatever the points' types: the slope k into (t, v)
     exceeds Q(t) iff v*t0 > v0*t, that is iff k*t0 > v0, which is read on the
-    ints of a curve that keeps its lattice, on float products where a curve
-    of floats gives two that differ (``_rises``), else as ints on one
-    lattice.  Q(t) > Q(s) iff v*s > w*t, each pair on its own scale.  Q is
-    divided, as v/t in the points' own types, only for the reported points.
+    ints of a curve that keeps its lattice, else by ``_rises``: on differing
+    float products of two float points, else on the pair's integer ratios.
+    Q(t) > Q(s) iff v*s > w*t, each pair on its own scale.  Q is divided, as
+    v/t in the points' own types, only for the reported points.
     """
     if valid_horizon is not None and (isinstance(valid_horizon, bool) or not isinstance(valid_horizon, numbers.Real)
                                       or valid_horizon != valid_horizon):
@@ -399,14 +399,10 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     lo, hi = max(curve._count(0), 1), min(curve._count(bound), len(curve) - 1)
     scale, pts, ks = curve._lattice or (None, curve.points, None)
     window = pts[lo - 1 : hi + 1] if lo < hi else ()  # the candidates pts[lo:hi] and their neighbours
-    floats = not scale and type(pts[0][0]) is float  # a float curve: read by ``_rises``
     if scale:  # v*t0 - v0*t = (t - t0)*(k*t0 - v0); pairs beside no candidate are never read
-        ints, rises = window, [k * t0 > v0 for (t0, v0), k in zip(window, ks[lo - 1 : hi])]
-    elif floats:
-        ints, rises = window, list(map(_rises, window, window[1:]))
+        rises = [k * t0 > v0 for (t0, v0), k in zip(window, ks[lo - 1 : hi])]
     else:
-        _, [ints] = _on_one_scale(window)
-        rises = [v1 * t0 > v0 * t1 for (t0, v0), (t1, v1) in zip(ints, ints[1:])]
+        rises = list(map(_rises, window, window[1:]))
 
     def reported(i):  # candidate i as (t, Q(t)), published
         t, v = window[i]
@@ -415,11 +411,11 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     # only the first and the last candidate, the local maxima and the bound (None) can hold the first largest Q
     sup, *rest = [1, *peaks, len(window) - 2] if window else [None]
     for i in rest:
-        a, b = ints[sup], ints[i]
-        if _rises(a, b) if floats else b[1] * a[0] > a[1] * b[0]:
+        a, b = window[sup], window[i]
+        if b[1] * a[0] > a[1] * b[0] if scale else _rises(a, b):
             sup = i
     at_bound = curve.value_at(bound)
-    sup = None if sup is None or _rises(ints[sup], (bound, at_bound)) else sup  # the bound, last
+    sup = None if sup is None or _rises(window[sup], (bound, at_bound)) else sup  # the bound, last
     maxima = tuple(map(reported, peaks))
     sup_time, sup_q = (bound, at_bound / bound) if sup is None else reported(sup)
     return RatioReport(local_maxima=maxima, supremum=sup_q, sup_time=sup_time, valid_horizon=bound)
@@ -429,12 +425,12 @@ def _rises(a, b) -> bool:
     """Whether Q rises from a = (t0, v0) to b = (t1, v1), that is v1*t0 > v0*t1, exactly; each point on any scale.
 
     Rounding is monotone, so float products that differ decide it, also past the float range and below it;
-    equal ones (ties, the origin segment) and points not all floats are read on exact ints."""
+    equal ones (ties, the origin segment) and points not all floats are cross-multiplied as integer ratios."""
     (t0, v0), (t1, v1) = a, b
     if type(t0) is type(v0) is type(t1) is type(v1) is float and (p := v1 * t0) != (q := v0 * t1):
         return p > q
-    _, [[(t0, v0), (t1, v1)]] = _on_one_scale([a, b])
-    return v1 * t0 > v0 * t1
+    (nt0, dt0), (nv0, dv0), (nt1, dt1), (nv1, dv1) = (x.as_integer_ratio() for x in (t0, v0, t1, v1))
+    return nv1 * nt0 * dv0 * dt1 > nv0 * nt1 * dv1 * dt0  # over the positive dv1*dt0*dv0*dt1
 
 
 def _feasibility(points, speed):

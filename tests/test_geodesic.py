@@ -159,6 +159,16 @@ class TestGeodesicDistance:
         assert geodesic_distance(SINGLE, (Fraction(10**400), 0)) == 10**400 + 34
         assert geodesic_distance(SINGLE, (-Fraction(10**400, 3), 1)) == Fraction(10**400, 3) + 1
 
+    def test_points_before_at_and_past_each_foot_on_a_growing_lattice(self):
+        # the rational path reads the pairs only up to the first foot at or past |x|, whose lattice grows with them
+        right = ((Fraction(1, 3), 5), (Fraction(2, 5), Fraction(3, 7)), (Fraction(1, 7), Fraction(13, 2)), (7, 1))
+        system = rational(1, right=right)
+        feet = system.feet("right")
+        xs = [f + d for f in (0, *feet) for d in (-Fraction(1, 11), 0, Fraction(1, 11)) if f + d >= 0]
+        for x in xs + [feet[-1] * 10**30]:
+            for y in (0, Fraction(3, 7), 5, Fraction(13, 2), 9):
+                assert typed(geodesic_distance(system, (x, y))) == typed(Fraction(descent_distance(system, (x, y))))
+
     def test_lipschitz_within_free_cell(self):
         rng = random.Random(5)
         system = BarrierSystem(
