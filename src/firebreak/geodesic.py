@@ -23,7 +23,7 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem
+from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, approx
 
 GROUND = "ground"
 VERTICAL_LEFT = "vertical_left"    # face toward the origin
@@ -83,12 +83,16 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
     for _, foot, height, clearance, top in _verticals(pairs, system.zero if scale is None else 0):
         if foot is None or foot >= ax:
             break
-    # up over the clearance and down to y, or straight up: at (foot, height) this is the top
-    direct = ax + 2 * clearance - y if clearance >= y else ax + y
-    # points on a vertical barrier see both faces; the top is the pivot
-    if foot == ax and y <= height:
-        over_the_top = top + (height - y)
-        direct = direct if direct <= over_the_top else over_the_top
+    try:  # with a float coordinate on a rational system the sums are floats: an int or Fraction can overflow them
+        # up over the clearance and down to y, or straight up: at (foot, height) this is the top
+        direct = ax + 2 * clearance - y if clearance >= y else ax + y
+        # points on a vertical barrier see both faces; the top is the pivot
+        if foot == ax and y <= height:
+            over_the_top = top + (height - y)
+            direct = direct if direct <= over_the_top else over_the_top
+    except OverflowError:
+        raise ValueError(f"point ({approx(point[0])}, {approx(point[1])}) has a float coordinate, and its distance "
+                         "is past the float range") from None
     return direct if scale is None else Fraction(direct, scale)
 
 

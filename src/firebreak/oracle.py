@@ -24,16 +24,19 @@ slope +1 or -1 over the rows: the run form, a short list of
 (row, level, slope) pieces per run, made from the run before in
 O(pieces), so the sweep is O(runs**2) whatever the rows.  A scene is each
 column's first free row.  ``grid_consumption`` never builds the rows x
-columns grid: it reads row 0 of every run and the rows beside each vertical,
-expanded from the pieces as ranges, and counts the consumed samples by
-level, at O(runs**2 + samples), so 17/9 at 6 cycles (1.4e12 grid nodes at
-cell 1) is checked in under a second.  It and ``compare``, which reads the
-exact curve at every sample with the simulator's float evaluator, run in
-pure Python; only ``grid_arrival``, which writes the run form out into the
-full grid, and ``GridScene.passable``, the bool node mask, import numpy,
-when called.  Each of ``build_scene`` (the column tops), ``grid_arrival``
-(the grid) and ``grid_consumption`` (the column tops and the samples)
-refuses, before allocating, what would not fit in physical memory.
+columns grid: it reads row 0 of every run, and each vertical's two flank
+columns piece by piece, where the consumed levels between two piece rows
+are one rising and one falling range; it counts them by level as +1/-1
+pairs, so Python does O(runs**2) work and only the running sums over the
+levels, in C, are O(samples): 17/9 at 6 cycles (1.4e12 grid nodes, 835 552
+samples at cell 1) is counted in about 0.3 s.  It and ``compare``, which
+reads the exact curve with the simulator's float evaluator, one bisect per
+breakpoint over the sorted sample times, run in pure Python; only
+``grid_arrival``, which writes the run form out into the full grid, and
+``GridScene.passable``, the bool node mask, import numpy, when called.
+Each of ``build_scene`` (the column tops), ``grid_arrival`` (the grid) and
+``grid_consumption`` (the column tops and the samples) refuses, before
+allocating, what would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -41,11 +44,10 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from bisect import bisect_right
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
-from operator import add, itemgetter, mul, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import eq, gt, itemgetter, le, mul, sub
 from typing import NamedTuple
 
 from .model import LEFT, RIGHT, BarrierSystem, approx
@@ -56,10 +58,11 @@ _BYTES_PER_COLUMN = 16
 # bytes per node of grid_arrival's grid: float arrival (8), headroom (8)
 _BYTES_PER_NODE = 16
 # grid_consumption's bytes per row of the scene: its column tops, in the scene's tuple and in the list or the
-# two side slices beside it (the run form has no per-row part); and per sample, barrier point or time: its two
-# flank levels and their minimum, or its time, value and level count, int and float objects included.  Peaks
-# traced with tracemalloc were 0.66-0.70 of this estimate (a flat system and 17/9 at 5 and 6 cycles at cell 1,
-# the improved scheme at 5 cycles at cell 0.25)
+# two side slices beside it (the run form has no per-row part); and per sample, barrier point or time: a time's
+# value, level count and span, int and float objects included (a vertical's points are counted per piece and
+# need about nothing).  Peaks traced with tracemalloc were 0.70 of this estimate on a flat system (cell 1,
+# horizon 1e5) and 0.40-0.43 with verticals (17/9 at 5 and 6 cycles at cell 1, the improved scheme at 5 cycles
+# at cell 0.25), where the vertical points now cost almost nothing; the estimate stays as a bound
 _BYTES_PER_ROW = 32
 _BYTES_PER_SAMPLE = 96
 # columns of the arrival grid that grid_arrival cuts and scales at a time, so no temporary is grid-sized
@@ -231,15 +234,62 @@ def _side_runs(tops, ny: int) -> list[tuple[int, int, list]]:
 def _levels(runs: list, col: int, n: int) -> list:
     """Rows 0..n-1 (n <= rows) of side-local column ``col`` of one side's ``runs``, each piece expanded as a
     range: inf where blocked or cut off."""
-    if col >= runs[-1][1]:
-        return [math.inf] * n
-    pieces = runs[bisect_right(runs, col, key=itemgetter(0)) - 1][2]
-    levels = [math.inf] * min(pieces[0][0], n)
-    for (row, level, slope), end in zip(pieces, [*(row for row, _, _ in pieces[1:]), n]):
+    lines = _lines(runs, col)
+    levels = [math.inf] * min(lines[0][0], n) if lines else [math.inf] * n
+    for (row, base, slope), end in zip(lines, [*(row for row, _, _ in lines[1:]), n]):
         if row >= n:
             break
-        levels += range(level + col, level + col + slope * (min(end, n) - row), slope)
+        levels += range(base + slope * row, base + slope * min(end, n), slope)
     return levels
+
+
+def _lines(runs: list, col: int) -> list[tuple[int, int, int]]:
+    """Side-local column ``col`` of one side's ``runs`` as (row, base, slope) per piece: its level at row r is
+    base + slope x r from the piece's row up to the next piece's; none past the cut-off."""
+    if col >= runs[-1][1]:
+        return []
+    pieces = runs[bisect_right(runs, col, key=itemgetter(0)) - 1][2]
+    return [(row, level + col - slope * row, slope) for row, level, slope in pieces]
+
+
+def _count_vertical(runs: list, col: int, k: int, spans: list, n: int) -> None:
+    """Add to ``spans`` the levels at which the k midpoints of the vertical on side-local column ``col`` are
+    consumed, a range of levels first..stop-1 as +1 at first and -1 at stop, clamped at ``n``.
+
+    Midpoint j, between rows j and j + 1, is consumed at c_j = min(L(j), R(j),
+    L(j + 1), R(j + 1)) of its flank columns L and R (col -+ 1).  A column's
+    pieces meet end to end (each piece's line reaches the next piece's first
+    level), so on j from one piece's row to the next both of its rows j and
+    j + 1 lie on the piece's line: a slope +1 line base + r is least at r = j,
+    base + j, and a slope -1 line base - r at r = j + 1, base - 1 - j.  Just
+    below a column's top (j = top - 1) only row j + 1 = top is free, so there
+    the column gives its level at the top, a line of slope +1 in j for that
+    one j.  So between two consecutive piece rows of the flanks
+    c_j = min(P + j, M - j), P and M the least of the bases of slope +1 and
+    of slope -1: one rising range of levels, then one falling range.
+    """
+    steps = []  # (first j, flank, base, slope) of min(level(j), level(j + 1)) per flank
+    for flank, c in enumerate((col - 1, col + 1)):
+        lines = _lines(runs, c)
+        if lines:
+            row, base, slope = lines[0]
+            steps.append((row - 1, flank, base + slope * row - row + 1, 1))
+            steps += [(row, flank, base if slope > 0 else base - 1, slope) for row, base, slope in lines]
+    steps.sort()
+    plus, minus = [math.inf, math.inf], [math.inf, math.inf]
+    for (first, flank, base, slope), (stop, *_) in zip(steps, [*steps[1:], (k,)]):
+        plus[flank], minus[flank] = (base, math.inf) if slope > 0 else (math.inf, base)
+        first, stop = max(first, 0), min(stop, k)
+        if first >= stop:
+            continue
+        p, m = min(plus), min(minus)
+        turn = stop if m == math.inf else first if p == math.inf else min(stop, max(first, (m - p) // 2 + 1))
+        if first < turn:  # p + first .. p + turn - 1
+            spans[min(p + first, n)] += 1
+            spans[min(p + turn, n)] -= 1
+        if turn < stop:  # m - stop + 1 .. m - turn
+            spans[min(m - stop + 1, n)] += 1
+            spans[min(m - turn + 1, n)] -= 1
 
 
 def grid_arrival(scene: GridScene, max_time: float | None = None):
@@ -313,13 +363,14 @@ def grid_consumption(
     non-empty collection of them; anything else is refused.
 
     The arrivals are read from the sweep's run form, never from the rows x
-    columns grid: row 0 of each run, and the rows beside each vertical
-    expanded from its pieces as ranges, so the cost is O(runs**2 + samples);
-    they equal ``grid_arrival``'s at every node bit for bit.  A point
-    consumed at level L counts at time times[i] = fl(i x cell) exactly when
-    L <= i, because rounding is monotone and the levels that count are far
-    below 2**52; so the points are counted by level, and ``grid_arrival``'s
-    cut at horizon + 2 cells, past every counted level, is never needed.
+    columns grid: row 0 of each run, and each vertical's flank columns piece
+    by piece (``_count_vertical``), so the Python work is O(runs**2) and
+    only the running sums over the levels are O(samples); they equal
+    ``grid_arrival``'s at every node bit for bit.  A point consumed at
+    level L counts at time times[i] = fl(i x cell) exactly when L <= i,
+    because rounding is monotone and the levels that count are far below
+    2**52; so the points are counted by level, and ``grid_arrival``'s cut at
+    horizon + 2 cells, past every counted level, is never needed.
     What this needs is refused before allocating when it cannot fit in
     physical memory.
     """
@@ -362,16 +413,13 @@ def grid_consumption(
     _refuse_past_memory(_BYTES_PER_ROW * ny + _BYTES_PER_SAMPLE * samples, nx * ny, cell, horizon,
                         "its column tops and samples")
 
-    # the consumed points per level: single levels in ``points``; a range of
-    # levels first..stop-1 as +1 at first and -1 at stop in ``spans``; levels
-    # past the last sample time never count
-    points, spans = Counter(), [0] * (n + 1)
+    # the consumed points per level, a range of levels first..stop-1 as +1 at
+    # first and -1 at stop; levels past the last sample time never count
+    spans = [0] * (n + 1)
     runs = dict(zip((RIGHT, LEFT), _run_levels(scene)))
     for side, found in verticals.items():
-        for col, k in found:  # min of two ints as a comprehension: map(min, ...) takes four times as long
-            rows = [a if a < b else b for a, b in zip(_levels(runs[side], col - 1, k + 1),
-                                                       _levels(runs[side], col + 1, k + 1))]
-            points.update([a if a < b else b for a, b in zip(rows, rows[1:])])
+        for col, k in found:
+            _count_vertical(runs[side], col, k, spans, n)
         # ground point j lies between columns j and j + 1: inside a run it
         # takes the run's level at j, a range of levels; at a run's last
         # column it also reads the next run's first (none past the cut-off);
@@ -384,10 +432,11 @@ def grid_consumption(
             if first < stop and base < math.inf:
                 spans[min(base + first, n)] += 1
                 spans[min(base + stop, n)] -= 1
-            if lo <= b - 1 < hi:
-                points[min(base + b - 1, after)] += 1
-    counts = accumulate(map(add, accumulate(spans), map(points.get, range(n), repeat(0))))
-    return SampledCurve(times=tuple(map(mul, range(n), repeat(cell))), values=tuple(map(mul, counts, repeat(cell))))
+            if lo <= b - 1 < hi and (level := min(base + b - 1, after)) < math.inf:
+                spans[min(level, n)] += 1
+                spans[min(level + 1, n)] -= 1
+    counts = accumulate(accumulate(spans))
+    return SampledCurve(times=tuple(map(mul, range(n), repeat(cell))), values=tuple(map(mul, counts, repeat(cell, n))))
 
 
 def consumption_tolerance(system: BarrierSystem, cell: float) -> float:
@@ -409,6 +458,10 @@ class OracleComparison(NamedTuple):
 def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float) -> OracleComparison:
     """Max |sampled - exact| over the common sample times, judged against ``tolerance``.
 
+    Sorted times (as ``grid_consumption`` gives them) have their common range
+    cut out as one slice; other times are read in sorted order and each
+    value put back, so ``at_time`` and ``first_exceedance`` are the first in
+    the given order.  A nan deviation is never the worst and never exceeds.
     A sampled curve whose times and values differ in length, and a nan
     tolerance, which no deviation exceeds, are refused.
     """
@@ -418,14 +471,28 @@ def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float
         raise ValueError("tolerance is nan; give a number")
     lo = float(exact.start)
     hi = float(exact.end)
-    common = [lo <= t <= hi for t in sampled.times]
-    times = [*compress(sampled.times, common)]
-    if not times:
+    times, values = sampled.times, sampled.values
+    if all(map(le, chain((-math.inf,), times), chain(times, (math.inf,)))):  # sorted, no nan: the range is a slice
+        common = slice(bisect_left(times, lo), bisect_right(times, hi))
+        times, values, order = times[common], values[common], None
+    else:  # read in sorted order, each value put back in the given order
+        common = [lo <= t <= hi for t in times]
+        times, values = [*compress(times, common)], [*compress(values, common)]
+        order = sorted(range(len(times)), key=times.__getitem__)
+    if not len(times):
         raise ValueError("curves share no common time range")
-    devs = [*map(abs, map(sub, compress(sampled.values, common), _floats_at(exact.points, times)))]
-    worst = max((d for d in devs if d == d), default=-1.0)  # a nan never counts as the worst
+    if order is None:
+        at = _floats_at(exact.points, times)
+    else:
+        at = [math.nan] * len(times)
+        for i, value in zip(order, _floats_at(exact.points, [*map(times.__getitem__, order)])):
+            at[i] = value
+    devs = [*map(abs, map(sub, values, at))]
+    worst = max(compress(devs, map(eq, devs, devs)), default=-1.0)  # a nan never counts as the worst
     worst_t = float(times[devs.index(worst)]) if worst >= 0 else lo
-    first_exceedance = next((float(t) for t, d in zip(times, devs) if d > tolerance), None)
+    # no deviation exceeds the tolerance unless the worst does: a nan neither exceeds nor is the worst
+    first = next(compress(count(), map(gt, devs, repeat(tolerance))), None) if worst > tolerance else None
+    first_exceedance = None if first is None else float(times[first])
     return OracleComparison(
         max_deviation=worst,
         at_time=worst_t,

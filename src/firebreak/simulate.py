@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .geodesic import _on_one_scale, _verticals
@@ -552,20 +552,21 @@ def _values_along(pts, points, scale):
 
 
 def _floats_at(points, times) -> list:
-    """``float(value_at(t))`` on the curve ``points`` at each float t of ``times``, in any order, bit for bit.
+    """``float(value_at(t))`` on the curve ``points`` at each float t of the sorted ``times``, bit for bit.
 
     Breakpoint i is passed at the smallest float not below its time, so one
-    ``bisect_right`` over those keys finds value_at's segment; flat end
-    pieces clamp the times outside.  A segment keeps ``_between``'s operands
-    as it rounds them: its start time (nan unless a float), float start,
-    value, rise and run.
+    ``bisect_left`` per breakpoint counts the times on each of value_at's
+    segments; flat end pieces clamp the times outside.  A segment keeps
+    ``_between``'s operands as it rounds them: its start time (nan unless a
+    float), float start, value, rise and run, repeated once per time on it.
     """
     keys = [math.nextafter(f, math.inf) if (f := float(t)) < t else f for t, _ in points]
     pieces = [(math.nan, 0.0, float(points[0][1]), None, None)]
     for (t0, v0), (t1, v1), key in zip(points, points[1:], keys):
         pieces.append((key if key == t0 else math.nan, float(t0), float(v0), float(v1 - v0), float(t1 - t0)))
     pieces.append((math.nan, 0.0, float(points[-1][1]), None, None))
-    found = map(pieces.__getitem__, map(bisect_right, repeat(keys), times))
+    cuts = [0, *map(bisect_left, repeat(times), keys), len(times)]
+    found = chain.from_iterable(map(repeat, pieces, map(sub, cuts[1:], cuts)))
     return [
         v0 if dt is None or t == exact  # value_at's t == t0
         else v0 + (rise / dt if (rise := dv * (t - t0)) != math.inf else dv * ((t - t0) / dt))

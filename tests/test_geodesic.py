@@ -139,6 +139,19 @@ class TestGeodesicDistance:
             geodesic_distance(system, point)
         assert str(info.value) == f"point {point!r} has a coordinate past the float range"
 
+    @pytest.mark.parametrize("point, shown", [((Fraction(10**401), 0.5), "(1e+401, 0.5)"),
+                                              ((0.5, Fraction(10**401)), "(0.5, 1e+401)")])
+    def test_a_rational_system_refuses_a_float_point_whose_distance_is_past_the_float_range(self, point, shown):
+        # the Fraction and float sums raised OverflowError: integer division result too large for a float
+        system = BarrierSystem(RATIONAL, 1, right=((Fraction(10**400), 1),), left=())
+        with pytest.raises(ValueError) as info:
+            geodesic_distance(system, point)
+        assert str(info.value) == f"point {shown} has a float coordinate, and its distance is past the float range"
+        # an exact point past the float range and a float point inside it keep their types
+        assert typed(geodesic_distance(system, (Fraction(10**401), 1))) == typed(Fraction(10**401 + 1))
+        assert typed(geodesic_distance(system, (10**401, 0))) == typed(Fraction(10**401 + 2))
+        assert typed(geodesic_distance(system, (2, 0.5))) == typed(2.5)
+
     @pytest.mark.parametrize("point, distance", [
         # (0, 5) gave the int 5: no system number entered its sum
         ((0, 5), Fraction(5)), ((10, 0), Fraction(44)), ((Fraction(1, 3), 2), Fraction(7, 3)), ((1, 17), Fraction(18)),

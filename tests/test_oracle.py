@@ -2,8 +2,9 @@
 
 import math
 import re
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from firebreak import (
     grid_consumption,
     valid_horizon,
 )
-from firebreak.oracle import _last_level, _levels, _run_levels, arrival_at
+from firebreak.oracle import _count_vertical, _last_level, _levels, _run_levels, arrival_at
 from firebreak.simulate import _floats_at
 
 
@@ -222,6 +223,25 @@ class TestCompare:
         assert str(info.value) == f"cell size must be > 0 and finite, got {cell!r}"
         assert consumption_tolerance(SINGLE, 0.125) == 0.75 and consumption_tolerance(SINGLE, Fraction(1, 8)) == 0.75
 
+    @pytest.mark.parametrize("points", [((0.0, -0.0), (1.0, -0.0), (2.0, 1.0)),
+                                        ((0.0, -1e308), (1.0, 1e308), (2.0, 1e308))])
+    def test_a_time_on_a_breakpoint_takes_its_value(self, points):
+        # value_at's t == t0: the segment's line gives 0.0 for -0.0, and nan where the rise is inf times 0
+        curve, times = PiecewiseLinearCurve(points), [0.0, 0.0, 0.5, 1.0, 1.5, 2.0]
+        assert [bits(x) for x in _floats_at(points, times)] == [bits(curve.value_at(t)) for t in times]
+
+    @pytest.mark.parametrize("container", [tuple, np.array])
+    def test_a_reversed_copy_reports_the_first_worst_and_exceedance_in_its_own_order(self, container):
+        # unsorted times are read in sorted order and each value put back: ties go to the first in the given order
+        curve = PiecewiseLinearCurve([(0, 0), (10, 10)])
+        devs = [0, 3, 0, 5, 0, 5, 0, 3, 0, 0, 0]
+        times = [float(t) for t in range(11)]
+        values = [t + d for t, d in zip(times, devs)]
+        forward = compare(curve, SampledCurve(container(times), container(values)), 2.0)
+        backward = compare(curve, SampledCurve(container(times[::-1]), container(values[::-1])), 2.0)
+        assert forward == (5.0, 3.0, 2.0, False, 1.0)
+        assert backward == (5.0, 5.0, 2.0, False, 7.0)
+
     def test_disjoint_ranges_rejected(self):
         curve = PiecewiseLinearCurve([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
@@ -269,6 +289,19 @@ class TestMemoryLimit:
 
 
 # -- properties against plain reference implementations ---------------------------
+
+# scenes for the vertical count, each (system, cell, horizon): at cell 1 every foot is its own column
+# a flank that falls below the first vertical's top and rises above it: the minimum has a flat step at the valley
+VALLEY = (rational(1, right=((2, 6), (2, 8))), 1.0, 30)
+# verticals on adjacent columns: each is the other's flank, blocked below its top
+FLANK_IS_A_VERTICAL = (rational(1, right=((2, 3), (1, 5))), 1.0, 20)
+# the column past the vertical is fully blocked and cuts the side off
+BESIDE_A_BLOCKED_COLUMN = (rational(1, right=((2, 5), (1, 4000))), 1.0, 20)
+# taller than the horizon, in float mode
+TALLER_THAN_THE_HORIZON = (BarrierSystem(FLOAT, 1, right=((2.0, 50.0),), left=((1.5, 12.5),)), 0.5, 10)
+# behind a tall vertical every flank level is past the last sample time
+LEVELS_PAST_THE_SAMPLES = (rational(1, right=((1, 9), (1, 9)), left=((1, 2), (3, 20))), 1.0, 12)
+
 
 # dyadic cells, and cells whose multiples round: the row and column of a midpoint and the
 # level counting of grid_consumption rest on float-rounding facts these exercise
@@ -448,13 +481,48 @@ def loop_compare(exact, sampled, tolerance):
     lo, hi = float(exact.start), float(exact.end)
     mask = (sampled.times >= lo) & (sampled.times <= hi)
     worst, worst_t, first = -1.0, lo, None
-    for t, v in zip(sampled.times[mask], sampled.values[mask]):
+    # read as Python floats, which overflow to inf where numpy scalars warn
+    for t, v in zip(map(float, sampled.times[mask]), map(float, sampled.values[mask])):
         dev = abs(v - float(clamped_value(exact, t)))
         if dev > worst:
             worst, worst_t = dev, float(t)
         if first is None and dev > tolerance:
             first = float(t)
     return worst, worst_t, first
+
+
+def vertical_by_rows(runs, col, k, n):
+    """The count per level below n of a vertical's k midpoints, each the least level of rows j and j + 1 of its
+    flank columns col -+ 1, read row by row from the pieces."""
+    def column(c):
+        pieces = next((pieces for a, b, pieces in runs if a <= c < b), None)
+        return [math.inf] * (k + 1) if pieces is None else [level + c for level in read_pieces(pieces, k + 1)]
+
+    rows = [min(a, b) for a, b in zip(column(col - 1), column(col + 1))]
+    counts = Counter(min(a, b) for a, b in zip(rows, rows[1:]))
+    return [counts[level] for level in range(n)]
+
+
+def counted_vertical(runs, col, k, n):
+    """``_count_vertical``'s count per level below n."""
+    spans = [0] * (n + 1)
+    _count_vertical(runs, col, k, spans, n)
+    return list(accumulate(spans))[:n]
+
+
+@st.composite
+def flank_levels(draw):
+    """A column's levels as pieces (row, level, slope) that meet end to end, blocked below the first row,
+    never below 0, and rising from the last piece on, as above every top."""
+    row, level, pieces = draw(st.integers(0, 12)), draw(st.integers(0, 30)), []
+    for _ in range(draw(st.integers(0, 3))):
+        slope, length = draw(st.sampled_from([1, -1])), draw(st.integers(1, 8))
+        if slope < 0:
+            length = min(length, level)
+        if length:
+            pieces.append((row, level, slope))
+            row, level = row + length, level + slope * length
+    return [*pieces, (row, level, 1)]
 
 
 def bits(x):
@@ -526,9 +594,72 @@ class TestOracleProperties:
            st.sampled_from([("right", "left"), ("right",), ("left",), "right", "left", ["left", "right"]]))
     @example(rational(1, right=((2, 4000),), left=((2, 3), (1, 6))), 0.5, 12, ("right", "left"))  # right cut off
     @example(rational(1, right=((1, 3),), left=((Fraction(3, 2), 5), (1, 2))), 0.25, 10, ("left",))
+    @example(*VALLEY, "right")
+    @example(*FLANK_IS_A_VERTICAL, "right")
+    @example(*BESIDE_A_BLOCKED_COLUMN, "right")
+    @example(*TALLER_THAN_THE_HORIZON, ("right", "left"))
+    @example(*LEVELS_PAST_THE_SAMPLES, ("right", "left"))
     def test_grid_consumption_matches_scalar_sampling(self, system, cell, horizon, sides):
         got = grid_consumption(system, cell, float(horizon), sides=sides)
         assert np.array_equal(got.values, scalar_consumption(system, cell, float(horizon), sides))
+
+    @settings(max_examples=100, deadline=None)
+    @given(curves(), st.sampled_from([1, 10**160]), st.data())
+    def test_compare_on_sorted_samples_matches_value_at_loop(self, curve, scale, data):
+        # sorted samples, many per segment, on breakpoints and outside [start, end], nan values among them; scaled
+        # by 1e160 a segment's rise overflows and takes _between's overflow form; in a tuple, list or numpy array
+        curve = PiecewiseLinearCurve([(t * scale, v * scale) for t, v in curve])
+        lo, hi = float(curve.start), float(curve.end)
+        on_grid = st.sampled_from([float(t) for t, _ in curve] + [lo, hi])
+        times = sorted(data.draw(st.lists(
+            st.one_of(on_grid, st.floats(min_value=lo - scale, max_value=hi + scale)), min_size=20, max_size=120)))
+        values = [v * scale for v in data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, math.nan]), st.floats(min_value=0, max_value=100)),
+            min_size=len(times), max_size=len(times)))]
+        tolerance = data.draw(st.floats(min_value=-1, max_value=20)) * scale
+        inside = [t for t in times if lo <= t <= hi]
+        if not inside:
+            for container in (tuple, list, np.array):
+                with pytest.raises(ValueError, match="^curves share no common time range$"):
+                    compare(curve, SampledCurve(container(times), container(values)), tolerance)
+            return
+        reference = [float(clamped_value(curve, t)) for t in inside]
+        assert [bits(x) for x in _floats_at(curve.points, inside)] == [bits(x) for x in reference]
+        expected = loop_compare(curve, SampledCurve(np.array(times), np.array(values)), tolerance)
+        for container in (tuple, list, np.array):
+            with np.errstate(over="ignore"):  # numpy scalars warn where the evaluator tests its rise for overflow
+                result = compare(curve, SampledCurve(container(times), container(values)), tolerance)
+            assert (bits(result.max_deviation), bits(result.at_time), bits(result.first_exceedance)) == tuple(
+                bits(x) for x in expected)
+            assert result.passed is (expected[2] is None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_systems(), CELLS, st.integers(1, 12), st.integers(1, 60))
+    @example(*VALLEY, 40)
+    @example(*FLANK_IS_A_VERTICAL, 30)
+    @example(*BESIDE_A_BLOCKED_COLUMN, 30)
+    @example(*TALLER_THAN_THE_HORIZON, 25)
+    @example(*LEVELS_PAST_THE_SAMPLES, 3)
+    def test_vertical_count_matches_the_row_by_row_loop(self, system, cell, horizon, n):
+        # every column of both sides as a vertical's, up to the top row and past it; levels from n on are clamped
+        scene = build_scene(system, cell, horizon)
+        for runs in _run_levels(scene):
+            for col in range(1, scene.source_col + 2):
+                for k in (0, 1, scene.rows - 1, scene.rows + 2):
+                    assert counted_vertical(runs, col, k, n) == vertical_by_rows(runs, col, k, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(flank_levels(), st.one_of(st.none(), flank_levels()), st.integers(0, 40), st.integers(1, 60))
+    # the right flank falls through the left, which rises, with levels of one parity apart: a flat step at 4
+    @example([(0, 0, 1)], [(0, 10, -1), (10, 0, 1)], 14, 30)
+    # blocked below row 5 on the left, falling then rising on the right
+    @example([(5, 5, 1)], [(0, 9, -1), (3, 6, 1)], 12, 30)
+    def test_vertical_count_on_any_flanks(self, left, right, k, n):
+        # flank columns that no sweep makes (a falling right flank under a rising left one), or a cut-off right
+        # flank (None), as pieces of levels that meet end to end
+        runs = [(0, 1, left), (1, 2, [(0, 0, 1)])] + ([] if right is None else [(2, 3, right)])
+        runs = [(a, b, [(row, level - a, slope) for row, level, slope in pieces]) for a, b, pieces in runs]
+        assert counted_vertical(runs, 1, k, n) == vertical_by_rows(runs, 1, k, n)
 
     @settings(max_examples=150, deadline=None)
     @given(curves(), st.data())
@@ -550,7 +681,8 @@ class TestOracleProperties:
                 compare(curve, sampled, tolerance)
             return
         result = compare(curve, sampled, tolerance)
-        assert [bits(x) for x in _floats_at(curve.points, times[mask])] == [bits(x) for x in reference]
+        order = np.argsort(times[mask], kind="stable")  # the evaluator reads sorted times
+        assert [bits(x) for x in _floats_at(curve.points, times[mask][order])] == [bits(reference[i]) for i in order]
         assert (bits(result.max_deviation), bits(result.at_time), bits(result.first_exceedance)) == tuple(
             bits(x) for x in expected)
         assert result.passed is (expected[2] is None)
