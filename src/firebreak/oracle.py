@@ -31,7 +31,11 @@ pairs, so Python does O(runs**2) work and only the running sums over the
 levels, in C, are O(samples): 17/9 at 6 cycles (1.4e12 grid nodes, 835 552
 samples at cell 1) is counted in about 0.3 s.  It and ``compare``, which
 reads the exact curve with the simulator's float evaluator, one bisect per
-breakpoint over the sorted sample times, run in pure Python; only
+breakpoint over the sorted sample times, run in pure Python.  The cell and
+horizon are read as floats; a rational system's lengths and a kept lattice
+curve's breakpoints are read as lattice ints over one scale, compared with
+bounds made ints once, and each float is one int true division, as
+``float(Fraction)`` makes it, so no ``Fraction`` is made in a loop.  Only
 ``grid_arrival``, which writes the run form out into the full grid, and
 ``GridScene.passable``, the bool node mask, import numpy, when called.
 Each of ``build_scene`` (the column tops), ``grid_arrival`` (the grid) and
@@ -50,7 +54,8 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import eq, gt, itemgetter, le, mul, sub
 from typing import NamedTuple
 
-from .model import LEFT, RIGHT, BarrierSystem, approx
+from .geodesic import _on_one_scale
+from .model import FLOAT, LEFT, RIGHT, BarrierSystem, approx
 from .simulate import PiecewiseLinearCurve, _floats_at
 
 # bytes per column of build_scene: the list the tops are set in and the tuple they end in
@@ -129,45 +134,57 @@ def _refuse_past_memory(nbytes: int, nodes: int, cell: float, horizon: float, wh
 
 def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene:
     """Scene covering everything reachable within the horizon plus a margin."""
-    return _scene(_walls(system), type(system.zero), cell, horizon)
+    return _scene(*_walls(system), *_floats(cell, horizon))
 
 
-def _walls(system: BarrierSystem) -> dict[str, tuple]:
-    """Each side's (foot, height) pairs, read once: ``feet`` sums the gaps on every call."""
-    return {side: tuple(zip(system.feet(side), system.heights(side))) for side in (RIGHT, LEFT)}
+def _floats(cell, horizon) -> tuple[float, float]:
+    """The cell and the horizon read as floats, once; a bool or what is not a real number is refused, by name."""
+    for name, x in (("cell", cell), ("horizon", horizon)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {x!r}")
+    return float(cell), float(horizon)
 
 
-def _scene(walls: dict[str, tuple], exact, cell: float, horizon: float) -> GridScene:
-    """``build_scene`` from ``_walls``; ``exact`` turns a float into the system's number type without rounding."""
+def _walls(system: BarrierSystem) -> tuple[int | None, dict[str, tuple]]:
+    """Each side's (foot, height) pairs, read once, and their scale: a rational system's as ints on one lattice
+    over that scale, a float system's as floats with the scale None."""
+    pairs = system.right, system.left
+    scale, sides = (None, pairs) if system.mode == FLOAT else _on_one_scale(*pairs)
+    return scale, {side: tuple(zip(accumulate(g for g, _ in pairs), (h for _, h in pairs)))
+                   for side, pairs in zip((RIGHT, LEFT), sides)}
+
+
+def _scene(scale: int | None, walls: dict[str, tuple], cell: float, horizon: float) -> GridScene:
+    """``build_scene`` from ``_walls`` and a float cell and horizon; a rational system's lengths are lattice ints."""
     if not (cell > 0 and 0 < horizon < math.inf):
         raise ValueError("cell size and horizon must be > 0 and the horizon finite")
     if cell > horizon:
         raise ValueError(f"cell {cell:g} is larger than the horizon {horizon:g}")
-    cell = float(cell)
-    horizon = float(horizon)
     ratio = horizon / cell  # past the float range (a cell of 5e-324) the exact ratio sizes the refusal
     steps = math.ceil(ratio if ratio < math.inf else Fraction(horizon) / Fraction(cell)) + 2  # 2-cell margin
     nx = 2 * steps + 1
     ny = steps + 1
     _refuse_past_memory(nx * _BYTES_PER_COLUMN, nx * ny, cell, horizon, "its column tops")
     tops = [0] * nx
-    # lengths compare exactly, with bounds made exact once (an inf stays a float),
-    # before they become floats, so lengths past the float range only mean a foot
-    # outside the scene or a fully blocked column
-    far, tall = (exact(b) if b < math.inf else b for b in (2 * (steps * cell), 2 * ny * cell))
+    # lengths compare exactly before they become floats, so lengths past the float range only mean a foot
+    # outside the scene or a fully blocked column: lattice ints with the bounds made ints once, as n / scale > b
+    # iff n > floor(b x scale) (an inf stays a float), and each float is one int true division, as float(Fraction)
+    far, tall = (b if not scale or b == math.inf else math.floor(Fraction(b) * scale)
+                 for b in (2 * (steps * cell), 2 * ny * cell))
+    scale = scale or 1  # a float divided by 1 is itself
     for side, sign in ((RIGHT, 1), (LEFT, -1)):
         for foot, height in walls[side]:
             if foot > far:
                 continue
-            col = steps + round(sign * float(foot) / cell)
+            col = steps + round(sign * foot / scale / cell)
             if not 0 <= col < nx:
                 continue
             # block nodes strictly below the top; the top node stays open
-            top_row = ny if height > tall else math.floor(float(height) / cell - 1e-9) + 1
+            top_row = ny if height > tall else math.floor(height / scale / cell - 1e-9) + 1
             tops[col] = max(tops[col], min(top_row, ny))
     if tops[steps]:  # a foot within half a cell of the origin rounds onto it
         firsts = (sign * foot for side, sign in ((RIGHT, 1), (LEFT, -1)) for foot, _ in walls[side][:1])
-        x = float(min(firsts, key=abs))
+        x = min(firsts, key=abs) / scale
         raise ValueError(
             f"cell {cell:g} rounds the vertical at x={x:g} onto the source node; use a cell below {2 * abs(x):g}"
         )
@@ -372,28 +389,37 @@ def grid_consumption(
     2**52; so the points are counted by level, and ``grid_arrival``'s cut at
     horizon + 2 cells, past every counted level, is never needed.
     What this needs is refused before allocating when it cannot fit in
-    physical memory.
+    physical memory.  The cell and the horizon are read as floats, a bool
+    or what is not a real number refused, and a rational system's lengths
+    as lattice ints (``_walls``).
     """
     sides = (sides,) if isinstance(sides, str) else tuple(sides)
     unknown = [side for side in sides if side not in (RIGHT, LEFT)]
     if unknown or not sides:
         raise ValueError(f"unknown side {unknown[0]!r}: sides are 'right' and 'left'" if unknown
                          else "sides is empty: give 'right', 'left' or both")
-    walls, exact = _walls(system), type(system.zero)
-    scene = _scene(walls, exact, cell, horizon)
+    cell, horizon = _floats(cell, horizon)
+    scale, walls = _walls(system)
+    scene = _scene(scale, walls, cell, horizon)
     head = float(system.head_start)
     # vertical barriers: midpoints y = (j + 0.5) cell along the height, the
     # point between rows j and j + 1 of the two flanking columns; points with
     # arrival beyond the horizon can never be counted, and arrival >= foot + y,
     # so the sampled stretch is capped accordingly; no sample lies above the
     # horizon, so a taller vertical is cut there; the midpoints below the
-    # float height are a prefix of the j
-    bound = exact(horizon)  # compared exactly, made exact once
+    # float height are a prefix of the j.  Lattice ints compare with the
+    # horizon made ints once: n / scale < horizon iff n < ceil(horizon x scale)
+    # and n / scale <= horizon iff n <= floor(horizon x scale)
+    below = within = horizon
+    if scale:
+        bound = Fraction(horizon) * scale
+        below, within = math.ceil(bound), math.floor(bound)
+    scale = scale or 1
     verticals = {side: [] for side in (RIGHT, LEFT) if side in sides}  # side-local column, midpoint count
     for side, found in verticals.items():
         for foot, height in walls[side]:
-            if foot < bound:
-                foot, height = float(foot), float(min(height, bound))
+            if foot < below:
+                foot, height = foot / scale, height / scale if height <= within else horizon
                 k = max(1, round(min(height, horizon - foot) / cell))
                 while k and (k - 0.5) * cell > height:
                     k -= 1
@@ -463,15 +489,17 @@ def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float
     value put back, so ``at_time`` and ``first_exceedance`` are the first in
     the given order.  A nan deviation is never the worst and never exceeds.
     A sampled curve whose times and values differ in length, and a nan
-    tolerance, which no deviation exceeds, are refused.
+    tolerance, which no deviation exceeds, are refused.  A curve that keeps
+    its lattice is read on its ints, and numpy samples as Python floats.
     """
     if len(sampled.times) != len(sampled.values):
         raise ValueError(f"sampled curve has {len(sampled.times)} times but {len(sampled.values)} values")
     if tolerance != tolerance:
         raise ValueError("tolerance is nan; give a number")
-    lo = float(exact.start)
-    hi = float(exact.end)
-    times, values = sampled.times, sampled.values
+    scale, points, _ = exact._lattice or (None, exact.points, None)
+    lo, hi = (t / scale if scale else float(t) for t in (points[0][0], points[-1][0]))
+    # numpy samples are read as Python floats, whose products go to inf where numpy's scalars warn
+    times, values = (xs if isinstance(xs, (tuple, list)) else [*map(float, xs)] for xs in sampled)
     if all(map(le, chain((-math.inf,), times), chain(times, (math.inf,)))):  # sorted, no nan: the range is a slice
         common = slice(bisect_left(times, lo), bisect_right(times, hi))
         times, values, order = times[common], values[common], None
@@ -482,10 +510,10 @@ def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float
     if not len(times):
         raise ValueError("curves share no common time range")
     if order is None:
-        at = _floats_at(exact.points, times)
+        at = _floats_at(points, times, scale)
     else:
         at = [math.nan] * len(times)
-        for i, value in zip(order, _floats_at(exact.points, [*map(times.__getitem__, order)])):
+        for i, value in zip(order, _floats_at(points, [*map(times.__getitem__, order)], scale)):
             at[i] = value
     devs = [*map(abs, map(sub, values, at))]
     worst = max(compress(devs, map(eq, devs, devs)), default=-1.0)  # a nan never counts as the worst

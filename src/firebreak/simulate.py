@@ -29,7 +29,8 @@ scan's float products decide where they differ, and every other pair is
 read on its exact integer ratios.  Other curves are read exactly on one
 lattice of ints made from their points, by the CSV export only without a
 float: curves with a float, and the grid oracle's ``compare``, are read by
-one float evaluator, ``value_at`` bit for bit.
+one float evaluator, ``value_at`` bit for bit, which reads a kept lattice
+on its ints.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -551,7 +552,7 @@ def _values_along(pts, points, scale):
         yield v0 / scale if t == t0 else (v0 * (t1 - t0) + (v1 - v0) * (t - t0)) / ((t1 - t0) * scale)
 
 
-def _floats_at(points, times) -> list:
+def _floats_at(points, times, scale=None) -> list:
     """``float(value_at(t))`` on the curve ``points`` at each float t of the sorted ``times``, bit for bit.
 
     Breakpoint i is passed at the smallest float not below its time, so one
@@ -559,12 +560,21 @@ def _floats_at(points, times) -> list:
     segments; flat end pieces clamp the times outside.  A segment keeps
     ``_between``'s operands as it rounds them: its start time (nan unless a
     float), float start, value, rise and run, repeated once per time on it.
+    With a ``scale`` the points are a kept lattice's ints n, and each float
+    n / scale is one int true division, as ``float(Fraction)`` makes it.
     """
-    keys = [math.nextafter(f, math.inf) if (f := float(t)) < t else f for t, _ in points]
-    pieces = [(math.nan, 0.0, float(points[0][1]), None, None)]
-    for (t0, v0), (t1, v1), key in zip(points, points[1:], keys):
-        pieces.append((key if key == t0 else math.nan, float(t0), float(v0), float(v1 - v0), float(t1 - t0)))
-    pieces.append((math.nan, 0.0, float(points[-1][1]), None, None))
+    num = float if scale is None else scale.__rtruediv__  # n -> n / scale
+    pieces = [(math.nan, 0.0, num(points[0][1]), None, None)]
+    if scale is None:
+        keys = [math.nextafter(f, math.inf) if (f := float(t)) < t else f for t, _ in points]
+        for (t0, v0), (t1, v1), key in zip(points, points[1:], keys):
+            pieces.append((key if key == t0 else math.nan, float(t0), float(v0), float(v1 - v0), float(t1 - t0)))
+    else:  # for f = a / b, the gap b x n - a x scale has the sign of n / scale - f
+        gaps = [(f, b * n - a * scale) for n, _ in points for f in [n / scale] for a, b in [f.as_integer_ratio()]]
+        keys = [math.nextafter(f, math.inf) if gap > 0 else f for f, gap in gaps]
+        for (t0, v0), (t1, v1), (f, gap), key in zip(points, points[1:], gaps, keys):
+            pieces.append((math.nan if gap else key, f, num(v0), num(v1 - v0), num(t1 - t0)))
+    pieces.append((math.nan, 0.0, num(points[-1][1]), None, None))
     cuts = [0, *map(bisect_left, repeat(times), keys), len(times)]
     found = chain.from_iterable(map(repeat, pieces, map(sub, cuts[1:], cuts)))
     return [

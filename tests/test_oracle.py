@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate
@@ -242,6 +243,14 @@ class TestCompare:
         assert forward == (5.0, 3.0, 2.0, False, 1.0)
         assert backward == (5.0, 5.0, 2.0, False, 7.0)
 
+    def test_numpy_samples_whose_rise_passes_the_float_range_compare_with_warnings_as_errors(self):
+        # numpy scalars warned "overflow encountered in scalar multiply" at the evaluator's overflow test
+        curve = PiecewiseLinearCurve([(0.0, 0.0), (1e200, 1e200)])
+        times = np.array([0.0, 5e199, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compare(curve, SampledCurve(times, times.copy()), 1.0) == (0.0, 0.0, 1.0, True, None)
+
     def test_disjoint_ranges_rejected(self):
         curve = PiecewiseLinearCurve([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
@@ -286,6 +295,27 @@ class TestMemoryLimit:
     def test_cell_larger_than_horizon_rejected(self, cell):
         with pytest.raises(ValueError, match=re.escape(f"cell {cell:g} is larger than the horizon 10")):
             build_scene(SINGLE, cell, 10.0)
+
+    @pytest.mark.parametrize("name, cell, horizon", [
+        ("cell", True, 30.0), ("horizon", 0.5, True), ("cell", False, 30.0), ("cell", "0.5", 30.0),
+        ("horizon", 0.5, "30"), ("cell", None, 30.0), ("horizon", 0.5, 30j)])
+    def test_cell_or_horizon_that_is_a_bool_or_not_a_real_number_refused(self, name, cell, horizon):
+        # a True cell sampled at cell 1 with int times, a True horizon ran at horizon 1, "0.5" raised a bare TypeError
+        value = cell if name == "cell" else horizon
+        for build in (build_scene, grid_consumption):
+            with pytest.raises(ValueError) as info:
+                build(SINGLE, cell, horizon)
+            assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("cell, horizon, floats", [
+        (1, 30, (1.0, 30.0)), (Fraction(1, 4), Fraction(30), (0.25, 30.0)), (Fraction(1, 3), 30, (1 / 3, 30.0)),
+        (np.float64(0.5), 30, (0.5, 30.0))])
+    def test_int_and_fraction_cells_and_horizons_are_read_as_floats(self, cell, horizon, floats):
+        # an int or Fraction cell gave int or Fraction times and values, sampled in Fraction arithmetic
+        got = grid_consumption(SINGLE, cell, horizon)
+        assert all(type(x) is float for x in (*got.times, *got.values))
+        assert repr(got) == repr(grid_consumption(SINGLE, *floats))
+        assert build_scene(SINGLE, cell, horizon) == build_scene(SINGLE, *floats)
 
 
 # -- properties against plain reference implementations ---------------------------
@@ -529,6 +559,125 @@ def bits(x):
     return None if x is None else float(x).hex()
 
 
+def floats_or_error(*args):
+    """``_floats_at``'s floats as hex, or the error it raised."""
+    try:
+        return [bits(x) for x in _floats_at(*args)]
+    except OverflowError as exc:
+        return repr(exc)
+
+
+def nudged(f, ulps):
+    """The float ``ulps`` floats above ``f``, or below it for a negative ``ulps``."""
+    for _ in range(abs(ulps)):
+        f = math.nextafter(f, math.copysign(math.inf, ulps))
+    return f
+
+
+@st.composite
+def lattice_curves(draw):
+    """A kept lattice as (scale, int points, sorted float times): times on the breakpoints' floats, 1-3 ulps either
+    side of them and outside [start, end], some of them repeated."""
+    scale = draw(st.sampled_from([1, 3, 10, 2, 2**10, 2**60, 10**12, 10**400]))
+    t, v = draw(st.integers(-5 * scale, 5 * scale)), 0
+    ints = [(t, v)]
+    for _ in range(draw(st.integers(1, 7))):
+        t, v = t + draw(st.integers(1, 10 * scale)), v + draw(st.one_of(st.just(0), st.integers(0, 10 * scale)))
+        ints.append((t, v))
+    floats = st.sampled_from([t / scale for t, _ in ints])
+    outside = st.floats(min_value=ints[0][0] / scale - 2, max_value=ints[-1][0] / scale + 2)
+    times = draw(st.lists(st.one_of(floats, st.builds(nudged, floats, st.integers(-3, 3)), outside), min_size=1,
+                          max_size=40))
+    times += draw(st.lists(st.sampled_from(times), max_size=5))
+    return scale, ints, sorted(times)
+
+
+def fraction_walls(system):
+    """Each side's (foot, height) pairs in the system's own numbers, summed as ``system.feet`` sums them."""
+    return {side: tuple(zip(system.feet(side), system.heights(side))) for side in ("right", "left")}
+
+
+def fraction_scene(system, cell, horizon):
+    """The scene as it was built on Fractions: bounds made exact, and every length made a float alone."""
+    walls, exact = fraction_walls(system), type(system.zero)
+    steps = math.ceil(horizon / cell) + 2
+    nx, ny = 2 * steps + 1, steps + 1
+    tops = [0] * nx
+    far, tall = (exact(b) if b < math.inf else b for b in (2 * (steps * cell), 2 * ny * cell))
+    for side, sign in (("right", 1), ("left", -1)):
+        for foot, height in walls[side]:
+            col = steps + round(sign * float(foot) / cell) if foot <= far else -1
+            if 0 <= col < nx:
+                top_row = ny if height > tall else math.floor(float(height) / cell - 1e-9) + 1
+                tops[col] = max(tops[col], min(top_row, ny))
+    return GridScene(cell=cell, tops=tuple(tops), rows=ny, source_col=steps)
+
+
+def fraction_consumption(system, cell, horizon, sides):
+    """``grid_consumption`` as it was on Fractions: the verticals' feet and heights compared with the exact horizon
+    and each made a float alone, the ground and the counting as ``grid_consumption`` has them."""
+    sides = (sides,) if isinstance(sides, str) else sides
+    walls, bound, scene = fraction_walls(system), type(system.zero)(horizon), fraction_scene(system, cell, horizon)
+    verticals = {side: [] for side in ("right", "left") if side in sides}
+    for side, found in verticals.items():
+        for foot, height in walls[side]:
+            if foot < bound:
+                foot, height = float(foot), float(min(height, bound))
+                k = max(1, round(min(height, horizon - foot) / cell))
+                while k and (k - 0.5) * cell > height:
+                    k -= 1
+                found.append((round(foot / cell), k))
+    head = float(system.head_start)
+    x_max = min(horizon, scene.x_extent - cell)
+    lo = math.floor(head / cell)
+    hi = lo + max(0, math.floor((x_max - head) / cell)) + 1
+    while lo < hi and (lo + 0.5) * cell < head:
+        lo += 1
+    while lo < hi and (hi - 0.5) * cell > x_max:
+        hi -= 1
+    n = math.ceil((horizon + 0.5 * cell) / cell)
+    spans = [0] * (n + 1)
+    runs = dict(zip(("right", "left"), _run_levels(scene)))
+    for side, found in verticals.items():
+        for col, k in found:
+            _count_vertical(runs[side], col, k, spans, n)
+        ground = [(a, b, level if row == 0 else math.inf) for a, b, ((row, level, _), *_) in runs[side]]
+        for (a, b, base), after in zip(ground, [base + a for a, _, base in ground[1:]] + [math.inf]):
+            first, stop = max(a, lo), min(b - 1, hi)
+            if first < stop and base < math.inf:
+                spans[min(base + first, n)] += 1
+                spans[min(base + stop, n)] -= 1
+            if lo <= b - 1 < hi and (level := min(base + b - 1, after)) < math.inf:
+                spans[min(level, n)] += 1
+                spans[min(level + 1, n)] -= 1
+    counts = list(accumulate(accumulate(spans)))[:n]
+    return SampledCurve(times=tuple(i * cell for i in range(n)), values=tuple(c * cell for c in counts))
+
+
+@st.composite
+def lattice_systems(draw):
+    """Rational or float systems with 0-4 verticals per side on a grid of 1/1, 1/3, 1/4 or 1/10, and a horizon.
+
+    The first foot is at least 1; a height of 1000 stands taller than every
+    scene, and one past the float range (rational only) blocks its column.
+    The horizon is a whole number or a foot, so a foot can stand exactly on it.
+    """
+    mode, den = draw(st.sampled_from([RATIONAL, FLOAT])), draw(st.sampled_from([1, 3, 4, 10]))
+    number = (lambda n: Fraction(n, den)) if mode == RATIONAL else (lambda n: n / den)
+    tallest = [1000 * den] + ([10**340] if mode == RATIONAL else [])
+
+    def side():
+        n = draw(st.integers(0, 4))
+        gaps = draw(st.lists(st.integers(1, 4 * den), min_size=n, max_size=n))
+        heights = draw(st.lists(st.one_of(st.integers(1, 6 * den), st.sampled_from(tallest)), min_size=n, max_size=n))
+        gaps[:1] = [max(den, g) for g in gaps[:1]]
+        return tuple((number(g), number(h)) for g, h in zip(gaps, heights))
+
+    system = BarrierSystem(mode=mode, head_start=number(draw(st.integers(1, 2 * den))), right=side(), left=side())
+    feet = [float(foot) for side in ("right", "left") for foot in system.feet(side) if float(foot) <= 16]
+    return system, draw(st.one_of(st.integers(1, 12).map(float), *([st.sampled_from(feet)] if feet else [])))
+
+
 class TestOracleProperties:
     @settings(max_examples=120, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12), MAX_TIMES)
@@ -627,11 +776,38 @@ class TestOracleProperties:
         assert [bits(x) for x in _floats_at(curve.points, inside)] == [bits(x) for x in reference]
         expected = loop_compare(curve, SampledCurve(np.array(times), np.array(values)), tolerance)
         for container in (tuple, list, np.array):
-            with np.errstate(over="ignore"):  # numpy scalars warn where the evaluator tests its rise for overflow
-                result = compare(curve, SampledCurve(container(times), container(values)), tolerance)
+            result = compare(curve, SampledCurve(container(times), container(values)), tolerance)
             assert (bits(result.max_deviation), bits(result.at_time), bits(result.first_exceedance)) == tuple(
                 bits(x) for x in expected)
             assert result.passed is (expected[2] is None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_systems(), CELLS)
+    @example((rational(1, right=((1, 3), (10**340, 1))), 10.0), 0.5)  # a foot past the float range
+    @example((rational(1, right=((2, 10**340),)), 10.0), 0.5)  # a height past the float range
+    @example((rational(1, right=((Fraction(1, 3), 5), (Fraction(29, 3), 2))), 10.0), 1 / 3)  # a foot at the horizon
+    @example((rational(1, right=((2, 26), (1, 27)), left=((2, Fraction(79, 3)),)), 10.0), 1.0)  # a height at 2 rows
+    @example((rational(1, right=((Fraction(3, 10), 5), (Fraction(27, 10), 6))), 3.0), 0.3)  # non-dyadic cell
+    def test_scene_and_consumption_match_the_fraction_reference(self, system_and_horizon, cell):
+        # lattice ints against each length made a float alone and compared with exact bounds, in both modes
+        system, horizon = system_and_horizon
+        assert build_scene(system, cell, horizon) == fraction_scene(system, cell, horizon)
+        for sides in (("right", "left"), "right", "left"):
+            assert repr(grid_consumption(system, cell, horizon, sides)) == repr(
+                fraction_consumption(system, cell, horizon, sides))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_curves())
+    @example((1, [(0, 0), (1, 10**400)], [0.5]))  # a rise past the float range
+    @example((10**400, [(0, 0), (10**800, 1)], [1.0]))  # an end time past the float range
+    def test_lattice_operands_match_the_fraction_operands(self, curve):
+        # the lattice path reads n / scale with one int division each and no Fraction, bit for bit or the same error
+        scale, ints, times = curve
+        fractions = [(Fraction(t, scale), Fraction(v, scale)) for t, v in ints]
+        got = floats_or_error(ints, times, scale)
+        assert got == floats_or_error(fractions, times)
+        if isinstance(got, list):
+            assert got == [bits(clamped_value(PiecewiseLinearCurve(fractions), t)) for t in times]
 
     @settings(max_examples=60, deadline=None)
     @given(small_systems(), CELLS, st.integers(1, 12), st.integers(1, 60))
