@@ -13,7 +13,9 @@ x-monotone path needs to clear the given barrier heights and end at height
 y.  Per-face arrival profiles are piecewise linear in arclength with slopes
 exactly +-1 (the front moves at unit speed along any face it consumes).
 Truncated at a horizon, every piece of a profile still changes time: a face
-the front reaches only at the horizon has no profile.
+the front reaches only at the horizon has no profile.  On a rational system
+an int or Fraction point is read as integer ratios, on the lattice of
+``model._on_one_scale``, and one Fraction is made for its distance.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, approx
+from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _on_one_scale, approx
 
 GROUND = "ground"
 VERTICAL_LEFT = "vertical_left"    # face toward the origin
@@ -59,27 +61,29 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
     In rational mode an int or Fraction point runs on the lattice of its side up to it for a Fraction; floats, a float.
     """
     x, y = point
-    for c in (x, y):  # the type test first: an ABC check is slow
-        if type(c) not in (int, float, Fraction) and (isinstance(c, bool) or not isinstance(c, numbers.Real)):
-            raise ValueError(f"point {point!r} has a coordinate that is not a real number")
-    if not (-math.inf < x < math.inf and -math.inf < y < math.inf):  # nan fails too; no float made of a Fraction
-        raise ValueError(f"point {point!r} has a coordinate that is not finite")
-    if y < 0:
+    exact = system.mode == RATIONAL and type(x) in (int, Fraction) and type(y) in (int, Fraction)
+    if not exact:  # an int or a Fraction is finite, and its sign is its numerator's
+        for c in (x, y):  # the type test first: an ABC check is slow
+            if type(c) not in (int, float, Fraction) and (isinstance(c, bool) or not isinstance(c, numbers.Real)):
+                raise ValueError(f"point {point!r} has a coordinate that is not a real number")
+        if not (-math.inf < x < math.inf and -math.inf < y < math.inf):  # nan fails too; no float made of a Fraction
+            raise ValueError(f"point {point!r} has a coordinate that is not finite")
+    if (y.numerator if exact else y) < 0:
         raise ValueError(f"point must lie in the upper half-plane, got y={y}")
     try:  # a float system reads the point as its numbers
         x, y = (float(x), float(y)) if system.mode == FLOAT else (x, y)
     except OverflowError:
         raise ValueError(f"point {point!r} has a coordinate past the float range") from None
-    ax = x if x >= 0 else -x
-    pairs, scale = system.pairs(RIGHT if x >= 0 else LEFT), None
-    if system.mode == RATIONAL and type(x) in (int, Fraction) and type(y) in (int, Fraction):
-        (a, b), foot, den = ax.as_integer_ratio(), 0, 1  # the feet on a growing lattice, up to the first at ax or past
+    pairs, scale = system.pairs(RIGHT if (x.numerator if exact else x) >= 0 else LEFT), None
+    if exact:
+        (a, b), foot, den = x.as_integer_ratio(), 0, 1  # the feet on a growing lattice, up to the first at |x| or past
         for cut, (n, d) in enumerate(gap.as_integer_ratio() for gap, _ in pairs):
             foot, den = foot * (m := d // math.gcd(den, d)) + n * (den * m // d), den * m
-            if foot * b >= a * den:
+            if foot * b >= abs(a) * den:
                 pairs = pairs[: cut + 1]  # the pairs after it are never read
                 break
-        scale, (pairs, [(ax, y)]) = _on_one_scale(pairs, [(ax, y)])
+        scale, (pairs, [(x, y)]) = _on_one_scale(pairs, [(x, y)])  # x keeps its sign: no Fraction made for |x|
+    ax = x if x >= 0 else -x
     for _, foot, height, clearance, top in _verticals(pairs, system.zero if scale is None else 0):
         if foot is None or foot >= ax:
             break
@@ -99,15 +103,6 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
 def top_arrival_times(system: BarrierSystem, side: str) -> tuple:
     """Arrival time of the fire at the top of each vertical on one side."""
     return tuple(top for *_, top in _verticals(system.pairs(side), system.zero))[:-1]  # not the ray
-
-
-def _on_one_scale(*curves):
-    """Point lists as int pairs over the LCM of all their denominators, and that LCM.
-
-    Ints, Fractions and floats all read exactly through ``as_integer_ratio``."""
-    ratios = [[(t.as_integer_ratio(), v.as_integer_ratio()) for t, v in points] for points in curves]
-    scale = math.lcm(*(den for points in ratios for (_, dt), (_, dv) in points for den in (dt, dv)))
-    return scale, [[(nt * (scale // dt), nv * (scale // dv)) for (nt, dt), (nv, dv) in points] for points in ratios]
 
 
 def _verticals(pairs, zero):

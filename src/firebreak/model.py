@@ -18,7 +18,9 @@ Two numeric modes:
   tolerances.
 
 All types are immutable ``NamedTuple`` records and all operations are pure
-functions.
+functions.  This base module imports no other ``firebreak`` module; its
+``_on_one_scale`` makes the int lattice that ``normalize_doubling``,
+``geodesic``, ``simulate`` and ``oracle`` run rational numbers on.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Sequence, Union
 
 Number = Union[Fraction, float]
@@ -317,20 +320,27 @@ def normalize_doubling(system: BarrierSystem) -> BarrierSystem:
     start are merged into one at its end, and remaining doubling violators
     are removed with the following gap grown by twice the height excess over
     the predecessor.  The output consumes pointwise no more than the input
-    at every time.
+    at every time.  A rational system runs on its lattice: a length that
+    comes out unchanged keeps its Fraction, and each new gap is one Fraction.
     """
-    sides = {}
-    for name in SIDES:
-        pairs = _drop_non_increasing(list(system.pairs(name)))
-        pairs = _merge_head_start(pairs, system.head_start)
-        pairs = _enforce_doubling(pairs)
-        sides[name] = tuple(pairs)
-    return BarrierSystem(
-        mode=system.mode,
-        head_start=system.head_start,
-        right=sides[RIGHT],
-        left=sides[LEFT],
-    )
+    scale, head, sides = None, system.head_start, (system.right, system.left)
+    if system.mode == RATIONAL:
+        scale, (*sides, [(head, _)]) = _on_one_scale(*sides, [(head, 0)])
+        known = dict(zip(chain.from_iterable(chain(*sides)), chain.from_iterable(chain(system.right, system.left))))
+    sides = [_enforce_doubling(_merge_head_start(_drop_non_increasing(list(pairs)), head)) for pairs in sides]
+    if scale:
+        sides = [[tuple(known[n] if n in known else Fraction(n, scale) for n in pair) for pair in pairs]
+                 for pairs in sides]
+    return BarrierSystem(system.mode, system.head_start, *map(tuple, sides))
+
+
+def _on_one_scale(*curves):
+    """Point lists as int pairs over the LCM of all their denominators, and that LCM.
+
+    Ints, Fractions and floats all read exactly through ``as_integer_ratio``."""
+    ratios = [[(t.as_integer_ratio(), v.as_integer_ratio()) for t, v in points] for points in curves]
+    scale = math.lcm(*(den for points in ratios for (_, dt), (_, dv) in points for den in (dt, dv)))
+    return scale, [[(nt * (scale // dt), nv * (scale // dv)) for (nt, dt), (nv, dv) in points] for points in ratios]
 
 
 def scale(system: BarrierSystem, factor) -> BarrierSystem:
@@ -367,8 +377,9 @@ def approx(x) -> str:
     if not x:
         return "0"
     sign, x = "-" if x < 0 else "", abs(Fraction(x))
-    exp = len(str(x.numerator)) - len(str(x.denominator))  # floor(log10 x) or one more
-    if x < Fraction(10) ** exp:
+    # floor(log10 x) within one, with no str of an int past int_digit_limit(); then made exact
+    exp = math.floor(math.log10(x.numerator) - math.log10(x.denominator)) + 1
+    while x < Fraction(10) ** exp:
         exp -= 1
     digits = round(x / Fraction(10) ** (exp - 5))
     if digits == 10**6:

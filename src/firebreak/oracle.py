@@ -32,15 +32,16 @@ levels, in C, are O(samples): 17/9 at 6 cycles (1.4e12 grid nodes, 835 552
 samples at cell 1) is counted in about 0.3 s.  It and ``compare``, which
 reads the exact curve with the simulator's float evaluator, one bisect per
 breakpoint over the sorted sample times, run in pure Python.  The cell and
-horizon are read as floats; a rational system's lengths and a kept lattice
-curve's breakpoints are read as lattice ints over one scale, compared with
-bounds made ints once, and each float is one int true division, as
-``float(Fraction)`` makes it, so no ``Fraction`` is made in a loop.  Only
-``grid_arrival``, which writes the run form out into the full grid, and
-``GridScene.passable``, the bool node mask, import numpy, when called.
-Each of ``build_scene`` (the column tops), ``grid_arrival`` (the grid) and
-``grid_consumption`` (the column tops and the samples) refuses, before
-allocating, what would not fit in physical memory.
+horizon are read as floats, refused by name past the float range; a rational
+system's lengths and a kept lattice curve's breakpoints are read as lattice
+ints over one scale, compared with bounds made ints once, and each float is
+one int true division, as ``float(Fraction)`` makes it, so no ``Fraction``
+is made in a loop.  Only ``grid_arrival``, which writes the run form out
+into the full grid, and ``GridScene.passable``, the bool node mask, import
+numpy, when called.  Each of ``build_scene`` (the column tops),
+``grid_arrival`` (the grid) and ``grid_consumption`` (the column tops and
+the samples) refuses, before allocating, what would not fit in physical
+memory.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import eq, gt, itemgetter, le, mul, sub
 from typing import NamedTuple
 
-from .geodesic import _on_one_scale
-from .model import FLOAT, LEFT, RIGHT, BarrierSystem, approx
+from .model import FLOAT, LEFT, RIGHT, BarrierSystem, _on_one_scale, approx
 from .simulate import PiecewiseLinearCurve, _floats_at
 
 # bytes per column of build_scene: the list the tops are set in and the tuple they end in
@@ -138,11 +138,17 @@ def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene
 
 
 def _floats(cell, horizon) -> tuple[float, float]:
-    """The cell and the horizon read as floats, once; a bool or what is not a real number is refused, by name."""
+    """The cell and the horizon read as floats, once; a bool, what is not a real number and what is past the float
+    range are refused, by name."""
+    floats = []
     for name, x in (("cell", cell), ("horizon", horizon)):
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {x!r}")
-    return float(cell), float(horizon)
+        try:
+            floats.append(float(x))
+        except OverflowError:  # an int or a Fraction
+            raise ValueError(f"{name} {approx(x)} is past the float range") from None
+    return tuple(floats)
 
 
 def _walls(system: BarrierSystem) -> tuple[int | None, dict[str, tuple]]:

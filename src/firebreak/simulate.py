@@ -21,8 +21,11 @@ so the tops behind the horizons, ramps, sweeps, the curves' order checks and
 speed checks run on Python ints, and each rational curve keeps that lattice
 (scale, int points, segment ks) and makes its points when read.  Fractions
 are a boundary type: one is made for each number a caller reads, and none
-is compared or combined again in a loop.  Float mode runs the same code at
-scale 1.  On a kept lattice the ratio scan tests a rise of Q by
+is compared or combined again in a loop; the lattice helper is
+``model._on_one_scale``.  Float mode runs the same code at scale 1.  A kept
+lattice's ``start`` and ``end`` make the time alone, and ``value_at`` at an
+int or Fraction time reads the ints and makes one Fraction.  On a kept
+lattice the ratio scan tests a rise of Q by
 ``k*t0 > v0``, each CSV cell is one int division, and the k-interval
 document renders each time once, from its int.  Off a lattice the ratio
 scan's float products decide where they differ, and every other pair is
@@ -46,8 +49,8 @@ from itertools import chain, repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from .geodesic import _on_one_scale, _verticals
-from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, approx, render_number, validate
+from .geodesic import _verticals
+from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _on_one_scale, approx, render_number, validate
 
 TOTAL = "total"
 
@@ -83,10 +86,14 @@ class PiecewiseLinearCurve:
     def _point(self, i):  # breakpoint i, made alone from the lattice while the points are not
         return self._points[i] if self._points else tuple(_number(self._lattice[0], x) for x in self._lattice[1][i])
 
+    def _time(self, i):  # breakpoint i's time, made alone
+        return self._points[i][0] if self._points else _number(self._lattice[0], self._lattice[1][i][0])
+
     def _count(self, t) -> int:  # breakpoints at or before t: on a lattice, at or before floor(t*scale)
         if not self._lattice:
             return bisect_right(self._points, (t, math.inf))  # (t, inf) sorts after every breakpoint at t
-        return bisect_right(self._lattice[1], (math.floor(Fraction(t) * self._lattice[0]), math.inf))
+        a, b = (t if type(t) in (int, float, Fraction) else Fraction(t)).as_integer_ratio()
+        return bisect_right(self._lattice[1], ((a * self._lattice[0]) // b, math.inf))
 
     def __iter__(self):
         return iter(self.points)
@@ -96,17 +103,23 @@ class PiecewiseLinearCurve:
 
     @property
     def start(self):
-        return self._point(0)[0]
+        return self._time(0)
 
     @property
     def end(self):
-        return self._point(-1)[0]
+        return self._time(-1)
 
     def value_at(self, t):
-        if not (self.start <= t <= self.end):
-            raise ValueError(f"time {t} outside curve domain [{self.start}, {self.end}]")
-        hi = min(self._count(t), len(self) - 1)
-        return _between(t, *self._point(hi - 1), *self._point(hi))
+        if self._lattice and type(t) in (int, Fraction):  # on the ints, and one Fraction made
+            scale, pts, _ = self._lattice
+            (a, b), hi = t.as_integer_ratio(), min(self._count(t), len(pts) - 1)
+            if pts[0][0] * b <= a * scale <= pts[-1][0] * b:
+                (t0, v0), (t1, v1) = pts[hi - 1], pts[hi]  # the value at a * scale / b on the lattice, over scale
+                return Fraction(v0 * (t1 - t0) * b + (v1 - v0) * (a * scale - t0 * b), (t1 - t0) * b * scale)
+        elif self.start <= t <= self.end:
+            hi = min(self._count(t), len(self) - 1)
+            return _between(t, *self._point(hi - 1), *self._point(hi))
+        raise ValueError(f"time {approx(t)} outside curve domain [{approx(self.start)}, {approx(self.end)}]")
 
 
 def _number(scale, n, den=1):
@@ -118,16 +131,20 @@ def _between(t, t0, v0, t1, v1):
     """The value at ``t`` on the segment from (t0, v0) to (t1, v1), exact at both ends.
 
     Floats past about 1e154 overflow ``(v1 - v0) * (t - t0)``; only there
-    is the time step divided first.
+    is the time step divided first.  Exact times closer than the smallest
+    float have a float run of 0.0: a float t between them is read exactly.
     """
     if t == t0:
         return v0
     if t == t1:
         return v1
-    rise = (v1 - v0) * (t - t0)
-    if rise == math.inf:
-        return v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
-    return v0 + rise / (t1 - t0)
+    try:
+        rise = (v1 - v0) * (t - t0)
+        if rise == math.inf:
+            return v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
+        return v0 + rise / (t1 - t0)
+    except ZeroDivisionError:
+        return float(v0 + (v1 - v0) * (Fraction(t) - t0) / (t1 - t0))
 
 
 def _check_breakpoints(points) -> None:
@@ -136,9 +153,9 @@ def _check_breakpoints(points) -> None:
         raise ValueError("curve needs at least two breakpoints")
     for (t0, v0), (t1, v1) in zip(points, points[1:]):
         if not t1 > t0:
-            raise ValueError(f"breakpoint times must increase: {t0} -> {t1}")
+            raise ValueError(f"breakpoint times must increase: {approx(t0)} -> {approx(t1)}")
         if v1 < v0:
-            raise ValueError(f"curve must be nondecreasing: {v0} -> {v1}")
+            raise ValueError(f"curve must be nondecreasing: {approx(v0)} -> {approx(v1)}")
 
 
 class KInterval(NamedTuple):
@@ -394,9 +411,9 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
         raise ValueError(f"valid horizon must be a real number other than a bool or nan, got {valid_horizon!r}")
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
     if bound <= 0:
-        raise ValueError(f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]")
+        raise ValueError(f"valid horizon {approx(bound)} leaves Q(t) = B(t)/t the empty range (0, {approx(bound)}]")
     if bound <= curve.start:
-        raise ValueError(f"valid horizon {bound} not inside curve domain")
+        raise ValueError(f"valid horizon {approx(bound)} not inside curve domain")
     lo, hi = max(curve._count(0), 1), min(curve._count(bound), len(curve) - 1)
     scale, pts, ks = curve._lattice or (None, curve.points, None)
     window = pts[lo - 1 : hi + 1] if lo < hi else ()  # the candidates pts[lo:hi] and their neighbours
@@ -561,7 +578,9 @@ def _floats_at(points, times, scale=None) -> list:
     ``_between``'s operands as it rounds them: its start time (nan unless a
     float), float start, value, rise and run, repeated once per time on it.
     With a ``scale`` the points are a kept lattice's ints n, and each float
-    n / scale is one int true division, as ``float(Fraction)`` makes it.
+    n / scale is one int true division, as ``float(Fraction)`` makes it.  A
+    segment whose float run is 0.0 holds at most one float time, its key,
+    and becomes a flat piece at ``value_at``'s value there.
     """
     num = float if scale is None else scale.__rtruediv__  # n -> n / scale
     pieces = [(math.nan, 0.0, num(points[0][1]), None, None)]
@@ -574,6 +593,12 @@ def _floats_at(points, times, scale=None) -> list:
         keys = [math.nextafter(f, math.inf) if gap > 0 else f for f, gap in gaps]
         for (t0, v0), (t1, v1), (f, gap), key in zip(points, points[1:], gaps, keys):
             pieces.append((math.nan if gap else key, f, num(v0), num(v1 - v0), num(t1 - t0)))
+    for i in [i for i, piece in enumerate(pieces) if piece[4] == 0.0]:  # a run below the smallest float
+        (t0, v0), (t1, v1) = points[i - 1 : i + 1]
+        if scale:
+            t0, v0, t1, v1 = (Fraction(n, scale) for n in (t0, v0, t1, v1))
+        at = float(_between(keys[i - 1], t0, v0, t1, v1)) if keys[i - 1] < keys[i] else math.nan  # else no time on it
+        pieces[i] = (math.nan, 0.0, at, None, None)
     pieces.append((math.nan, 0.0, num(points[-1][1]), None, None))
     cuts = [0, *map(bisect_left, repeat(times), keys), len(times)]
     found = chain.from_iterable(map(repeat, pieces, map(sub, cuts[1:], cuts)))

@@ -182,6 +182,29 @@ class TestGeodesicDistance:
             for y in (0, Fraction(3, 7), 5, Fraction(13, 2), 9):
                 assert typed(geodesic_distance(system, (x, y))) == typed(Fraction(descent_distance(system, (x, y))))
 
+    @pytest.mark.parametrize("point", [
+        (Fraction(-7, 2), Fraction(5, 3)), (Fraction(-2), 0),  # a negative Fraction x: the left side
+        (Fraction(5, 2), 0), (-3, 0), (0, 0),  # y = 0
+        (4, 9), (-6, 2), (0, 7),  # int coordinates
+        (2, 5), (2, 17), (Fraction(11, 3), 30), (-2, 10), (-2, 34), (2, 20),  # on a barrier, at its top, above it
+    ])
+    def test_an_exact_point_is_read_as_integer_ratios(self, point):
+        # each sign is read from the numerator, and the lattice holds the point with its sign
+        system = rational(Fraction(1, 2), right=((2, 17), (Fraction(5, 3), 40)), left=((2, 34),))
+        assert typed(geodesic_distance(system, point)) == typed(Fraction(descent_distance(system, point)))
+
+    @pytest.mark.parametrize("point, message", [
+        ((Fraction(1, 2), True), "point (Fraction(1, 2), True) has a coordinate that is not a real number"),
+        ((False, 3), "point (False, 3) has a coordinate that is not a real number"),
+        ((Fraction(-1, 3), math.nan), "point (Fraction(-1, 3), nan) has a coordinate that is not finite"),
+        ((math.nan, 2), "point (nan, 2) has a coordinate that is not finite"),
+    ])
+    def test_a_rational_system_refuses_a_bool_or_nan_beside_an_exact_coordinate(self, point, message):
+        system = rational(Fraction(1, 2), right=((2, 17),), left=((2, 34),))
+        with pytest.raises(ValueError) as info:
+            geodesic_distance(system, point)
+        assert str(info.value) == message
+
     def test_lipschitz_within_free_cell(self):
         rng = random.Random(5)
         system = BarrierSystem(

@@ -42,6 +42,16 @@ def test_import_loads_no_submodule():
     """)
 
 
+def test_model_is_the_base_module():
+    # geodesic, simulate and oracle import the lattice helper from model, which imports none of them
+    python("""
+        import sys
+        import firebreak.model
+        assert sorted(m for m in sys.modules if m.startswith("firebreak")) == ["firebreak", "firebreak.model"]
+        assert callable(firebreak.model._on_one_scale)
+    """)
+
+
 def test_resolved_names_are_cached():
     python("""
         import firebreak

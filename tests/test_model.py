@@ -38,7 +38,10 @@ from firebreak import (
     to_document,
     validate,
 )
-from firebreak.model import coerce_length, int_digit_limit, loads, dumps, render_number
+from firebreak.model import (
+    _drop_non_increasing, _enforce_doubling, _merge_head_start, coerce_length, int_digit_limit, loads, dumps,
+    render_number,
+)
 
 from conftest import random_rational_system
 
@@ -300,6 +303,40 @@ class TestNormalize:
             lowered = consumption_curve(result, horizon, truncated=True).total
             for t in sorted({t for t, _ in base.points} | {t for t, _ in lowered.points}):
                 assert lowered.value_at(t) <= base.value_at(t)
+
+
+def reference_normalize(system):
+    """``normalize_doubling`` off the lattice: its three helpers run on the system's own Fractions or floats."""
+    sides = [tuple(_enforce_doubling(_merge_head_start(_drop_non_increasing(list(pairs)), system.head_start)))
+             for pairs in (system.right, system.left)]
+    return BarrierSystem(system.mode, system.head_start, *sides)
+
+
+@st.composite
+def normalize_cases(draw):
+    """A rational system whose small lengths make covered feet, equal heights and doubling violators common."""
+    length = st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 3, 7]))
+    side = st.lists(st.tuples(length, length), max_size=7).map(tuple)
+    return rational(draw(st.one_of(st.just(0), length)), draw(side), draw(side))
+
+
+def as_float(system):
+    return BarrierSystem(FLOAT, float(system.head_start), *(tuple((float(g), float(h)) for g, h in pairs)
+                                                             for pairs in (system.right, system.left)))
+
+
+class TestNormalizeProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(normalize_cases())
+    @example(rational(5, right=((1, 2), (1, 3), (2, 4), (3, 20), (1, 30))))  # a head start that covers three feet
+    @example(rational(1, right=((1, 4), (2, 4), (3, 9)), left=((2, 5), (1, 5))))  # equal heights
+    @example(rational(1, right=((1, 4), (2, 6))))  # the last vertical violates doubling
+    @example(rational(1, right=(), left=((Fraction(1, 3), 2), (Fraction(2, 7), 5))))  # an empty side
+    @example(rational(0, right=((1, 3), (1, 5), (2, 11)), left=((1, 1),)))  # zero head start
+    def test_equals_the_helpers_on_the_systems_own_numbers(self, system):
+        # in both modes; a rational system runs on its lattice, and repr compares the type of every number too
+        for case in (system, as_float(system)):
+            assert repr(normalize_doubling(case)) == repr(reference_normalize(case))
 
 
 class TestScale:

@@ -317,6 +317,19 @@ class TestMemoryLimit:
         assert repr(got) == repr(grid_consumption(SINGLE, *floats))
         assert build_scene(SINGLE, cell, horizon) == build_scene(SINGLE, *floats)
 
+    @pytest.mark.parametrize("cell, horizon, message", [
+        (0.5, 10**400, "horizon 1e+400 is past the float range"),
+        (10**400, 100, "cell 1e+400 is past the float range"),
+        (Fraction(10**400, 3), 100, "cell 3.33333e+399 is past the float range")])
+    def test_cell_or_horizon_past_the_float_range_refused(self, cell, horizon, message):
+        # float() raised a bare OverflowError: "int too large to convert to float", or for the Fraction
+        # "integer division result too large for a float"
+        system = build_seventeen_ninths(1, cycles=3)
+        for build in (build_scene, grid_consumption):
+            with pytest.raises(ValueError) as info:
+                build(system, cell, horizon)
+            assert str(info.value) == message
+
 
 # -- properties against plain reference implementations ---------------------------
 
@@ -800,6 +813,8 @@ class TestOracleProperties:
     @given(lattice_curves())
     @example((1, [(0, 0), (1, 10**400)], [0.5]))  # a rise past the float range
     @example((10**400, [(0, 0), (10**800, 1)], [1.0]))  # an end time past the float range
+    @example((10**400, [(-1, 0), (1, 0)], [-0.0]))  # a run below the smallest float: it divided by 0.0
+    @example((10**400, [(-1, 0), (1, 10**400), (3, 10**400)], [-0.0, 0.0, 5e-324]))  # the same, with a rise
     def test_lattice_operands_match_the_fraction_operands(self, curve):
         # the lattice path reads n / scale with one int division each and no Fraction, bit for bit or the same error
         scale, ints, times = curve

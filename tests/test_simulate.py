@@ -42,9 +42,9 @@ from firebreak import (
     valid_horizon,
 )
 from firebreak.geodesic import GROUND, VERTICAL_RIGHT
-from firebreak.model import render_number
+from firebreak.model import _on_one_scale, approx, render_number
 from firebreak.simulate import (
-    MERGE_RTOL, TOTAL, _events, _Lattice, _lattice, _number, _on_one_scale, _rises, _side_ramps, _sweep,
+    MERGE_RTOL, TOTAL, _events, _floats_at, _Lattice, _lattice, _number, _rises, _side_ramps, _sweep,
     intervals_to_document,
 )
 
@@ -87,8 +87,8 @@ class TestConsumptionCurve:
             assert v == sys17_curves.left.value_at(t) + sys17_curves.right.value_at(t)
 
     @pytest.mark.parametrize("t, text", [
-        (-1, "time -1 outside curve domain [0, 3422552031]"),
-        (Fraction(6845104063, 2), "time 6845104063/2 outside curve domain [0, 3422552031]"),
+        (-1, "time -1 outside curve domain [0, 3.42255e+09]"),
+        (Fraction(6845104063, 2), "time 3.42255e+09 outside curve domain [0, 3.42255e+09]"),
     ])
     def test_value_outside_the_domain_is_refused(self, sys17_curves, t, text):
         with pytest.raises(ValueError) as info:
@@ -210,12 +210,38 @@ class TestRatioMaxima:
         curve = PiecewiseLinearCurve([(0, 0), (10**400, Fraction(10**401, 3))])
         assert curve.value_at(10**400) == Fraction(10**401, 3)
 
+    @pytest.mark.parametrize("curve", [
+        PiecewiseLinearCurve([(0, 0), (10**5000, 10**5000)]),
+        consumption_curve(BarrierSystem(RATIONAL, 1, right=((10**5000, 1),), left=()), 10**5000, truncated=True).total,
+    ], ids=["bare", "lattice"])
+    def test_times_past_the_digit_limit_are_shown_short(self, curve, digit_limit):
+        # str of a 5001-digit int raised "Exceeds the limit (4300 digits) for integer string conversion"
+        assert curve.end == 10**5000
+        for t, shown in ((-1, "-1"), (10**5000 + 1, "1e+5000")):
+            with pytest.raises(ValueError) as info:
+                curve.value_at(t)
+            assert str(info.value) == f"time {shown} outside curve domain [0, 1e+5000]"
+        with pytest.raises(ValueError) as info:
+            ratio_maxima(curve, -(10**5000))
+        assert str(info.value) == "valid horizon -1e+5000 leaves Q(t) = B(t)/t the empty range (0, -1e+5000]"
+        with pytest.raises(ValueError) as info:
+            PiecewiseLinearCurve([(0, 0), (10**5000, 1), (10**5000, 2)])
+        assert str(info.value) == "breakpoint times must increase: 1e+5000 -> 1e+5000"
+
+    def test_a_float_time_between_exact_times_closer_than_the_smallest_float(self):
+        # the float run (t1 - t0) is 0.0: value_at raised ZeroDivisionError; the time is now read exactly
+        tiny = Fraction(1, 10**400)
+        curve = PiecewiseLinearCurve([(-tiny, 0), (tiny, 1), (1, 2)])
+        assert typed(curve.value_at(0.0)) == typed(0.5)
+        assert typed(curve.value_at(0)) == typed(Fraction(1, 2))
+        assert _floats_at(curve.points, [-0.0, 0.0, 5e-324, 1.0]) == [0.5, 0.5, 1.0, 2.0]
+
     @pytest.mark.parametrize("bound", [1, Fraction(1, 2)])
     def test_bound_at_or_before_the_start_rejected(self, bound):
         curve = PiecewiseLinearCurve([(1, 0), (2, 1)])
         with pytest.raises(ValueError) as info:
             ratio_maxima(curve, bound)
-        assert str(info.value) == f"valid horizon {bound} not inside curve domain"
+        assert str(info.value) == f"valid horizon {approx(bound)} not inside curve domain"
 
 
 class TestCheckSpeed:
@@ -825,9 +851,9 @@ def reference_ratio_maxima(curve, valid_horizon=None):
     pts = curve.points
     bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
     if bound <= 0:
-        raise ValueError(f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]")
+        raise ValueError(f"valid horizon {approx(bound)} leaves Q(t) = B(t)/t the empty range (0, {approx(bound)}]")
     if bound <= curve.start:
-        raise ValueError(f"valid horizon {bound} not inside curve domain")
+        raise ValueError(f"valid horizon {approx(bound)} not inside curve domain")
     maxima = []
     candidates = []  # (exact Q, t, v) at every breakpoint in (0, bound], then at the bound
     for j in range(1, len(pts) - 1):
@@ -958,7 +984,8 @@ class TestRatioScanMatchesTheDividingScan:
         curve = PiecewiseLinearCurve([(-1, 0), (1, 1)])
         with pytest.raises(ValueError) as info:
             ratio_maxima(curve, bound)
-        assert str(info.value) == f"valid horizon {bound} leaves Q(t) = B(t)/t the empty range (0, {bound}]"
+        assert str(info.value) == (f"valid horizon {approx(bound)} leaves Q(t) = B(t)/t the empty range "
+                                   f"(0, {approx(bound)}]")
 
     @settings(max_examples=300, deadline=None)
     @given(float_curves())
@@ -1182,6 +1209,21 @@ class TestCurvesKeepTheirLattice:
                 assert value_key(fresh, x) == value_key(read, x) == value_key(copy, x)
                 assert maxima_key(fresh, x) == maxima_key(read, x) == maxima_key(copy, x)
         assert fresh._points is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_cases())
+    def test_lattice_reads_equal_those_of_the_bare_curve(self, case):
+        # start, end and value_at read a kept lattice's ints and make one Fraction; a float time goes through _between
+        system, horizon = case
+        for curve in consumption_curve(system, horizon, truncated=True)[:3]:
+            copy = PiecewiseLinearCurve(curve.points)
+            assert (typed(curve.start), typed(curve.end)) == (typed(copy.start), typed(copy.end))
+            times = [t for t, _ in copy.points]
+            step = Fraction(1, 3 * curve._lattice[0])  # a third of a lattice step: off every breakpoint
+            inside = times + [(t0 + t1) / 2 for t0, t1 in zip(times, times[1:])] + [times[0] + step, times[-1] - step]
+            for t in inside + [times[0] - 1, times[0] - step, times[-1] + step, times[-1] + 1]:
+                for x in (t, int(t), float(t)):
+                    assert value_key(curve, x) == value_key(copy, x)
 
     @pytest.mark.parametrize("read", [False, True])
     def test_pickle_and_deepcopy_before_and_after_a_read(self, read):
