@@ -148,12 +148,11 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
                 f"(beta={beta}, delta={delta}, head start {params.head_start}); "
                 f"at most {i} cycles build"
             )
-    system = BarrierSystem(
+    if not 0 < factor < math.inf:  # head start / s rounds to 0 or overflows: refused as model.scale refuses it
+        raise ValidationError("non-finite length inf" if factor else "scale factor must be > 0, got 0.0")
+    return BarrierSystem(
         mode=FLOAT,
-        head_start=s,
-        right=tuple(zip(a, b)),
-        left=tuple(zip(c, d)),
+        head_start=s * factor,
+        right=tuple((g * factor, h * factor) for g, h in zip(a, b)),
+        left=tuple((g * factor, h * factor) for g, h in zip(c, d)),
     )
-    if params.head_start != "auto":
-        system = model.scale(system, factor)
-    return system

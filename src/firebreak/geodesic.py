@@ -58,7 +58,7 @@ def forced_descent(heights, terminal_height):
 def geodesic_distance(system: BarrierSystem, point) -> object:
     """Arrival time of the fire at ``point`` (min over faces for on-barrier points).
 
-    In rational mode an int or Fraction point runs on the lattice of its side up to it for a Fraction; floats, a float.
+    In rational mode an int or Fraction point runs on its side's lattice for a Fraction; floats, a float.
     """
     x, y = point
     exact = system.mode == RATIONAL and type(x) in (int, Fraction) and type(y) in (int, Fraction)
@@ -75,14 +75,8 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
     except OverflowError:
         raise ValueError(f"point {point!r} has a coordinate past the float range") from None
     pairs, scale = system.pairs(RIGHT if (x.numerator if exact else x) >= 0 else LEFT), None
-    if exact:
-        (a, b), foot, den = x.as_integer_ratio(), 0, 1  # the feet on a growing lattice, up to the first at |x| or past
-        for cut, (n, d) in enumerate(gap.as_integer_ratio() for gap, _ in pairs):
-            foot, den = foot * (m := d // math.gcd(den, d)) + n * (den * m // d), den * m
-            if foot * b >= abs(a) * den:
-                pairs = pairs[: cut + 1]  # the pairs after it are never read
-                break
-        scale, (pairs, [(x, y)]) = _on_one_scale(pairs, [(x, y)])  # x keeps its sign: no Fraction made for |x|
+    if exact:  # the whole side: _verticals stops at the first foot at |x| or past; x keeps its sign
+        scale, (pairs, [(x, y)]) = _on_one_scale(pairs, [(x, y)])
     ax = x if x >= 0 else -x
     for _, foot, height, clearance, top in _verticals(pairs, system.zero if scale is None else 0):
         if foot is None or foot >= ax:

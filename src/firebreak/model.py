@@ -271,24 +271,11 @@ def _drop_non_increasing(pairs: list) -> list:
 def _merge_head_start(pairs: list, head_start) -> list:
     """Merge verticals whose feet lie within the head start into one at its end."""
     pos = 0
-    last_inside = -1
-    for i, (gap, _) in enumerate(pairs):
+    for i, (gap, height) in enumerate(pairs):
         pos = pos + gap
-        if pos <= head_start:
-            last_inside = i
-        else:
-            break
-    if last_inside < 0:
-        return pairs
-    # feet positions of the survivors are preserved
-    merged_height = pairs[last_inside][1]
-    tail = pairs[last_inside + 1:]
-    out = [(head_start, merged_height)]
-    if tail:
-        pos_next = sum(g for g, _ in pairs[: last_inside + 2])
-        out.append((pos_next - head_start, tail[0][1]))
-        out.extend(tail[1:])
-    return out
+        if pos > head_start:  # the first foot past it: the feet of the survivors are preserved
+            return pairs if i == 0 else [(head_start, pairs[i - 1][1]), (pos - head_start, height), *pairs[i + 1:]]
+    return [(head_start, pairs[-1][1])] if pairs else pairs
 
 
 def _enforce_doubling(pairs: list) -> list:

@@ -30,18 +30,17 @@ are one rising and one falling range; it counts them by level as +1/-1
 pairs, so Python does O(runs**2) work and only the running sums over the
 levels, in C, are O(samples): 17/9 at 6 cycles (1.4e12 grid nodes, 835 552
 samples at cell 1) is counted in about 0.3 s.  It and ``compare``, which
-reads the exact curve with the simulator's float evaluator, one bisect per
+hands the exact curve to the simulator's float evaluator, one bisect per
 breakpoint over the sorted sample times, run in pure Python.  The cell and
 horizon are read as floats, refused by name past the float range; a rational
-system's lengths and a kept lattice curve's breakpoints are read as lattice
-ints over one scale, compared with bounds made ints once, and each float is
-one int true division, as ``float(Fraction)`` makes it, so no ``Fraction``
-is made in a loop.  Only ``grid_arrival``, which writes the run form out
-into the full grid, and ``GridScene.passable``, the bool node mask, import
-numpy, when called.  Each of ``build_scene`` (the column tops),
-``grid_arrival`` (the grid) and ``grid_consumption`` (the column tops and
-the samples) refuses, before allocating, what would not fit in physical
-memory.
+system's lengths are read as lattice ints over one scale, compared with
+bounds made ints once, and each float is one int true division, as
+``float(Fraction)`` makes it, so no ``Fraction`` is made in a loop.  Only
+``grid_arrival``, which writes the run form out into the full grid, and
+``GridScene.passable``, the bool node mask, import numpy, when called.
+Each of ``build_scene`` (the column tops), ``grid_arrival`` (the grid) and
+``grid_consumption`` (the column tops and the time samples) refuses,
+before allocating, what would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -63,11 +62,10 @@ _BYTES_PER_COLUMN = 16
 # bytes per node of grid_arrival's grid: float arrival (8), headroom (8)
 _BYTES_PER_NODE = 16
 # grid_consumption's bytes per row of the scene: its column tops, in the scene's tuple and in the list or the
-# two side slices beside it (the run form has no per-row part); and per sample, barrier point or time: a time's
-# value, level count and span, int and float objects included (a vertical's points are counted per piece and
-# need about nothing).  Peaks traced with tracemalloc were 0.70 of this estimate on a flat system (cell 1,
-# horizon 1e5) and 0.40-0.43 with verticals (17/9 at 5 and 6 cycles at cell 1, the improved scheme at 5 cycles
-# at cell 0.25), where the vertical points now cost almost nothing; the estimate stays as a bound
+# two side slices beside it (the run form has no per-row part); and per time sample: its time, value, level
+# count and span, int and float objects included (barrier points are counted per piece or range and need about
+# nothing).  Peaks traced with tracemalloc were 0.69-0.70 of this estimate, on a flat system (cell 1, horizon
+# 1e5) as with verticals (17/9 at 4 and 5 cycles at cell 1, the improved scheme at 4 and 5 cycles at cell 0.25)
 _BYTES_PER_ROW = 32
 _BYTES_PER_SAMPLE = 96
 # columns of the arrival grid that grid_arrival cuts and scales at a time, so no temporary is grid-sized
@@ -441,8 +439,7 @@ def grid_consumption(
         hi -= 1
     n = math.ceil((horizon + 0.5 * cell) / cell)  # the sample times, as np.arange(0, horizon + cell / 2, cell)
     ny, nx = scene.shape
-    samples = sum(k for found in verticals.values() for _, k in found) + n  # the ground points come as ranges
-    _refuse_past_memory(_BYTES_PER_ROW * ny + _BYTES_PER_SAMPLE * samples, nx * ny, cell, horizon,
+    _refuse_past_memory(_BYTES_PER_ROW * ny + _BYTES_PER_SAMPLE * n, nx * ny, cell, horizon,
                         "its column tops and samples")
 
     # the consumed points per level, a range of levels first..stop-1 as +1 at
@@ -495,15 +492,15 @@ def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float
     value put back, so ``at_time`` and ``first_exceedance`` are the first in
     the given order.  A nan deviation is never the worst and never exceeds.
     A sampled curve whose times and values differ in length, and a nan
-    tolerance, which no deviation exceeds, are refused.  A curve that keeps
-    its lattice is read on its ints, and numpy samples as Python floats.
+    tolerance, which no deviation exceeds, are refused.  The curve is read
+    by ``simulate``'s float evaluator, whatever its storage, and numpy
+    samples as Python floats.
     """
     if len(sampled.times) != len(sampled.values):
         raise ValueError(f"sampled curve has {len(sampled.times)} times but {len(sampled.values)} values")
     if tolerance != tolerance:
         raise ValueError("tolerance is nan; give a number")
-    scale, points, _ = exact._lattice or (None, exact.points, None)
-    lo, hi = (t / scale if scale else float(t) for t in (points[0][0], points[-1][0]))
+    lo, hi = float(exact.start), float(exact.end)
     # numpy samples are read as Python floats, whose products go to inf where numpy's scalars warn
     times, values = (xs if isinstance(xs, (tuple, list)) else [*map(float, xs)] for xs in sampled)
     if all(map(le, chain((-math.inf,), times), chain(times, (math.inf,)))):  # sorted, no nan: the range is a slice
@@ -516,10 +513,10 @@ def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float
     if not len(times):
         raise ValueError("curves share no common time range")
     if order is None:
-        at = _floats_at(points, times, scale)
+        at = _floats_at(exact, times)
     else:
         at = [math.nan] * len(times)
-        for i, value in zip(order, _floats_at(points, [*map(times.__getitem__, order)], scale)):
+        for i, value in zip(order, _floats_at(exact, [*map(times.__getitem__, order)])):
             at[i] = value
     devs = [*map(abs, map(sub, values, at))]
     worst = max(compress(devs, map(eq, devs, devs)), default=-1.0)  # a nan never counts as the worst

@@ -24,16 +24,16 @@ are a boundary type: one is made for each number a caller reads, and none
 is compared or combined again in a loop; the lattice helper is
 ``model._on_one_scale``.  Float mode runs the same code at scale 1.  A kept
 lattice's ``start`` and ``end`` make the time alone, and ``value_at`` at an
-int or Fraction time reads the ints and makes one Fraction.  On a kept
-lattice the ratio scan tests a rise of Q by
+int or Fraction time (a numpy int is read as an int) reads the ints and
+makes one Fraction.  On a kept lattice the ratio scan tests a rise of Q by
 ``k*t0 > v0``, each CSV cell is one int division, and the k-interval
 document renders each time once, from its int.  Off a lattice the ratio
 scan's float products decide where they differ, and every other pair is
 read on its exact integer ratios.  Other curves are read exactly on one
 lattice of ints made from their points, by the CSV export only without a
-float: curves with a float, and the grid oracle's ``compare``, are read by
-one float evaluator, ``value_at`` bit for bit, which reads a kept lattice
-on its ints.
+float: curves with a float, and the grid oracle's ``compare``, are handed
+to one float evaluator, ``value_at`` bit for bit, which reads a kept
+lattice on its ints.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -50,7 +50,7 @@ from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .geodesic import _verticals
-from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _on_one_scale, approx, render_number, validate
+from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _check_side, _on_one_scale, approx, render_number
 
 TOTAL = "total"
 
@@ -110,6 +110,7 @@ class PiecewiseLinearCurve:
         return self._time(-1)
 
     def value_at(self, t):
+        t = _builtin(t)
         if self._lattice and type(t) in (int, Fraction):  # on the ints, and one Fraction made
             scale, pts, _ = self._lattice
             (a, b), hi = t.as_integer_ratio(), min(self._count(t), len(pts) - 1)
@@ -120,6 +121,13 @@ class PiecewiseLinearCurve:
             hi = min(self._count(t), len(self) - 1)
             return _between(t, *self._point(hi - 1), *self._point(hi))
         raise ValueError(f"time {approx(t)} outside curve domain [{approx(self.start)}, {approx(self.end)}]")
+
+
+def _builtin(t):
+    """A rational time of a type not built in (numpy's ints) as an int or a Fraction; any other time as it is."""
+    if isinstance(t, (int, float, Fraction)) or not isinstance(t, numbers.Rational):
+        return t
+    return int(t) if isinstance(t, numbers.Integral) else Fraction(int(t.numerator), int(t.denominator))
 
 
 def _number(scale, n, den=1):
@@ -409,7 +417,7 @@ def ratio_maxima(curve: PiecewiseLinearCurve, valid_horizon=None) -> RatioReport
     if valid_horizon is not None and (isinstance(valid_horizon, bool) or not isinstance(valid_horizon, numbers.Real)
                                       or valid_horizon != valid_horizon):
         raise ValueError(f"valid horizon must be a real number other than a bool or nan, got {valid_horizon!r}")
-    bound = curve.end if valid_horizon is None else min(valid_horizon, curve.end)
+    bound = curve.end if valid_horizon is None else min(_builtin(valid_horizon), curve.end)
     if bound <= 0:
         raise ValueError(f"valid horizon {approx(bound)} leaves Q(t) = B(t)/t the empty range (0, {approx(bound)}]")
     if bound <= curve.start:
@@ -509,9 +517,8 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
     gap, a 3-interval of the same height again, and a closing 1-interval up
     the next barrier.  Zero-length entries are dropped.
     """
-    pairs = system.pairs(side)  # rejects an unknown side before the report is read
-    report = validate(system)
-    side_check = report.right if side == RIGHT else report.left
+    pairs = system.pairs(side)  # rejects an unknown side
+    side_check = _check_side(pairs)
     if not side_check.conditions7:
         raise ValueError(
             f"{side} side violates the growth conditions at barrier "
@@ -549,7 +556,7 @@ def curve_to_csv(curves: ConsumptionCurves) -> str:
     if not kept and any(isinstance(t, float) or isinstance(v, float) for curve in curves[:3] for t, v in curve):
         times = [float(t) for t, _ in curves.total.points]
         rows = zip(times, map(float, (v for _, v in curves.total.points)),
-                   _floats_at(curves.left.points, times), _floats_at(curves.right.points, times))
+                   _floats_at(curves.left, times), _floats_at(curves.right, times))
     else:
         scale, (points, left, right) = ((lattices[0][0], [ints for _, ints, _ in lattices]) if kept
                                         else _on_one_scale(*(curve.points for curve in curves[:3])))
@@ -569,19 +576,20 @@ def _values_along(pts, points, scale):
         yield v0 / scale if t == t0 else (v0 * (t1 - t0) + (v1 - v0) * (t - t0)) / ((t1 - t0) * scale)
 
 
-def _floats_at(points, times, scale=None) -> list:
-    """``float(value_at(t))`` on the curve ``points`` at each float t of the sorted ``times``, bit for bit.
+def _floats_at(curve: PiecewiseLinearCurve, times) -> list:
+    """``float(curve.value_at(t))`` at each float t of the sorted ``times``, bit for bit.
 
     Breakpoint i is passed at the smallest float not below its time, so one
     ``bisect_left`` per breakpoint counts the times on each of value_at's
     segments; flat end pieces clamp the times outside.  A segment keeps
     ``_between``'s operands as it rounds them: its start time (nan unless a
     float), float start, value, rise and run, repeated once per time on it.
-    With a ``scale`` the points are a kept lattice's ints n, and each float
+    A curve that keeps its lattice is read on its ints n, and each float
     n / scale is one int true division, as ``float(Fraction)`` makes it.  A
     segment whose float run is 0.0 holds at most one float time, its key,
     and becomes a flat piece at ``value_at``'s value there.
     """
+    scale, points, _ = curve._lattice or (None, curve.points, None)
     num = float if scale is None else scale.__rtruediv__  # n -> n / scale
     pieces = [(math.nan, 0.0, num(points[0][1]), None, None)]
     if scale is None:
@@ -594,10 +602,7 @@ def _floats_at(points, times, scale=None) -> list:
         for (t0, v0), (t1, v1), (f, gap), key in zip(points, points[1:], gaps, keys):
             pieces.append((math.nan if gap else key, f, num(v0), num(v1 - v0), num(t1 - t0)))
     for i in [i for i, piece in enumerate(pieces) if piece[4] == 0.0]:  # a run below the smallest float
-        (t0, v0), (t1, v1) = points[i - 1 : i + 1]
-        if scale:
-            t0, v0, t1, v1 = (Fraction(n, scale) for n in (t0, v0, t1, v1))
-        at = float(_between(keys[i - 1], t0, v0, t1, v1)) if keys[i - 1] < keys[i] else math.nan  # else no time on it
+        at = float(curve.value_at(keys[i - 1])) if keys[i - 1] < keys[i] else math.nan  # else no time on it
         pieces[i] = (math.nan, 0.0, at, None, None)
     pieces.append((math.nan, 0.0, num(points[-1][1]), None, None))
     cuts = [0, *map(bisect_left, repeat(times), keys), len(times)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firebreak import (
+    FLOAT,
     LEFT,
     RIGHT,
     InterlacingParams,
@@ -25,6 +26,7 @@ from firebreak import (
     valid_horizon,
     validate,
 )
+from firebreak.model import coerce_length
 
 
 class TestFlat:
@@ -223,6 +225,31 @@ class TestImproved:
         params = InterlacingParams(optimum.beta, optimum.delta, cycles=260)
         with pytest.raises(ValidationError, match=r"overflow .* at cycle 254 .*at most 253 cycles build"):
             build_improved(params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(2, 10, exclude_min=True), st.floats(1, 200), st.integers(1, 40),
+           st.one_of(st.floats(1e-300, 1e200), st.integers(1, 10**9),
+                     st.builds("{}/{}".format, st.integers(1, 10**30), st.integers(1, 10**30))))
+    def test_an_explicit_head_start_scales_the_auto_system(self, beta, delta, cycles, head_start):
+        # the system is built once, each length times the factor, as model.scale multiplies the auto system
+        try:
+            system = build_improved(InterlacingParams(beta, delta, cycles, head_start))
+        except ValidationError as exc:
+            text = str(exc)
+            assert "give non-positive head start" in text or text.startswith("lengths overflow the float range")
+            return
+        auto = build_improved(InterlacingParams(beta, delta, cycles))
+        assert repr(system) == repr(scale(auto, coerce_length(head_start, FLOAT) / auto.head_start))
+
+    @pytest.mark.parametrize("params, message", [
+        (InterlacingParams(3.0, 100.0, 2, 5e-324), "scale factor must be > 0, got 0.0"),  # s = 101.86...
+        (InterlacingParams(cycles=1, head_start=1.7e308), "non-finite length inf"),  # s = 0.149...
+    ])
+    def test_a_head_start_that_scales_s_past_the_float_range_is_refused(self, params, message):
+        # the factor head start / s rounds to 0 or overflows, and is refused in model.scale's words
+        with pytest.raises(ValidationError) as info:
+            build_improved(params)
+        assert str(info.value) == message
 
     @settings(max_examples=150, deadline=None)
     @given(st.floats(2, 1e6, exclude_min=True), st.floats(0, 1e6), st.integers(1, 12))

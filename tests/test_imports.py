@@ -7,6 +7,7 @@ already imported does not matter.
 
 import ast
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -177,3 +178,14 @@ def test_names_and_dir_as_if_loaded_eagerly():
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="module 'firebreak' has no attribute 'no_such_name'"):
         firebreak.no_such_name
+
+
+def test_curve_storage_is_read_only_in_simulate():
+    # other modules hand a curve to simulate's readers and never unpack its kept lattice or its points
+    found = [
+        (path.name, node.lineno, node.attr)
+        for path in sorted(pathlib.Path(SRC, "firebreak").glob("*.py")) if path.name != "simulate.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("_lattice", "_points")
+    ]
+    assert found == []

@@ -339,6 +339,52 @@ class TestNormalizeProperty:
             assert repr(normalize_doubling(case)) == repr(reference_normalize(case))
 
 
+def two_pass_merge_head_start(pairs, head_start):
+    """The head-start merge that sums the feet again, from the first, for the gap after the head start."""
+    pos = 0
+    last_inside = -1
+    for i, (gap, _) in enumerate(pairs):
+        pos = pos + gap
+        if pos <= head_start:
+            last_inside = i
+        else:
+            break
+    if last_inside < 0:
+        return pairs
+    # feet positions of the survivors are preserved
+    merged_height = pairs[last_inside][1]
+    tail = pairs[last_inside + 1:]
+    out = [(head_start, merged_height)]
+    if tail:
+        pos_next = sum(g for g, _ in pairs[: last_inside + 2])
+        out.append((pos_next - head_start, tail[0][1]))
+        out.extend(tail[1:])
+    return out
+
+
+@st.composite
+def merge_cases(draw):
+    """Pairs of floats, Fractions or ints and a head start, often on a foot as the merge sums it or past them all."""
+    length = draw(st.sampled_from([st.floats(1e-3, 1e3), st.fractions(Fraction(1, 50), 50, max_denominator=60)
+                                   .filter(bool), st.integers(1, 50)]))
+    pairs = draw(st.lists(st.tuples(length, length), max_size=8))
+    feet = list(accumulate((gap for gap, _ in pairs), initial=0))  # 0 + gap + gap ..., in the merge's order
+    return pairs, draw(st.one_of(st.sampled_from(feet), st.sampled_from(feet).map(lambda f: f * 2 + 1), length))
+
+
+class TestMergeHeadStart:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases())
+    @example(([], 1))  # no pairs
+    @example(([(1, 2), (2, 3)], 3))  # every foot inside the head start, the last on it
+    @example(([(0.1, 1.0), (0.2, 3.0), (0.3, 7.0)], 0.1 + 0.2))  # a float-summed foot
+    def test_one_pass_equals_the_two_pass_sum(self, case):
+        # the running sum that finds the first foot past the head start is the sum the gap after it needs
+        pairs, head_start = case
+        assert repr(_merge_head_start(list(pairs), head_start)) == repr(two_pass_merge_head_start(list(pairs),
+                                                                                                head_start))
+
+
 class TestScale:
     def test_identity(self, sys17):
         assert scale(sys17, 1) == sys17

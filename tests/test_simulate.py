@@ -9,6 +9,7 @@ from copy import deepcopy
 from fractions import Fraction
 from itertools import accumulate, combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,7 +235,7 @@ class TestRatioMaxima:
         curve = PiecewiseLinearCurve([(-tiny, 0), (tiny, 1), (1, 2)])
         assert typed(curve.value_at(0.0)) == typed(0.5)
         assert typed(curve.value_at(0)) == typed(Fraction(1, 2))
-        assert _floats_at(curve.points, [-0.0, 0.0, 5e-324, 1.0]) == [0.5, 0.5, 1.0, 2.0]
+        assert _floats_at(curve, [-0.0, 0.0, 5e-324, 1.0]) == [0.5, 0.5, 1.0, 2.0]
 
     @pytest.mark.parametrize("bound", [1, Fraction(1, 2)])
     def test_bound_at_or_before_the_start_rejected(self, bound):
@@ -1249,6 +1250,20 @@ class TestCurvesKeepTheirLattice:
         with pytest.raises(ValueError) as info:
             ratio_maxima(curve, bound)
         assert str(info.value) == f"valid horizon must be a real number other than a bool or nan, got {bound!r}"
+
+    @pytest.mark.parametrize("keeps_lattice", [True, False])
+    def test_a_numpy_int_time_reads_as_the_same_int(self, keeps_lattice):
+        # ratio_maxima handed np.int64 to _rises, which found no as_integer_ratio; value_at made a Fraction of it,
+        # whose numpy numerator overflowed in the multiply, a warning this suite turns into an error
+        curve = consumption_curve(build_seventeen_ninths(Fraction(7, 3), cycles=40)).total
+        curve = curve if keeps_lattice else PiecewiseLinearCurve(curve.points)
+        for t in (20, 2**62):
+            assert value_key(curve, np.int64(t)) == value_key(curve, t)
+            assert maxima_key(curve, np.int64(t)) == maxima_key(curve, t)
+        bare = PiecewiseLinearCurve([(0, 0), (10, 10), (40, 100)])
+        assert value_key(bare, np.int64(15)) == value_key(bare, 15)
+        assert maxima_key(bare, np.int64(20)) == maxima_key(bare, 20)
+        assert value_key(bare, np.float64(15)) == repr(typed(np.float64(25.0)))  # a numpy float keeps the float path
 
 
 # -- horizons read from the tops --------------------------------------------------------
