@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": "FLOAT LEFT RATIONAL RIGHT BarrierSystem DocumentError SideCheck ValidationError "
              "ValidationReport from_document load normalize_doubling save scale to_document validate",
-    "geodesic": "FaceArrivalProfile face_arrival_profiles forced_descent geodesic_distance top_arrival_times",
+    "geodesic": "face_arrival_profiles geodesic_distance top_arrival_times",
     "simulate": "ConsumptionCurves KInterval PiecewiseLinearCurve RatioReport SpeedCheck check_speed "
                 "consumption_curve curve_to_csv default_horizon predict_intervals ratio_maxima "
                 "ratio_report side_intervals valid_horizon",

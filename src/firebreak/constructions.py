@@ -9,6 +9,7 @@ roughly ``beta^(2*cycles)`` in scale.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,15 +39,12 @@ def build_seventeen_ninths(head_start=1, cycles: int = 8) -> BarrierSystem:
     The recurrence runs on the integer coefficients of s/2 (b_i is even, so
     7.5 b_i is one), and each length is one Fraction.
     """
-    if cycles < 1:
+    if (cycles := model._whole(cycles, "cycles")) < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     s = model.coerce_length(head_start, RATIONAL)
     if s <= 0:
         raise ValidationError(f"head start must be > 0, got {s}")
-    a = [2]
-    b = [34]
-    c = [2]
-    d = [68]
+    a, b, c, d = [2], [34], [2], [68]
     for i in range(1, cycles):
         b.append(4 * d[i - 1])
         d.append(4 * b[i])
@@ -76,6 +74,9 @@ class InterlacingParams(NamedTuple):
 
     def resolved(self) -> "InterlacingParams":
         beta, delta = self.beta, self.delta
+        for name, x in (("beta", beta), ("delta", delta)):  # None: the optimum's
+            if x is not None and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+                raise ValidationError(f"{name} must be a real number other than a bool, got {x!r}")
         if beta is None:
             opt = optimize_beta_delta()
             beta = opt.beta
@@ -92,9 +93,9 @@ class InterlacingParams(NamedTuple):
                 ) from exc
         if not 0 <= delta < math.inf:
             raise ValidationError(f"shift must be finite and >= 0, got delta={delta}")
-        if self.cycles < 1:
-            raise ValidationError(f"cycles must be >= 1, got {self.cycles}")
-        return InterlacingParams(beta, delta, self.cycles, self.head_start)
+        if (cycles := model._whole(self.cycles, "cycles", ValidationError)) < 1:
+            raise ValidationError(f"cycles must be >= 1, got {cycles}")
+        return InterlacingParams(beta, delta, cycles, self.head_start)
 
 
 def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
@@ -132,11 +133,10 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
         target = model.coerce_length(params.head_start, FLOAT)
         if target <= 0:
             raise ValidationError(f"head start must be > 0, got {target}")
-        factor = target / s
-    a = [s]
-    b = [1.0]
-    c = [s]
-    d = [2.0]
+        if not 0 < (factor := target / s) < math.inf:
+            raise ValidationError(f"head start {target} is out of range: head start / s = {target} / {s} "
+                                  f"{'overflows' if factor else 'rounds to 0'}")
+    a, b, c, d = [s], [1.0], [s], [2.0]
     for i in range(1, cycles):
         b.append(beta * d[i - 1])
         d.append(beta * b[i])
@@ -148,8 +148,6 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
                 f"(beta={beta}, delta={delta}, head start {params.head_start}); "
                 f"at most {i} cycles build"
             )
-    if not 0 < factor < math.inf:  # head start / s rounds to 0 or overflows: refused as model.scale refuses it
-        raise ValidationError("non-finite length inf" if factor else "scale factor must be > 0, got 0.0")
     return BarrierSystem(
         mode=FLOAT,
         head_start=s * factor,

@@ -6,15 +6,16 @@ the origin an optimal path never reverses horizontal direction: revisiting a
 vertical line costs horizontal length with no vertical savings in L1.  Every
 distance therefore reduces to
 
-    |x| + y + 2 * forced_descent(heights between origin and x, y)
+    |x| + y + 2 * max(0, clearance - y)
 
-where the forced descent is the minimal total downward movement an
-x-monotone path needs to clear the given barrier heights and end at height
-y.  Per-face arrival profiles are piecewise linear in arclength with slopes
-exactly +-1 (the front moves at unit speed along any face it consumes).
-Truncated at a horizon, every piece of a profile still changes time: a face
-the front reaches only at the horizon has no profile.  On a rational system
-an int or Fraction point is read as integer ratios, on the lattice of
+where the clearance is the tallest vertical whose foot lies between the
+origin and x: an x-monotone path climbs over it and comes down to y.  A
+point on a vertical may be reached sooner over its top.  Per-face arrival
+profiles are piecewise linear in arclength with slopes exactly +-1 (the
+front moves at unit speed along any face it consumes).  Truncated at a
+horizon, every piece of a profile still changes time: a face the front
+reaches only at the horizon has no profile.  On a rational system an int
+or Fraction point is read as integer ratios, on the lattice of
 ``model._on_one_scale``, and one Fraction is made for its distance.
 """
 
@@ -30,29 +31,6 @@ from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _on_one_scale, a
 GROUND = "ground"
 VERTICAL_LEFT = "vertical_left"    # face toward the origin
 VERTICAL_RIGHT = "vertical_right"  # face away from the origin
-
-
-def forced_descent(heights, terminal_height):
-    """Minimal total downward movement clearing ``heights`` in order, ending at ``terminal_height``.
-
-    Returns sum_i max(0, h_i - max(M_{i+1}, terminal_height)) where M_{i+1}
-    is the maximum height strictly after i (0 if none).  Equals
-    max(0, max(heights) - terminal_height): only descents from running peaks
-    are ever forced.
-    """
-    if isinstance(terminal_height, bool) or not terminal_height >= 0:  # nan fails the test too
-        raise ValueError(f"terminal height must be a number >= 0, got {terminal_height}")
-    total = suffix_max = 0
-    # accumulate from the back so the suffix maximum is available
-    for h in reversed(list(heights)):
-        if isinstance(h, bool) or h != h:
-            raise ValueError(f"height {h} is not a number")
-        floor = suffix_max if suffix_max > terminal_height else terminal_height
-        if h > floor:
-            total = total + (h - floor)
-        if h > suffix_max:
-            suffix_max = h
-    return total
 
 
 def geodesic_distance(system: BarrierSystem, point) -> object:
@@ -129,16 +107,6 @@ class FaceArrivalProfile(NamedTuple):
     kind: str
     index: int  # 1-based barrier index; ground segment i lies before barrier i+1
     points: tuple
-
-    def arrival(self, param):
-        pts = self.points
-        if not (pts[0][0] <= param <= pts[-1][0]):
-            raise ValueError(f"parameter {param} outside [{pts[0][0]}, {pts[-1][0]}]")
-        for (p0, t0), (p1, t1) in zip(pts, pts[1:]):
-            if param <= p1:
-                if p1 == p0:
-                    return t0
-                return t0 + (t1 - t0) * (param - p0) / (p1 - p0)
 
 
 def _clip_points(points: list, horizon) -> list | None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -55,6 +56,13 @@ class DocumentError(ValueError):
 def int_digit_limit() -> int:
     """``sys.get_int_max_str_digits()``, the most digits ``int`` and ``str`` convert; 0, no limit, before 3.10.7."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _whole(value, name: str, error=ValueError) -> int:
+    """``value`` as ``operator.index`` reads it; a bool, or a value it refuses, is refused by ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def coerce_length(value, mode: str) -> Number:

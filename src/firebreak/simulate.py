@@ -23,17 +23,17 @@ speed checks run on Python ints, and each rational curve keeps that lattice
 are a boundary type: one is made for each number a caller reads, and none
 is compared or combined again in a loop; the lattice helper is
 ``model._on_one_scale``.  Float mode runs the same code at scale 1.  A kept
-lattice's ``start`` and ``end`` make the time alone, and ``value_at`` at an
-int or Fraction time (a numpy int is read as an int) reads the ints and
-makes one Fraction.  On a kept lattice the ratio scan tests a rise of Q by
-``k*t0 > v0``, each CSV cell is one int division, and the k-interval
-document renders each time once, from its int.  Off a lattice the ratio
-scan's float products decide where they differ, and every other pair is
-read on its exact integer ratios.  Other curves are read exactly on one
-lattice of ints made from their points, by the CSV export only without a
-float: curves with a float, and the grid oracle's ``compare``, are handed
-to one float evaluator, ``value_at`` bit for bit, which reads a kept
-lattice on its ints.
+lattice's ``start``, ``end`` and ``value_at`` make only the breakpoints they
+read, and ``value_at`` reads every time (a numpy int as an int) between two
+of them with one evaluator, ``_between``.  On a kept lattice the ratio scan
+tests a rise of Q by ``k*t0 > v0``, each CSV cell is one int division, and
+the k-interval document renders each time once, from its int.  Off a
+lattice the ratio scan's float products decide where they differ, and every
+other pair is read on its exact integer ratios.  Other curves are read
+exactly on one lattice of ints made from their points, by the CSV export
+only without a float: curves with a float, and the grid oracle's
+``compare``, are handed to one float evaluator, ``value_at`` bit for bit,
+which reads a kept lattice on its ints.
 
 Head-start accounting: ground within ``head_start`` of the origin is
 burned over but adds nothing to B(t).
@@ -50,7 +50,8 @@ from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .geodesic import _verticals
-from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _check_side, _on_one_scale, approx, render_number
+from .model import (FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _check_side, _on_one_scale, _whole, approx,
+                    render_number)
 
 TOTAL = "total"
 
@@ -86,9 +87,6 @@ class PiecewiseLinearCurve:
     def _point(self, i):  # breakpoint i, made alone from the lattice while the points are not
         return self._points[i] if self._points else tuple(_number(self._lattice[0], x) for x in self._lattice[1][i])
 
-    def _time(self, i):  # breakpoint i's time, made alone
-        return self._points[i][0] if self._points else _number(self._lattice[0], self._lattice[1][i][0])
-
     def _count(self, t) -> int:  # breakpoints at or before t: on a lattice, at or before floor(t*scale)
         if not self._lattice:
             return bisect_right(self._points, (t, math.inf))  # (t, inf) sorts after every breakpoint at t
@@ -103,21 +101,15 @@ class PiecewiseLinearCurve:
 
     @property
     def start(self):
-        return self._time(0)
+        return self._point(0)[0]
 
     @property
     def end(self):
-        return self._time(-1)
+        return self._point(-1)[0]
 
     def value_at(self, t):
         t = _builtin(t)
-        if self._lattice and type(t) in (int, Fraction):  # on the ints, and one Fraction made
-            scale, pts, _ = self._lattice
-            (a, b), hi = t.as_integer_ratio(), min(self._count(t), len(pts) - 1)
-            if pts[0][0] * b <= a * scale <= pts[-1][0] * b:
-                (t0, v0), (t1, v1) = pts[hi - 1], pts[hi]  # the value at a * scale / b on the lattice, over scale
-                return Fraction(v0 * (t1 - t0) * b + (v1 - v0) * (a * scale - t0 * b), (t1 - t0) * b * scale)
-        elif self.start <= t <= self.end:
+        if self.start <= t <= self.end:
             hi = min(self._count(t), len(self) - 1)
             return _between(t, *self._point(hi - 1), *self._point(hi))
         raise ValueError(f"time {approx(t)} outside curve domain [{approx(self.start)}, {approx(self.end)}]")
@@ -517,7 +509,7 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
     gap, a 3-interval of the same height again, and a closing 1-interval up
     the next barrier.  Zero-length entries are dropped.
     """
-    pairs = system.pairs(side)  # rejects an unknown side
+    pairs, index = system.pairs(side), _whole(index, "cycle index")  # rejects an unknown side first
     side_check = _check_side(pairs)
     if not side_check.conditions7:
         raise ValueError(
@@ -528,12 +520,7 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
         raise ValueError(f"cycle index must be in [1, {len(pairs) - 1}], got {index}")
     height = pairs[index - 1][1]
     next_gap, next_height = pairs[index]
-    entries = [
-        (height, 0),
-        (next_gap - height, 1),
-        (height, 3),
-        (next_height - 2 * height, 1),
-    ]
+    entries = [(height, 0), (next_gap - height, 1), (height, 3), (next_height - 2 * height, 1)]
     return [(length, k) for length, k in entries if length > 0]
 
 

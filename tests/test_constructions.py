@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,35 @@ from firebreak import (
     validate,
 )
 from firebreak.model import coerce_length
+
+
+class TestBuilderInputs:
+    """Cycle counts are read through ``operator.index`` and beta and delta as real numbers, none of them a bool."""
+
+    @pytest.mark.parametrize("cycles", [2.5, "3", True, None])
+    def test_seventeen_ninths_refuses_a_cycle_count_that_is_not_an_integer(self, cycles):
+        with pytest.raises(ValueError) as info:  # a bare TypeError, or with True one cycle built
+            build_seventeen_ninths(1, cycles=cycles)
+        assert str(info.value) == f"cycles must be an integer, got {cycles!r}"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"cycles": 2.5}, "cycles must be an integer, got 2.5"),
+        ({"cycles": "3"}, "cycles must be an integer, got '3'"),
+        ({"cycles": True}, "cycles must be an integer, got True"),
+        ({"beta": "4"}, "beta must be a real number other than a bool, got '4'"),
+        ({"beta": True}, "beta must be a real number other than a bool, got True"),
+        ({"delta": True}, "delta must be a real number other than a bool, got True"),  # was read as 1.0
+        ({"beta": 4.0, "delta": "1"}, "delta must be a real number other than a bool, got '1'"),
+    ])
+    def test_improved_refuses_parameters_by_name(self, fields, message):
+        with pytest.raises(ValidationError) as info:
+            build_improved(InterlacingParams(**fields))
+        assert str(info.value) == message
+
+    def test_a_numpy_int_cycle_count_reads_as_the_int(self):
+        assert build_seventeen_ninths(1, cycles=np.int64(3)) == build_seventeen_ninths(1, cycles=3)
+        params = InterlacingParams(4.0, 1.25, np.int64(3)).resolved()
+        assert type(params.cycles) is int and build_improved(params) == build_improved(InterlacingParams(4.0, 1.25, 3))
 
 
 class TestFlat:
@@ -242,11 +272,15 @@ class TestImproved:
         assert repr(system) == repr(scale(auto, coerce_length(head_start, FLOAT) / auto.head_start))
 
     @pytest.mark.parametrize("params, message", [
-        (InterlacingParams(3.0, 100.0, 2, 5e-324), "scale factor must be > 0, got 0.0"),  # s = 101.86...
-        (InterlacingParams(cycles=1, head_start=1.7e308), "non-finite length inf"),  # s = 0.149...
+        (InterlacingParams(3.0, 100.0, 2, 5e-324),
+         "head start 5e-324 is out of range: head start / s = 5e-324 / 101.86407766990291 rounds to 0"),
+        (InterlacingParams(cycles=1, head_start=1.7e308),
+         "head start 1.7e+308 is out of range: head start / s = 1.7e+308 / 0.14927216903541357 overflows"),
+        (InterlacingParams(cycles=3, head_start=1.7e308),  # not "lengths overflow ... at most 1 cycles build"
+         "head start 1.7e+308 is out of range: head start / s = 1.7e+308 / 0.14927216903541357 overflows"),
     ])
     def test_a_head_start_that_scales_s_past_the_float_range_is_refused(self, params, message):
-        # the factor head start / s rounds to 0 or overflows, and is refused in model.scale's words
+        # the factor head start / s rounds to 0 or overflows: the head start is named, before any length is built
         with pytest.raises(ValidationError) as info:
             build_improved(params)
         assert str(info.value) == message

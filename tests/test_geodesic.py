@@ -17,12 +17,12 @@ from firebreak import (
     build_seventeen_ninths,
     default_horizon,
     face_arrival_profiles,
-    forced_descent,
     geodesic_distance,
     grid_arrival,
     top_arrival_times,
 )
 from firebreak.oracle import arrival_at
+from geodesic_reference import arrival, forced_descent
 
 
 def rational(head_start, right=(), left=()):
@@ -229,23 +229,29 @@ class TestProfiles:
         far = next(p for p in profiles if p.kind == "vertical_right")
         assert near.points == ((0, 1), (17, 18))       # arrival(y) = 1 + y
         assert far.points == ((0, 35), (17, 18))       # arrival(y) = 35 - y
-        assert near.arrival(10) == 11
-        assert far.arrival(10) == 25
+        assert arrival(near, 10) == 11
+        assert arrival(far, 10) == 25
 
     def test_second_barrier_near_face_has_contact_vertex(self):
         profiles = face_arrival_profiles(TWO_BARRIER, "right", 300)
         near = [p for p in profiles if p.kind == "vertical_left"][1]
         # arrival(y) = 35 + max(y, 34 - y): fire arrives at the clearance height
         assert near.points == ((0, 69), (17, 52), (136, 171))
-        assert near.arrival(0) == 69
-        assert near.arrival(17) == 52
-        assert near.arrival(100) == 135
+        assert arrival(near, 0) == 69
+        assert arrival(near, 17) == 52
+        assert arrival(near, 100) == 135
+
+    def test_near_face_arrival_is_the_distance_on_the_face(self):
+        # a point on a vertical below its top is reached first on the near face
+        near = [p for p in face_arrival_profiles(TWO_BARRIER, "right", 300) if p.kind == "vertical_left"][1]
+        for y in range(137):
+            assert geodesic_distance(TWO_BARRIER, (35, y)) == arrival(near, y)
 
     @pytest.mark.parametrize("param", [-1, Fraction(35, 2), 100])
     def test_arrival_outside_the_face_rejected(self, param):
         near = next(p for p in face_arrival_profiles(SINGLE, "right", 100) if p.kind == "vertical_left")
         with pytest.raises(ValueError) as info:
-            near.arrival(param)
+            arrival(near, param)
         assert str(info.value) == f"parameter {param} outside [0, 17]"
 
     @pytest.mark.parametrize("horizon, shown", [(0, "0"), ("-1/2", "-1/2"), (-3, "-3")])
@@ -329,7 +335,7 @@ class TestProfiles:
                 ff = far[idx]
                 params = {p for p, _ in nf.points} | {p for p, _ in ff.points}
                 for y in params:
-                    assert ff.arrival(y) >= nf.arrival(y)
+                    assert arrival(ff, y) >= arrival(nf, y)
 
 
 class TestGridAgreement:

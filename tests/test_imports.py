@@ -180,6 +180,15 @@ def test_unknown_name_is_attribute_error():
         firebreak.no_such_name
 
 
+@pytest.mark.parametrize("name", ["forced_descent", "FaceArrivalProfile"])
+def test_reference_only_names_are_not_exported(name):
+    # the closed-form descent and the profile record's interpolator are kept in tests/geodesic_reference.py
+    with pytest.raises(AttributeError, match=f"module 'firebreak' has no attribute '{name}'"):
+        getattr(firebreak, name)
+    assert name not in firebreak.__all__ and name not in dir(firebreak)
+    assert firebreak.face_arrival_profiles is firebreak.geodesic.face_arrival_profiles
+
+
 def test_curve_storage_is_read_only_in_simulate():
     # other modules hand a curve to simulate's readers and never unpack its kept lattice or its points
     found = [

@@ -17,7 +17,6 @@ from firebreak import (
     RATIONAL,
     BarrierSystem,
     DocumentError,
-    FaceArrivalProfile,
     GridScene,
     InterlacingParams,
     KInterval,
@@ -38,6 +37,7 @@ from firebreak import (
     to_document,
     validate,
 )
+from firebreak.geodesic import FaceArrivalProfile
 from firebreak.model import (
     _drop_non_increasing, _enforce_doubling, _merge_head_start, coerce_length, int_digit_limit, loads, dumps,
     render_number,
@@ -125,7 +125,7 @@ class TestConstruction:
 
 
 def records():
-    """One value of every record type the package exports but ``ConsumptionCurves``, whose curves have no ``==``."""
+    """One value of every record type the package returns but ``ConsumptionCurves``, whose curves have no ``==``."""
     system = build_seventeen_ninths(1, cycles=2)
     report = validate(system)
     return [

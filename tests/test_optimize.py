@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from firebreak import (
     LEFT,
     RATIONAL,
     RIGHT,
     BarrierSystem,
+    InterlacingParams,
+    build_improved,
     consumption_curve,
     cycle_ratio,
     delta_of_beta,
@@ -16,6 +20,7 @@ from firebreak import (
     optimize_beta,
     optimize_beta_delta,
     ratio_maxima,
+    ratio_report,
     top_arrival_times,
     valid_horizon,
     validate,
@@ -59,6 +64,21 @@ def build_unshifted_scheme(beta: Fraction, head_start=Fraction(1), cycles: int =
         right=tuple(zip(a, b)),
         left=tuple(zip(c, d)),
     )
+
+
+def build_shifted_scheme(beta: Fraction, delta: Fraction, cycles: int = 8):
+    """``build_improved``'s recurrence on Fractions, as a rational system; None when its head start is not > 0."""
+    v = (delta + 3) / (delta + 1)
+    s = ((4 * beta + 2 * delta + 1) - v * (2 * beta + delta + 1)) / v
+    if s <= 0:
+        return None
+    a, b, c, d = [s], [Fraction(1)], [s], [Fraction(2)]
+    for i in range(1, cycles):
+        b.append(beta * d[i - 1])
+        d.append(beta * b[i])
+        a.append((delta + 1) if i == 1 else (delta - 1) * d[i - 2] + (beta + delta) * b[i - 1])
+        c.append((2 * beta + 3 * delta - 1) if i == 1 else (delta - 1) * b[i - 1] + (beta + delta) * d[i - 1])
+    return BarrierSystem(mode=RATIONAL, head_start=s, right=tuple(zip(a, b)), left=tuple(zip(c, d)))
 
 
 class TestCycleRatio:
@@ -112,6 +132,30 @@ class TestInterlacedMaxima:
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             interlaced_maxima(0.0, 1.0)
+
+
+class TestClosedFormsAgainstTheSimulator:
+    """``interlaced_maxima``'s two ratios, read exactly off the shifted scheme's rational simulation."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(201, 1000).map(lambda n: Fraction(n, 100)), st.integers(0, 300).map(lambda n: Fraction(n, 100)))
+    @example(Fraction(444, 100), Fraction(278, 100))  # the maxima approaching f2 fall 1.5e-7 short of it
+    @example(Fraction(3), Fraction(12926, 10000))  # the first maximum, 1.9395, exceeds both closed forms
+    def test_every_later_maximum_is_bounded_and_the_first_form_attained(self, beta, delta):
+        system = build_shifted_scheme(beta, delta)
+        assume(system is not None)
+        f1, f2 = interlaced_maxima(beta, delta)
+        assert f1 == (delta + 3) / (delta + 1)
+        maxima = [q for _, q in ratio_report(system)[1].local_maxima]
+        assert f1 in maxima[:3]
+        assert all(q <= max(f1, f2) for q in maxima[1:])
+
+    def test_the_recurrence_is_build_improveds(self):
+        exact = build_shifted_scheme(Fraction(444, 100), Fraction(278, 100))
+        built = build_improved(InterlacingParams(4.44, 2.78, 8))
+        lengths = [[system.head_start, *(x for pair in system.right + system.left for x in pair)]
+                   for system in (exact, built)]
+        assert lengths[1] == pytest.approx(list(map(float, lengths[0])), rel=1e-12)
 
 
 def one_valley(f, lo, hi, samples=1000):

@@ -373,6 +373,16 @@ class TestPredictIntervals:
         with pytest.raises(ValueError, match="cycle index"):
             predict_intervals(sys17, RIGHT, 8)
 
+    @pytest.mark.parametrize("index", [True, 1.5, "1", None])
+    def test_rejects_an_index_that_is_not_an_integer(self, sys17, index):
+        # True read as cycle 1, and 1.5 raised "TypeError: tuple indices must be integers"
+        with pytest.raises(ValueError) as info:
+            predict_intervals(sys17, RIGHT, index)
+        assert str(info.value) == f"cycle index must be an integer, got {index!r}"
+
+    def test_a_numpy_int_index_reads_as_the_int(self, sys17):
+        assert predict_intervals(sys17, RIGHT, np.int64(2)) == predict_intervals(sys17, RIGHT, 2)
+
 
 class TestKIntervalInvariants:
     def test_total_k_is_sum_of_sides(self, sys17_curves):
