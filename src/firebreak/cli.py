@@ -179,10 +179,8 @@ def cmd_oracle(args) -> int:
     horizon = simulate.valid_horizon(system) if args.horizon is None else system.number(args.horizon)
     if horizon is None:
         raise ValueError("specify --horizon for systems without verticals")
-    if not _fits_float(horizon):
-        raise ValueError(f"horizon {model.approx(horizon)} is past the float range of the grid")
+    sampled = oracle.grid_consumption(system, args.cell, horizon)  # refuses a horizon past the float range
     exact = simulate.consumption_curve(system, horizon, truncated=True)
-    sampled = oracle.grid_consumption(system, args.cell, float(horizon))
     tolerance = oracle.consumption_tolerance(system, args.cell)
     result = oracle.compare(exact.total, sampled, tolerance)
     if args.out:

@@ -137,16 +137,17 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
             raise ValidationError(f"head start {target} is out of range: head start / s = {target} / {s} "
                                   f"{'overflows' if factor else 'rounds to 0'}")
     a, b, c, d = [s], [1.0], [s], [2.0]
-    for i in range(1, cycles):
-        b.append(beta * d[i - 1])
-        d.append(beta * b[i])
-        a.append((delta + 1) if i == 1 else (delta - 1) * d[i - 2] + (beta + delta) * b[i - 1])
-        c.append((2 * beta + 3 * delta - 1) if i == 1 else (delta - 1) * b[i - 1] + (beta + delta) * d[i - 1])
+    for i in range(cycles):
+        if i:
+            b.append(beta * d[i - 1])
+            d.append(beta * b[i])
+            a.append((delta + 1) if i == 1 else (delta - 1) * d[i - 2] + (beta + delta) * b[i - 1])
+            c.append((2 * beta + 3 * delta - 1) if i == 1 else (delta - 1) * b[i - 1] + (beta + delta) * d[i - 1])
         if not all(math.isfinite(x[i] * factor) for x in (a, b, c, d)):
             raise ValidationError(
                 f"lengths overflow the float range at cycle {i + 1} "
                 f"(beta={beta}, delta={delta}, head start {params.head_start}); "
-                f"at most {i} cycles build"
+                + (f"at most {i} cycles build" if i else "no cycle builds at this head start")
             )
     return BarrierSystem(
         mode=FLOAT,

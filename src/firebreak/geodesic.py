@@ -146,18 +146,14 @@ def face_arrival_profiles(system: BarrierSystem, side: str, horizon) -> list:
     for i, (pos, foot, height, clearance, top) in enumerate(_verticals(pairs, zero)):
         if foot is None:
             break
-        ground = _clip_points([(pos, pos + 2 * clearance), (foot, foot + 2 * clearance)], horizon)
-        if ground:
-            profiles.append(FaceArrivalProfile(side, GROUND, i, tuple(ground)))
         near = [(zero, foot + 2 * clearance), (height, top)]
         if 0 < clearance < height:  # the front meets the face at the clearance height
             near.insert(1, (clearance, foot + clearance))
-        near = _clip_points(near, horizon)
-        if near:
-            profiles.append(FaceArrivalProfile(side, VERTICAL_LEFT, i + 1, tuple(near)))
-        far = _clip_points([(zero, top + height), (height, top)], horizon)
-        if far:
-            profiles.append(FaceArrivalProfile(side, VERTICAL_RIGHT, i + 1, tuple(far)))
+        for kind, index, chain in ((GROUND, i, [(pos, pos + 2 * clearance), (foot, foot + 2 * clearance)]),
+                                   (VERTICAL_LEFT, i + 1, near),
+                                   (VERTICAL_RIGHT, i + 1, [(zero, top + height), (height, top)])):
+            if points := _clip_points(chain, horizon):
+                profiles.append(FaceArrivalProfile(side, kind, index, tuple(points)))
 
     # trailing ray: arrival = x + 2*clearance, truncated where it meets the horizon; in floats
     # each test alone can leave a piece of no length or of no time

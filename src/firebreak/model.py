@@ -31,7 +31,7 @@ import operator
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence, Union
 
 Number = Union[Fraction, float]
@@ -187,11 +187,7 @@ class BarrierSystem(namedtuple("BarrierSystem", "mode head_start right left")):
 
     def feet(self, side: str) -> tuple:
         """Positions of the vertical-barrier feet (prefix sums of the gaps)."""
-        out, pos = [], self.zero
-        for g, _ in self.pairs(side):
-            pos = pos + g
-            out.append(pos)
-        return tuple(out)
+        return tuple(accumulate(g for g, _ in self.pairs(side)))
 
     @property
     def zero(self) -> Number:

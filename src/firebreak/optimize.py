@@ -34,7 +34,7 @@ def cycle_ratio(beta):
 
 
 def delta_of_beta(beta: float) -> float:
-    """Shift factor equalizing the two local maxima of the shifted scheme."""
+    """Shift factor equalizing the two ratio forms of the shifted scheme (``interlaced_maxima``)."""
     disc = beta**4 - 2 * beta**3 + 5 * beta**2 + 4 * beta - 12
     if disc < 0:
         raise ValueError(f"no real shift equalizes the maxima at beta={beta}")
@@ -42,10 +42,9 @@ def delta_of_beta(beta: float) -> float:
 
 
 def interlaced_maxima(beta: float, delta: float) -> tuple:
-    """The two local-maximum ratios of the shifted scheme.
-
-    First maximum: (delta + 3)/(delta + 1).  Second maximum:
-    2 + (2 - beta)/(beta^2 - 1 + delta); the denominator must not vanish.
+    """The shifted scheme's two ratio forms: its first maximum (delta + 3)/(delta + 1), which is attained, and
+    2 + (2 - beta)/(beta^2 - 1 + delta), the supremum that one family of later maxima climbs toward and no finite
+    truncation reaches.  The second form's denominator must not vanish.
     """
     first = (delta + 3) / (delta + 1)
     denom = beta * beta - 1 + delta

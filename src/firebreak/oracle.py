@@ -31,7 +31,8 @@ pairs, so Python does O(runs**2) work and only the running sums over the
 levels, in C, are O(samples): 17/9 at 6 cycles (1.4e12 grid nodes, 835 552
 samples at cell 1) is counted in about 0.3 s.  It and ``compare``, which
 hands the exact curve to the simulator's float evaluator, one bisect per
-breakpoint over the sorted sample times, run in pure Python.  The cell and
+breakpoint over the sample times, run in pure Python; ``compare`` takes the
+times sorted, as ``grid_consumption`` makes them.  The cell and
 horizon are read as floats, refused by name past the float range; a rational
 system's lengths are read as lattice ints over one scale, compared with
 bounds made ints once, and each float is one int true division, as
@@ -59,7 +60,7 @@ from .simulate import PiecewiseLinearCurve, _floats_at
 
 # bytes per column of build_scene: the list the tops are set in and the tuple they end in
 _BYTES_PER_COLUMN = 16
-# bytes per node of grid_arrival's grid: float arrival (8), headroom (8)
+# bytes per node of grid_arrival's grid: float arrival (8), the cut's bool mask (1) and headroom (7)
 _BYTES_PER_NODE = 16
 # grid_consumption's bytes per row of the scene: its column tops, in the scene's tuple and in the list or the
 # two side slices beside it (the run form has no per-row part); and per time sample: its time, value, level
@@ -68,8 +69,6 @@ _BYTES_PER_NODE = 16
 # 1e5) as with verticals (17/9 at 4 and 5 cycles at cell 1, the improved scheme at 4 and 5 cycles at cell 0.25)
 _BYTES_PER_ROW = 32
 _BYTES_PER_SAMPLE = 96
-# columns of the arrival grid that grid_arrival cuts and scales at a time, so no temporary is grid-sized
-_SLAB = 64
 
 
 def _numpy(what: str):
@@ -350,10 +349,9 @@ def grid_arrival(scene: GridScene, max_time: float | None = None):
             # written in place: a temporary block would raise the peak memory
             np.add(np.array(_levels(side_runs, a, ny), dtype=float), np.arange(end - a)[:, None], out=side[a:end])
         side[end:] = np.inf
-    for slab in np.split(levels, range(_SLAB, nx, _SLAB)):
-        if cut is not None:
-            slab[slab > cut] = np.inf
-        slab *= scene.cell
+    if cut is not None:
+        levels[levels > cut] = np.inf
+    levels *= scene.cell
     return levels.T
 
 
@@ -487,14 +485,14 @@ class OracleComparison(NamedTuple):
 def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float) -> OracleComparison:
     """Max |sampled - exact| over the common sample times, judged against ``tolerance``.
 
-    Sorted times (as ``grid_consumption`` gives them) have their common range
-    cut out as one slice; other times are read in sorted order and each
-    value put back, so ``at_time`` and ``first_exceedance`` are the first in
-    the given order.  A nan deviation is never the worst and never exceeds.
-    A sampled curve whose times and values differ in length, and a nan
-    tolerance, which no deviation exceeds, are refused.  The curve is read
-    by ``simulate``'s float evaluator, whatever its storage, and numpy
-    samples as Python floats.
+    The times must be sorted, with no nan, as ``grid_consumption`` makes
+    them; other times are refused.  Their common range is cut out as one
+    slice, so ``at_time`` and ``first_exceedance`` are the first in time.  A
+    nan deviation is never the worst and never exceeds.  A sampled curve
+    whose times and values differ in length, and a nan tolerance, which no
+    deviation exceeds, are refused.  The curve is read by ``simulate``'s
+    float evaluator, whatever its storage, and numpy samples as Python
+    floats.
     """
     if len(sampled.times) != len(sampled.values):
         raise ValueError(f"sampled curve has {len(sampled.times)} times but {len(sampled.values)} values")
@@ -503,22 +501,13 @@ def compare(exact: PiecewiseLinearCurve, sampled: SampledCurve, tolerance: float
     lo, hi = float(exact.start), float(exact.end)
     # numpy samples are read as Python floats, whose products go to inf where numpy's scalars warn
     times, values = (xs if isinstance(xs, (tuple, list)) else [*map(float, xs)] for xs in sampled)
-    if all(map(le, chain((-math.inf,), times), chain(times, (math.inf,)))):  # sorted, no nan: the range is a slice
-        common = slice(bisect_left(times, lo), bisect_right(times, hi))
-        times, values, order = times[common], values[common], None
-    else:  # read in sorted order, each value put back in the given order
-        common = [lo <= t <= hi for t in times]
-        times, values = [*compress(times, common)], [*compress(values, common)]
-        order = sorted(range(len(times)), key=times.__getitem__)
-    if not len(times):
+    if not all(map(le, chain((-math.inf,), times), chain(times, (math.inf,)))):
+        raise ValueError("sample times must be sorted, with no nan, as grid_consumption makes them")
+    common = slice(bisect_left(times, lo), bisect_right(times, hi))
+    times, values = times[common], values[common]
+    if not times:
         raise ValueError("curves share no common time range")
-    if order is None:
-        at = _floats_at(exact, times)
-    else:
-        at = [math.nan] * len(times)
-        for i, value in zip(order, _floats_at(exact, [*map(times.__getitem__, order)])):
-            at[i] = value
-    devs = [*map(abs, map(sub, values, at))]
+    devs = [*map(abs, map(sub, values, _floats_at(exact, times)))]
     worst = max(compress(devs, map(eq, devs, devs)), default=-1.0)  # a nan never counts as the worst
     worst_t = float(times[devs.index(worst)]) if worst >= 0 else lo
     # no deviation exceeds the tolerance unless the worst does: a nan neither exceeds nor is the worst

@@ -285,6 +285,16 @@ class TestImproved:
             build_improved(params)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("cycles", [1, 2, 3])
+    def test_a_head_start_whose_first_cycle_overflows_names_cycle_1(self, cycles):
+        # s x factor fits but d_1 x factor = 2 x 1.0e308 does not: one cycle failed in BarrierSystem's words,
+        # "left[1]: non-finite length inf", and two or three as "... at cycle 2 ...; at most 1 cycles build"
+        with pytest.raises(ValidationError) as info:
+            build_improved(InterlacingParams(cycles=cycles, head_start=1.5e307))
+        assert str(info.value) == (
+            "lengths overflow the float range at cycle 1 (beta=4.068864559673734, delta=1.2802011518303127, "
+            "head start 1.5e+307); no cycle builds at this head start")
+
     @settings(max_examples=150, deadline=None)
     @given(st.floats(2, 1e6, exclude_min=True), st.floats(0, 1e6), st.integers(1, 12))
     def test_every_gap_is_positive(self, beta, delta, cycles):

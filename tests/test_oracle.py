@@ -234,16 +234,22 @@ class TestCompare:
         assert [bits(x) for x in _floats_at(curve, times)] == [bits(curve.value_at(t)) for t in times]
 
     @pytest.mark.parametrize("container", [tuple, np.array])
-    def test_a_reversed_copy_reports_the_first_worst_and_exceedance_in_its_own_order(self, container):
-        # unsorted times are read in sorted order and each value put back: ties go to the first in the given order
+    @pytest.mark.parametrize("times", [[*map(float, range(10, -1, -1))], [0.0, 2.0, 1.0], [0.0, math.nan, 2.0],
+                                       [math.nan]], ids=["reversed", "one-swap", "nan", "only-nan"])
+    def test_times_that_are_not_sorted_or_are_nan_are_refused(self, container, times):
+        # grid_consumption makes sorted times; a reversed copy was read in sorted order with each value put back
+        curve = PiecewiseLinearCurve([(0, 0), (10, 10)])
+        with pytest.raises(ValueError) as info:
+            compare(curve, SampledCurve(container(times), container(times)), 2.0)
+        assert str(info.value) == "sample times must be sorted, with no nan, as grid_consumption makes them"
+
+    @pytest.mark.parametrize("container", [tuple, np.array])
+    def test_sorted_times_report_the_first_worst_and_exceedance(self, container):
         curve = PiecewiseLinearCurve([(0, 0), (10, 10)])
         devs = [0, 3, 0, 5, 0, 5, 0, 3, 0, 0, 0]
-        times = [float(t) for t in range(11)]
-        values = [t + d for t, d in zip(times, devs)]
-        forward = compare(curve, SampledCurve(container(times), container(values)), 2.0)
-        backward = compare(curve, SampledCurve(container(times[::-1]), container(values[::-1])), 2.0)
-        assert forward == (5.0, 3.0, 2.0, False, 1.0)
-        assert backward == (5.0, 5.0, 2.0, False, 7.0)
+        times = [0.0, *map(float, range(11)), 10.0]  # equal times are sorted
+        values = [0.0, *(t + d for t, d in zip(range(11), devs)), 10.0]
+        assert compare(curve, SampledCurve(container(times), container(values)), 2.0) == (5.0, 3.0, 2.0, False, 1.0)
 
     def test_numpy_samples_whose_rise_passes_the_float_range_compare_with_warnings_as_errors(self):
         # numpy scalars warned "overflow encountered in scalar multiply" at the evaluator's overflow test
@@ -869,7 +875,7 @@ class TestOracleProperties:
     def test_compare_matches_value_at_loop(self, curve, data):
         lo, hi = float(curve.start), float(curve.end)
         on_grid = st.sampled_from([float(t) for t, _ in curve] + [lo, hi])
-        times = np.array(data.draw(st.lists(
+        times = np.sort(data.draw(st.lists(
             st.one_of(on_grid, st.floats(min_value=lo - 1, max_value=hi + 1)), min_size=1, max_size=30)))
         values = np.array(data.draw(st.lists(
             st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0, max_value=100)),
@@ -884,8 +890,7 @@ class TestOracleProperties:
                 compare(curve, sampled, tolerance)
             return
         result = compare(curve, sampled, tolerance)
-        order = np.argsort(times[mask], kind="stable")  # the evaluator reads sorted times
-        assert [bits(x) for x in _floats_at(curve, times[mask][order])] == [bits(reference[i]) for i in order]
+        assert [bits(x) for x in _floats_at(curve, times[mask])] == [bits(x) for x in reference]
         assert (bits(result.max_deviation), bits(result.at_time), bits(result.first_exceedance)) == tuple(
             bits(x) for x in expected)
         assert result.passed is (expected[2] is None)
