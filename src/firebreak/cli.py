@@ -152,8 +152,7 @@ def cmd_check(args) -> int:
     from . import model, simulate
 
     system = model.load(args.system)
-    speed = system.number(args.speed)
-    verdict = simulate.check_speed(system, speed, _horizon(args, system), truncated=args.truncated)
+    verdict = simulate.check_speed(system, args.speed, _horizon(args, system), truncated=args.truncated)
     if args.out:
         _write_json(
             args.out,
@@ -212,6 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
         "consumption curves for horizontal barriers with vertical delaying segments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the options simulate, maxima and check share
+    shared.add_argument("--system", required=True)
+    shared.add_argument("--horizon", default=None)
+    shared.add_argument("--truncated", action="store_true", help="allow horizons beyond the valid horizon")
 
     p = sub.add_parser("construct", help="generate a barrier-system document")
     p.add_argument("--type", required=True, choices=("flat", "seventeen-ninths", "improved"))
@@ -222,26 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("simulate", help="consumption curve CSV and k-interval JSON")
-    p.add_argument("--system", required=True)
-    p.add_argument("--horizon", default=None)
-    p.add_argument("--truncated", action="store_true", help="allow horizons beyond the valid horizon")
+    p = sub.add_parser("simulate", parents=[shared], help="consumption curve CSV and k-interval JSON")
     p.add_argument("--curve-out", default=None)
     p.add_argument("--intervals-out", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("maxima", help="local maxima and supremum of Q(t) = B(t)/t")
-    p.add_argument("--system", required=True)
-    p.add_argument("--horizon", default=None)
-    p.add_argument("--truncated", action="store_true")
+    p = sub.add_parser("maxima", parents=[shared], help="local maxima and supremum of Q(t) = B(t)/t")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_maxima)
 
-    p = sub.add_parser("check", help="feasibility of a build speed: B(t) <= v*t")
-    p.add_argument("--system", required=True)
+    p = sub.add_parser("check", parents=[shared], help="feasibility of a build speed: B(t) <= v*t")
     p.add_argument("--speed", required=True)
-    p.add_argument("--horizon", default=None)
-    p.add_argument("--truncated", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 

@@ -20,10 +20,7 @@ from . import model
 
 def build_flat(head_start) -> BarrierSystem:
     """Plain horizontal barrier with no verticals; consumption ratio tends to 2."""
-    system = BarrierSystem(mode=RATIONAL, head_start=head_start, right=(), left=())
-    if system.head_start <= 0:
-        raise ValidationError("flat baseline needs a positive head start")
-    return system
+    return BarrierSystem(RATIONAL, model._positive(head_start, RATIONAL, "head start", ValidationError), (), ())
 
 
 def build_seventeen_ninths(head_start=1, cycles: int = 8) -> BarrierSystem:
@@ -40,10 +37,8 @@ def build_seventeen_ninths(head_start=1, cycles: int = 8) -> BarrierSystem:
     7.5 b_i is one), and each length is one Fraction.
     """
     if (cycles := model._whole(cycles, "cycles")) < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
-    s = model.coerce_length(head_start, RATIONAL)
-    if s <= 0:
-        raise ValidationError(f"head start must be > 0, got {s}")
+        raise ValueError(f"cycles must be >= 1, got {model._shown(cycles)}")
+    s = model._positive(head_start, RATIONAL, "head start", ValidationError)
     a, b, c, d = [2], [34], [2], [68]
     for i in range(1, cycles):
         b.append(4 * d[i - 1])
@@ -94,7 +89,7 @@ class InterlacingParams(NamedTuple):
         if not 0 <= delta < math.inf:
             raise ValidationError(f"shift must be finite and >= 0, got delta={delta}")
         if (cycles := model._whole(self.cycles, "cycles", ValidationError)) < 1:
-            raise ValidationError(f"cycles must be >= 1, got {cycles}")
+            raise ValidationError(f"cycles must be >= 1, got {model._shown(cycles)}")
         return InterlacingParams(beta, delta, cycles, self.head_start)
 
 
@@ -130,9 +125,7 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
         )
     factor = 1.0
     if params.head_start != "auto":
-        target = model.coerce_length(params.head_start, FLOAT)
-        if target <= 0:
-            raise ValidationError(f"head start must be > 0, got {target}")
+        target = model._positive(params.head_start, FLOAT, "head start", ValidationError)
         if not 0 < (factor := target / s) < math.inf:
             raise ValidationError(f"head start {target} is out of range: head start / s = {target} / {s} "
                                   f"{'overflows' if factor else 'rounds to 0'}")

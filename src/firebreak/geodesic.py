@@ -26,7 +26,7 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _on_one_scale, approx
+from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _on_one_scale, _positive, _shown, approx
 
 GROUND = "ground"
 VERTICAL_LEFT = "vertical_left"    # face toward the origin
@@ -47,7 +47,7 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
         if not (-math.inf < x < math.inf and -math.inf < y < math.inf):  # nan fails too; no float made of a Fraction
             raise ValueError(f"point {point!r} has a coordinate that is not finite")
     if (y.numerator if exact else y) < 0:
-        raise ValueError(f"point must lie in the upper half-plane, got y={y}")
+        raise ValueError(f"point must lie in the upper half-plane, got y={_shown(y)}")
     try:  # a float system reads the point as its numbers
         x, y = (float(x), float(y)) if system.mode == FLOAT else (x, y)
     except OverflowError:
@@ -139,9 +139,7 @@ def face_arrival_profiles(system: BarrierSystem, side: str, horizon) -> list:
     rational mode refuses a float.
     """
     pairs = system.pairs(side)  # rejects an unknown side
-    horizon, zero = system.number(horizon), system.zero
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    horizon, zero = _positive(horizon, system.mode, "horizon"), system.zero
     profiles = []
     for i, (pos, foot, height, clearance, top) in enumerate(_verticals(pairs, zero)):
         if foot is None:

@@ -65,6 +65,21 @@ def _whole(value, name: str, error=ValueError) -> int:
     return operator.index(value)
 
 
+def _shown(value) -> str:
+    """``value`` as a refusal prints it: ``str``, or ``approx`` for an int or Fraction past ``int_digit_limit()``."""
+    try:
+        return str(value)
+    except ValueError:
+        return approx(value)
+
+
+def _positive(value, mode: str, name: str, error=ValueError) -> Number:
+    """``value`` as ``coerce_length`` reads it in ``mode``; one <= 0 is refused by ``name``."""
+    if (value := coerce_length(value, mode)) <= 0:
+        raise error(f"{name} must be > 0, got {_shown(value)}")
+    return value
+
+
 def coerce_length(value, mode: str) -> Number:
     """Coerce ``value`` to the numeric type of ``mode``.
 
@@ -146,7 +161,7 @@ class BarrierSystem(namedtuple("BarrierSystem", "mode head_start right left")):
             raise ValidationError(f"head_start: {exc}") from exc
         rational = mode == RATIONAL  # a Fraction's sign is its numerator's: an int test, not Fraction.__le__
         if (head_start.numerator if rational else head_start) < 0:
-            raise ValidationError(f"head_start must be >= 0, got {head_start}")
+            raise ValidationError(f"head_start must be >= 0, got {_shown(head_start)}")
         sides = []
         for name, pairs in zip(SIDES, (right, left)):
             fixed = []
@@ -160,9 +175,9 @@ class BarrierSystem(namedtuple("BarrierSystem", "mode head_start right left")):
                 except ValidationError as exc:  # labels only on failure: this loop is hot at 512 cycles
                     raise ValidationError(f"{name}[{i}]: {exc}") from exc
                 if (gap.numerator if rational else gap) <= 0:
-                    raise ValidationError(f"{name}[{i}] gap must be > 0, got {gap}")
+                    raise ValidationError(f"{name}[{i}] gap must be > 0, got {_shown(gap)}")
                 if (height.numerator if rational else height) <= 0:
-                    raise ValidationError(f"{name}[{i}] height must be > 0, got {height}")
+                    raise ValidationError(f"{name}[{i}] height must be > 0, got {_shown(height)}")
                 fixed.append((gap, height))
             sides.append(tuple(fixed))
         return super().__new__(cls, mode, head_start, *sides)
@@ -336,9 +351,7 @@ def _on_one_scale(*curves):
 
 def scale(system: BarrierSystem, factor) -> BarrierSystem:
     """Multiply every length, including the head start, by ``factor`` > 0."""
-    factor = coerce_length(factor, system.mode)
-    if factor <= 0:
-        raise ValidationError(f"scale factor must be > 0, got {factor}")
+    factor = _positive(factor, system.mode, "scale factor", ValidationError)
     return BarrierSystem(
         mode=system.mode,
         head_start=system.head_start * factor,
@@ -384,19 +397,8 @@ def approx(x) -> str:
 
 
 def to_document(system: BarrierSystem) -> dict:
-    """Serialize to the interchange dict (rationals as 'p/q' strings)."""
-    return {
-        "mode": system.mode,
-        "head_start": render_number(system.head_start, system.mode),
-        "right": [
-            {"a": render_number(g, system.mode), "b": render_number(h, system.mode)}
-            for g, h in system.right
-        ],
-        "left": [
-            {"c": render_number(g, system.mode), "d": render_number(h, system.mode)}
-            for g, h in system.left
-        ],
-    }
+    """The interchange dict: the parsed ``dumps`` text (rationals as 'n/d' strings)."""
+    return json.loads(dumps(system))
 
 
 def _parse_side(entries, gap: str, height: str, side: str) -> tuple:
@@ -428,7 +430,8 @@ def from_document(document: dict) -> BarrierSystem:
 
 
 def dumps(system: BarrierSystem) -> str:
-    """``json.dumps(to_document(system), indent=2) + "\\n"``, written in one pass without the pure-Python encoder."""
+    """The system document's one writer (``to_document`` parses it), laid out as ``json.dumps(..., indent=2)``
+    plus a newline; each number is written with ``str``, a rational one as the string 'n' or 'n/d'."""
     q = '"' if system.mode == RATIONAL else ""  # json writes a float as float.__repr__, which is also its str
 
     def side(pairs, a, b):

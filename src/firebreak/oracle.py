@@ -33,7 +33,7 @@ samples at cell 1) is counted in about 0.3 s.  It and ``compare``, which
 hands the exact curve to the simulator's float evaluator, one bisect per
 breakpoint over the sample times, run in pure Python; ``compare`` takes the
 times sorted, as ``grid_consumption`` makes them.  The cell and
-horizon are read as floats, refused by name past the float range; a rational
+horizon are read as floats, refused by name unless > 0 and finite; a rational
 system's lengths are read as lattice ints over one scale, compared with
 bounds made ints once, and each float is one int true division, as
 ``float(Fraction)`` makes it, so no ``Fraction`` is made in a loop.  Only
@@ -55,7 +55,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import eq, gt, itemgetter, le, mul, sub
 from typing import NamedTuple
 
-from .model import FLOAT, LEFT, RIGHT, BarrierSystem, _on_one_scale, approx
+from .model import FLOAT, LEFT, RIGHT, BarrierSystem, _on_one_scale, _shown, approx
 from .simulate import PiecewiseLinearCurve, _floats_at
 
 # bytes per column of build_scene: the list the tops are set in and the tuple they end in
@@ -131,20 +131,22 @@ def _refuse_past_memory(nbytes: int, nodes: int, cell: float, horizon: float, wh
 
 def build_scene(system: BarrierSystem, cell: float, horizon: float) -> GridScene:
     """Scene covering everything reachable within the horizon plus a margin."""
-    return _scene(*_walls(system), *_floats(cell, horizon))
+    return _scene(*_walls(system), *_floats(cell=cell, horizon=horizon))
 
 
-def _floats(cell, horizon) -> tuple[float, float]:
-    """The cell and the horizon read as floats, once; a bool, what is not a real number and what is past the float
-    range are refused, by name."""
+def _floats(**named) -> tuple[float, ...]:
+    """The cell and the horizon, given by name, read as floats, once; a bool, what is not a real number, what is past
+    the float range and what is not > 0 and finite are refused, by name."""
     floats = []
-    for name, x in (("cell", cell), ("horizon", horizon)):
+    for name, x in named.items():
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {x!r}")
         try:
             floats.append(float(x))
         except OverflowError:  # an int or a Fraction
             raise ValueError(f"{name} {approx(x)} is past the float range") from None
+        if not 0 < floats[-1] < math.inf:  # also refuses nan
+            raise ValueError(f"{name} must be > 0 and finite, got {_shown(x)}")
     return tuple(floats)
 
 
@@ -158,9 +160,7 @@ def _walls(system: BarrierSystem) -> tuple[int | None, dict[str, tuple]]:
 
 
 def _scene(scale: int | None, walls: dict[str, tuple], cell: float, horizon: float) -> GridScene:
-    """``build_scene`` from ``_walls`` and a float cell and horizon; a rational system's lengths are lattice ints."""
-    if not (cell > 0 and 0 < horizon < math.inf):
-        raise ValueError("cell size and horizon must be > 0 and the horizon finite")
+    """``build_scene`` from ``_walls`` and the cell and horizon ``_floats`` reads; rational lengths are lattice ints."""
     if cell > horizon:
         raise ValueError(f"cell {cell:g} is larger than the horizon {horizon:g}")
     ratio = horizon / cell  # past the float range (a cell of 5e-324) the exact ratio sizes the refusal
@@ -391,8 +391,8 @@ def grid_consumption(
     2**52; so the points are counted by level, and ``grid_arrival``'s cut at
     horizon + 2 cells, past every counted level, is never needed.
     What this needs is refused before allocating when it cannot fit in
-    physical memory.  The cell and the horizon are read as floats, a bool
-    or what is not a real number refused, and a rational system's lengths
+    physical memory.  The cell and the horizon are read as floats, what is
+    not a real number > 0 and finite refused, and a rational system's lengths
     as lattice ints (``_walls``).
     """
     sides = (sides,) if isinstance(sides, str) else tuple(sides)
@@ -400,7 +400,7 @@ def grid_consumption(
     if unknown or not sides:
         raise ValueError(f"unknown side {unknown[0]!r}: sides are 'right' and 'left'" if unknown
                          else "sides is empty: give 'right', 'left' or both")
-    cell, horizon = _floats(cell, horizon)
+    cell, horizon = _floats(cell=cell, horizon=horizon)
     scale, walls = _walls(system)
     scene = _scene(scale, walls, cell, horizon)
     head = float(system.head_start)
@@ -468,8 +468,7 @@ def grid_consumption(
 
 def consumption_tolerance(system: BarrierSystem, cell: float) -> float:
     """Acceptance bound for |sampled - exact|: two cells per face plus two."""
-    if isinstance(cell, bool) or not (isinstance(cell, numbers.Real) and 0 < cell < math.inf):
-        raise ValueError(f"cell size must be > 0 and finite, got {cell!r}")
+    (cell,) = _floats(cell=cell)
     faces = len(system.right) + len(system.left)
     return 2.0 * cell * (faces + 2)
 

@@ -50,8 +50,8 @@ from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .geodesic import _verticals
-from .model import (FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _check_side, _on_one_scale, _whole, approx,
-                    render_number)
+from .model import (FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _check_side, _on_one_scale, _positive, _shown,
+                    _whole, approx, render_number)
 
 TOTAL = "total"
 
@@ -273,9 +273,7 @@ def _lattice(system: BarrierSystem, horizon=None, truncated: bool = False) -> _L
         if (top := _earliest_top(lat, 1)) is None:
             raise ValueError("system has no verticals; specify an explicit horizon")
         return lat._replace(horizon=top)
-    horizon = system.number(horizon)
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    horizon = _positive(horizon, system.mode, "horizon")
     lat = _scaled(system, horizon)
     if not truncated and (bound := _earliest_top(lat, 2)) is not None and lat.horizon > bound:
         raise ValueError(
@@ -482,9 +480,7 @@ def check_speed(system: BarrierSystem, speed, horizon=None, truncated: bool = Fa
     B(t) > speed*t; it is 0 when the violation starts at the origin (zero
     head start).
     """
-    speed = system.number(speed)
-    if speed <= 0:
-        raise ValueError(f"speed must be > 0, got {speed}")
+    speed = _positive(speed, system.mode, "speed")
     lat = _lattice(system, horizon, truncated)
     points, _ = _sweep(_events(_side_ramps(lat, RIGHT) + _side_ramps(lat, LEFT)), lat)
     hit = _feasibility(points, speed)
@@ -517,7 +513,7 @@ def predict_intervals(system: BarrierSystem, side: str, index: int) -> list:
             f"{side_check.conditions7_violation}"
         )
     if not 1 <= index <= len(pairs) - 1:
-        raise ValueError(f"cycle index must be in [1, {len(pairs) - 1}], got {index}")
+        raise ValueError(f"cycle index must be in [1, {len(pairs) - 1}], got {_shown(index)}")
     height = pairs[index - 1][1]
     next_gap, next_height = pairs[index]
     entries = [(height, 0), (next_gap - height, 1), (height, 3), (next_height - 2 * height, 1)]

@@ -290,7 +290,14 @@ class TestOracle:
     def test_cell_larger_than_horizon_is_usage_error(self, doc3, capsys, cell):
         assert run(["oracle", "--system", str(doc3), "--cell", cell]) == 2
         err = capsys.readouterr().err
-        assert f"cell {float(cell):g} is larger than the horizon 171" in err
+        want = "cell must be > 0 and finite, got inf" if cell == "inf" else "cell 1e+308 is larger than the horizon 171"
+        assert want in err
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_horizon_not_above_zero_is_named(self, doc3, capsys, horizon):
+        # the grid's joint check said "cell size and horizon must be > 0 and the horizon finite"
+        assert run(["oracle", "--system", str(doc3), "--cell", "1", "--horizon", horizon]) == 2
+        assert capsys.readouterr().err == f"error: horizon must be > 0 and finite, got {horizon}\n"
 
 
     @pytest.mark.parametrize("doc, argv, message", [

@@ -37,11 +37,12 @@ from firebreak import (
     to_document,
     validate,
 )
-from firebreak.geodesic import FaceArrivalProfile
+from firebreak.geodesic import FaceArrivalProfile, face_arrival_profiles, geodesic_distance
 from firebreak.model import (
     _drop_non_increasing, _enforce_doubling, _merge_head_start, coerce_length, int_digit_limit, loads, dumps,
     render_number,
 )
+from firebreak.simulate import predict_intervals
 
 from conftest import random_rational_system
 
@@ -431,6 +432,16 @@ class TestDocuments:
         assert doc["head_start"] == "1/3"
         assert doc["right"][0] == {"a": "22/7", "b": "17/9"}
 
+    @pytest.mark.parametrize("system, document", [
+        (rational("1/3", right=((2, "22/7"),)),
+         {"mode": "rational", "head_start": "1/3", "right": [{"a": "2", "b": "22/7"}], "left": []}),
+        (BarrierSystem(FLOAT, 0.5, (), ((1, 0.1), (3.25, 1e300))),
+         {"mode": "float", "head_start": 0.5, "right": [], "left": [{"c": 1.0, "d": 0.1}, {"c": 3.25, "d": 1e300}]}),
+    ], ids=["rational", "float"])
+    def test_document_content_is_pinned(self, system, document):
+        # repr: key order, and a float length stays a float (1.0, not 1)
+        assert repr(to_document(system)) == repr(document)
+
     def test_missing_head_start_rejected(self):
         with pytest.raises(DocumentError):
             from_document({"mode": "rational", "right": [], "left": []})
@@ -531,6 +542,55 @@ class TestDocumentText:
         assert text == json.dumps(to_document(system), indent=2) + "\n"
         back = loads(text)
         assert back == system and repr(back) == repr(system)  # repr: -0.0 stays -0.0
+
+
+def reference_document(system):
+    """The document dict built field by field, each number as ``render_number`` writes it."""
+    def side(pairs, gap, height):
+        return [{gap: render_number(g, system.mode), height: render_number(h, system.mode)} for g, h in pairs]
+
+    return {"mode": system.mode, "head_start": render_number(system.head_start, system.mode),
+            "right": side(system.right, "a", "b"), "left": side(system.left, "c", "d")}
+
+
+class TestDocumentContent:
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    @example(build_seventeen_ninths(1, cycles=8))
+    @example(build_improved(InterlacingParams(cycles=8)))
+    @example(BarrierSystem(FLOAT, -0.0, (), ()))
+    def test_to_document_holds_each_number_as_render_number_writes_it(self, system):
+        # to_document parses dumps' text: this checks what that text holds, not only how it is laid out
+        assert repr(to_document(system)) == repr(reference_document(system))
+
+
+BIG = 10**5000
+
+
+class TestRefusalsPastTheDigitLimit:
+    """A refused int or Fraction longer than ``str`` writes is shown as ``approx`` shows it, by name."""
+
+    @pytest.mark.parametrize("call, error, name, shown", [
+        (lambda s: consumption_curve(s, -BIG), ValueError, "horizon", "-1e+5000"),
+        (lambda s: check_speed(s, Fraction(-BIG, 3)), ValueError, "speed", "-3.33333e+4999"),
+        (lambda s: face_arrival_profiles(s, "right", -BIG), ValueError, "horizon", "-1e+5000"),
+        (lambda s: scale(s, -BIG), ValidationError, "scale factor", "-1e+5000"),
+        (lambda s: build_seventeen_ninths(-BIG), ValidationError, "head start", "-1e+5000"),
+        (lambda s: build_seventeen_ninths(1, cycles=-BIG), ValueError, "cycles", "-1e+5000"),
+        (lambda s: build_improved(InterlacingParams(cycles=-BIG)), ValidationError, "cycles", "-1e+5000"),
+        (lambda s: predict_intervals(s, "right", BIG), ValueError, "cycle index", "1e+5000"),
+        (lambda s: BarrierSystem(RATIONAL, -BIG, (), ()), ValidationError, "head_start", "-1e+5000"),
+        (lambda s: BarrierSystem(RATIONAL, 1, ((-BIG, 1),), ()), ValidationError, "right[1] gap", "-1e+5000"),
+        (lambda s: geodesic_distance(s, (1, -BIG)), ValueError, "y=", "-1e+5000"),
+    ], ids=["consumption_curve", "check_speed", "face_arrival_profiles", "scale", "seventeen_ninths-head_start",
+            "seventeen_ninths-cycles", "improved-cycles", "predict_intervals", "head_start", "gap",
+            "geodesic_distance"])
+    def test_a_refusal_names_its_argument_and_shows_it_short(self, digit_limit, call, error, name, shown):
+        # str of such a number raised Python's own ValueError in place of the refusal
+        with pytest.raises(ValueError) as info:
+            call(build_seventeen_ninths(1, cycles=3))
+        assert type(info.value) is error
+        assert name in str(info.value) and str(info.value).endswith(shown)
 
 
 class TestCoerce:
