@@ -58,7 +58,10 @@ def _horizon(args, system):
 
     if args.horizon is None:
         return None
-    horizon = system.number(args.horizon)
+    try:  # named as the library names its speed and horizon
+        horizon = system.number(args.horizon)
+    except model.ValidationError as exc:
+        raise ValueError(f"horizon: {exc}") from None
     bound = simulate.valid_horizon(system)
     if not args.truncated and bound is not None and horizon > bound:
         raise ValueError(
@@ -72,13 +75,14 @@ def _check_cycles(head_start, cycles: int) -> None:
     """Refuse, before building, 17/9 cycles whose longest length ``str`` cannot write.
 
     That is the last left height, ``34 p 16^(cycles - 1)`` over the head
-    start's denominator (``p`` its numerator); 0 digits means no limit.
+    start's denominator (``p`` its numerator; the head start is read and
+    refused as the builder reads it); 0 digits means no limit.
     """
     from . import model
 
     limit = model.int_digit_limit()
-    p = model.coerce_length(head_start, model.RATIONAL).numerator
-    if limit and p > 0:
+    p = model._positive(head_start, model.RATIONAL, "head start", model.ValidationError).numerator
+    if limit:
         most = (((10**limit - 1) // (34 * p)).bit_length() - 1) // 4 + 1
         if cycles > most:
             raise ValueError(

@@ -3,7 +3,8 @@
 Both interlaced constructions alternate the idle stretches of the two sides
 so that each side's high-consumption phases fall into the other side's
 0-intervals.  Lengths grow geometrically, so ``cycles`` pairs per side span
-roughly ``beta^(2*cycles)`` in scale.
+roughly ``beta^(2*cycles)`` in scale.  ``optimize`` loads only when the
+shifted scheme is resolved or built, never for 17/9 or the flat baseline.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .model import FLOAT, RATIONAL, BarrierSystem, ValidationError
-from .optimize import delta_of_beta, interlaced_maxima, optimize_beta_delta
 from . import model
 
 
@@ -68,6 +68,8 @@ class InterlacingParams(NamedTuple):
     head_start: object = "auto"
 
     def resolved(self) -> "InterlacingParams":
+        from .optimize import delta_of_beta, optimize_beta_delta
+
         beta, delta = self.beta, self.delta
         for name, x in (("beta", beta), ("delta", delta)):  # None: the optimum's
             if x is not None and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
@@ -115,6 +117,8 @@ def build_improved(params: InterlacingParams | None = None) -> BarrierSystem:
     With beta > 2 and delta >= 0 every gap is positive: a_{i+1} =
     d_{i-1} (beta^2 + beta delta + delta - 1) > 3 d_{i-1}, and likewise c_{i+1}.
     """
+    from .optimize import interlaced_maxima
+
     params = (params or InterlacingParams()).resolved()
     beta, delta, cycles = params.beta, params.delta, params.cycles
     v = interlaced_maxima(beta, delta)[0]

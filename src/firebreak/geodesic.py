@@ -16,7 +16,8 @@ front moves at unit speed along any face it consumes).  Truncated at a
 horizon, every piece of a profile still changes time: a face the front
 reaches only at the horizon has no profile.  On a rational system an int
 or Fraction point is read as integer ratios, on the lattice of
-``model._on_one_scale``, and one Fraction is made for its distance.
+``model._on_one_scale``, and one Fraction is made for its distance.  The
+clearance/top recurrence is ``model._verticals``, which ``simulate`` runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _on_one_scale, _positive, _shown, approx
+from .model import FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _on_one_scale, _positive, _shown, _verticals, approx
 
 GROUND = "ground"
 VERTICAL_LEFT = "vertical_left"    # face toward the origin
@@ -43,15 +44,15 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
     if not exact:  # an int or a Fraction is finite, and its sign is its numerator's
         for c in (x, y):  # the type test first: an ABC check is slow
             if type(c) not in (int, float, Fraction) and (isinstance(c, bool) or not isinstance(c, numbers.Real)):
-                raise ValueError(f"point {point!r} has a coordinate that is not a real number")
+                raise ValueError(f"point {_point(point)} has a coordinate that is not a real number")
         if not (-math.inf < x < math.inf and -math.inf < y < math.inf):  # nan fails too; no float made of a Fraction
-            raise ValueError(f"point {point!r} has a coordinate that is not finite")
+            raise ValueError(f"point {_point(point)} has a coordinate that is not finite")
     if (y.numerator if exact else y) < 0:
         raise ValueError(f"point must lie in the upper half-plane, got y={_shown(y)}")
     try:  # a float system reads the point as its numbers
         x, y = (float(x), float(y)) if system.mode == FLOAT else (x, y)
     except OverflowError:
-        raise ValueError(f"point {point!r} has a coordinate past the float range") from None
+        raise ValueError(f"point {_point(point)} has a coordinate past the float range") from None
     pairs, scale = system.pairs(RIGHT if (x.numerator if exact else x) >= 0 else LEFT), None
     if exact:  # the whole side: _verticals stops at the first foot at |x| or past; x keeps its sign
         scale, (pairs, [(x, y)]) = _on_one_scale(pairs, [(x, y)])
@@ -72,27 +73,17 @@ def geodesic_distance(system: BarrierSystem, point) -> object:
     return direct if scale is None else Fraction(direct, scale)
 
 
+def _point(point) -> str:
+    """``point`` as a refusal prints it: ``repr``, or, past ``int_digit_limit()``, an int or Fraction as ``approx``."""
+    try:
+        return repr(point)
+    except ValueError:
+        return f"({', '.join(approx(c) if type(c) in (int, Fraction) else repr(c) for c in point)})"
+
+
 def top_arrival_times(system: BarrierSystem, side: str) -> tuple:
     """Arrival time of the fire at the top of each vertical on one side."""
     return tuple(top for *_, top in _verticals(system.pairs(side), system.zero))[:-1]  # not the ray
-
-
-def _verticals(pairs, zero):
-    """One side's clearance/top-arrival recurrence, on Fractions, floats or lattice ints.
-
-    Yields ``(previous foot, foot, height, clearance, top)`` per vertical:
-    the front meets its near face at the clearance, the tallest height
-    before it, and reaches its top at ``top``.  A last entry ``(last foot,
-    None, None, clearance, None)`` stands for the trailing ray.
-    """
-    pos = clearance = zero
-    for gap, height in pairs:
-        foot = pos + gap
-        top = foot + 2 * clearance - height if clearance >= height else foot + height
-        yield pos, foot, height, clearance, top
-        pos = foot
-        clearance = clearance if clearance > height else height
-    yield pos, None, None, clearance, None
 
 
 class FaceArrivalProfile(NamedTuple):

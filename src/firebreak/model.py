@@ -20,7 +20,8 @@ Two numeric modes:
 All types are immutable ``NamedTuple`` records and all operations are pure
 functions.  This base module imports no other ``firebreak`` module; its
 ``_on_one_scale`` makes the int lattice that ``normalize_doubling``,
-``geodesic``, ``simulate`` and ``oracle`` run rational numbers on.
+``geodesic``, ``simulate`` and ``oracle`` run rational numbers on, and its
+``_verticals`` is the clearance/top recurrence of ``geodesic`` and ``simulate``.
 """
 
 from __future__ import annotations
@@ -74,8 +75,12 @@ def _shown(value) -> str:
 
 
 def _positive(value, mode: str, name: str, error=ValueError) -> Number:
-    """``value`` as ``coerce_length`` reads it in ``mode``; one <= 0 is refused by ``name``."""
-    if (value := coerce_length(value, mode)) <= 0:
+    """``value`` as ``coerce_length`` reads it in ``mode``; its refusal, or one of a value <= 0, names ``name``."""
+    try:
+        value = coerce_length(value, mode)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+    if value <= 0:
         raise error(f"{name} must be > 0, got {_shown(value)}")
     return value
 
@@ -347,6 +352,24 @@ def _on_one_scale(*curves):
     ratios = [[(t.as_integer_ratio(), v.as_integer_ratio()) for t, v in points] for points in curves]
     scale = math.lcm(*(den for points in ratios for (_, dt), (_, dv) in points for den in (dt, dv)))
     return scale, [[(nt * (scale // dt), nv * (scale // dv)) for (nt, dt), (nv, dv) in points] for points in ratios]
+
+
+def _verticals(pairs, zero):
+    """One side's clearance/top-arrival recurrence, on Fractions, floats or lattice ints.
+
+    Yields ``(previous foot, foot, height, clearance, top)`` per vertical:
+    the front meets its near face at the clearance, the tallest height
+    before it, and reaches its top at ``top``.  A last entry ``(last foot,
+    None, None, clearance, None)`` stands for the trailing ray.
+    """
+    pos = clearance = zero
+    for gap, height in pairs:
+        foot = pos + gap
+        top = foot + 2 * clearance - height if clearance >= height else foot + height
+        yield pos, foot, height, clearance, top
+        pos = foot
+        clearance = clearance if clearance > height else height
+    yield pos, None, None, clearance, None
 
 
 def scale(system: BarrierSystem, factor) -> BarrierSystem:

@@ -49,9 +49,8 @@ from itertools import chain, repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from .geodesic import _verticals
 from .model import (FLOAT, LEFT, RATIONAL, RIGHT, BarrierSystem, _check_side, _on_one_scale, _positive, _shown,
-                    _whole, approx, render_number)
+                    _verticals, _whole, approx, render_number)
 
 TOTAL = "total"
 

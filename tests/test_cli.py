@@ -50,6 +50,13 @@ class TestConstruct:
             run(["construct", "--type", "flat", "--out", str(tmp_path / "x.json")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("kind, text", [("seventeen-ninths", "cannot parse rational 'abc'"),
+                                            ("improved", "cannot coerce 'abc' to float")], ids=["17/9", "improved"])
+    def test_unreadable_head_start_is_named(self, tmp_path, capsys, kind, text):
+        argv = ["construct", "--type", kind, "--headstart", "abc", "--out", str(tmp_path / "out.json")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: head start: {text}\n"
+
     def test_cycles_past_the_digit_limit_are_refused_before_building(self, tmp_path, capsys, digit_limit):
         # the last left height, 34 * 10**4000 * 16**(cycles - 1), has 4299 digits at 248 cycles
         out = tmp_path / "deep.json"
@@ -178,7 +185,7 @@ class TestSimulate:
         run(["construct", "--type", "improved", "--cycles", "3", "--out", str(doc)])
         capsys.readouterr()
         assert run(["simulate", "--system", str(doc), "--horizon", "inf"]) == 2
-        assert capsys.readouterr().err == "error: non-finite length 'inf'\n"
+        assert capsys.readouterr().err == "error: horizon: non-finite length 'inf'\n"
 
 
 class TestMaxima:
@@ -230,17 +237,17 @@ class TestCheck:
         huge = f"{10**400}/3"
         for argv in (["check", "--speed", huge], ["simulate", "--horizon", huge, "--truncated"]):
             assert run(argv + ["--system", str(doc)]) == 2
-            assert capsys.readouterr().err == "error: cannot coerce 3.33333e+399 to float\n"
+            assert capsys.readouterr().err == f"error: {argv[1][2:]}: cannot coerce 3.33333e+399 to float\n"
 
 
     @pytest.mark.parametrize("argv", [["check", "--speed", "1/0"], ["simulate", "--horizon", "1/0", "--truncated"]])
     def test_zero_denominator_on_a_float_system_is_usage_error(self, imp3, capsys, argv):
         assert run(argv + ["--system", str(imp3)]) == 2
-        assert capsys.readouterr().err == "error: cannot parse rational '1/0'\n"
+        assert capsys.readouterr().err == f"error: {argv[1][2:]}: cannot parse rational '1/0'\n"
 
     def test_free_text_speed_on_a_float_system_names_the_float_reader(self, imp3, capsys):
         assert run(["check", "--system", str(imp3), "--speed", "abc"]) == 2
-        assert capsys.readouterr().err == "error: cannot coerce 'abc' to float\n"
+        assert capsys.readouterr().err == "error: speed: cannot coerce 'abc' to float\n"
 
 
 class TestOracle:

@@ -44,12 +44,34 @@ def test_import_loads_no_submodule():
 
 
 def test_model_is_the_base_module():
-    # geodesic, simulate and oracle import the lattice helper from model, which imports none of them
+    # geodesic, simulate and oracle import the lattice helper and the per-side recurrence from model,
+    # which imports none of them
     python("""
         import sys
         import firebreak.model
         assert sorted(m for m in sys.modules if m.startswith("firebreak")) == ["firebreak", "firebreak.model"]
-        assert callable(firebreak.model._on_one_scale)
+        assert callable(firebreak.model._on_one_scale) and callable(firebreak.model._verticals)
+    """)
+
+
+def test_library_calls_load_only_what_they_run():
+    # 17/9 never needs the optimizer, and the simulator never needs geodesic
+    python("""
+        import sys
+        import firebreak
+
+        def loaded():
+            return {m for m in sys.modules if m.startswith("firebreak.")}
+
+        system = firebreak.build_seventeen_ninths(1, cycles=3)
+        curves = firebreak.consumption_curve(system)
+        firebreak.ratio_maxima(curves.total, firebreak.valid_horizon(system))
+        firebreak.check_speed(system, "17/9")
+        assert loaded() == {"firebreak.model", "firebreak.constructions", "firebreak.simulate"}, loaded()
+        firebreak.geodesic_distance(system, (1, 0))
+        assert "firebreak.geodesic" in loaded() and "firebreak.optimize" not in loaded()
+        firebreak.build_improved()
+        assert "firebreak.optimize" in loaded()
     """)
 
 
@@ -62,12 +84,14 @@ def test_resolved_names_are_cached():
     """)
 
 
-SIMULATOR = {"model", "geodesic", "simulate"}
+SIMULATOR = {"model", "simulate"}
 
 # each command with the firebreak submodules it loads besides ``cli``
 COMMANDS = {
     "construct": (["construct", "--type", "seventeen-ninths", "--headstart", "1", "--cycles", "4",
-                   "--out", "built.json"], {"model", "constructions", "optimize"}),
+                   "--out", "built.json"], {"model", "constructions"}),
+    "construct-improved": (["construct", "--type", "improved", "--cycles", "4", "--out", "improved.json"],
+                           {"model", "constructions", "optimize"}),
     "simulate": (["simulate", "--system", "s.json", "--curve-out", "c.csv", "--intervals-out", "k.json"],
                  SIMULATOR),
     "maxima": (["maxima", "--system", "s.json", "--out", "m.json"], SIMULATOR),
@@ -118,7 +142,8 @@ def test_every_command_runs_without_numpy(workdir):
     without = run_every_command(workdir, numpy=False)
     assert without == run_every_command(workdir, numpy=True)
     results = [ast.literal_eval(line) for line in without.splitlines()]
-    assert [(name, code, err) for name, code, _, err in results] == [(name, 0, "") for name in COMMANDS]
+    expected = [(argv[0], 0, "") for argv, _ in COMMANDS.values()]  # two entries run construct
+    assert [(name, code, err) for name, code, _, err in results] == expected
     assert ("oracle", 0, "PASS: max deviation 5 at t=52 (tolerance 16)\n", "") in results
 
 

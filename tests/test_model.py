@@ -593,6 +593,26 @@ class TestRefusalsPastTheDigitLimit:
         assert name in str(info.value) and str(info.value).endswith(shown)
 
 
+class TestRefusalsNameTheirArgument:
+    """A number the library cannot read is refused with the argument's name in front of the reader's text."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda s: check_speed(s, "x"), "speed: cannot parse rational 'x'"),
+        (lambda s: consumption_curve(s, "1/0"), "horizon: cannot parse rational '1/0'"),
+        (lambda s: face_arrival_profiles(s, "right", 1.5),
+         "horizon: float 1.5 not accepted in rational mode (lossy); pass an int, Fraction or 'p/q' string"),
+        (lambda s: scale(s, None), "scale factor: cannot coerce None to a rational length"),
+        (lambda s: build_seventeen_ninths("abc"), "head start: cannot parse rational 'abc'"),
+        (lambda s: build_improved(InterlacingParams(cycles=3, head_start="abc")),
+         "head start: cannot coerce 'abc' to float"),
+    ], ids=["check_speed", "consumption_curve", "face_arrival_profiles", "scale", "seventeen_ninths", "improved"])
+    def test_an_unreadable_number_is_named(self, call, text):
+        # the reader's refusal came through without the name: "cannot parse rational 'x'"
+        with pytest.raises(ValidationError) as info:
+            call(build_seventeen_ninths(1, cycles=3))
+        assert str(info.value) == text
+
+
 class TestCoerce:
     def test_decimal_string_is_exact_in_rational_mode(self):
         assert coerce_length("7.5", RATIONAL) == Fraction(15, 2)
@@ -609,9 +629,9 @@ class TestCoerce:
         with pytest.raises(ValidationError, match=r"^head_start: not a length: True$"):
             BarrierSystem(FLOAT, True, ((1.0, 17.0),), ())
         system = BarrierSystem(FLOAT, 1.0, ((1.0, 17.0),), ())
-        with pytest.raises(ValidationError, match=r"^not a length: True$"):
+        with pytest.raises(ValidationError, match=r"^speed: not a length: True$"):
             check_speed(system, True)
-        with pytest.raises(ValidationError, match=r"^not a length: True$"):
+        with pytest.raises(ValidationError, match=r"^horizon: not a length: True$"):
             consumption_curve(system, True, truncated=True)
 
     def test_unknown_mode_rejected(self):
