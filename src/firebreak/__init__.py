@@ -22,7 +22,7 @@ _EXPORTS = {
              "ValidationReport from_document load normalize_doubling save scale to_document validate",
     "geodesic": "face_arrival_profiles geodesic_distance top_arrival_times",
     "simulate": "ConsumptionCurves KInterval PiecewiseLinearCurve RatioReport SpeedCheck check_speed "
-                "consumption_curve curve_to_csv default_horizon predict_intervals ratio_maxima "
+                "consumption_curve curve_to_csv predict_intervals ratio_maxima "
                 "ratio_report side_intervals valid_horizon",
     "constructions": "InterlacingParams build_flat build_improved build_seventeen_ninths",
     "optimize": "Optimum cycle_ratio delta_of_beta interlaced_maxima optimize_beta optimize_beta_delta",

@@ -179,8 +179,9 @@ def cmd_oracle(args) -> int:
 
     system = model.load(args.system)
     # the grid checks the truncated system itself, so any horizon is allowed
-    horizon = simulate.valid_horizon(system) if args.horizon is None else system.number(args.horizon)
-    if horizon is None:
+    if args.horizon is not None:
+        horizon = model._positive(args.horizon, system.mode, "horizon")
+    elif (horizon := simulate.valid_horizon(system)) is None:
         raise ValueError("specify --horizon for systems without verticals")
     sampled = oracle.grid_consumption(system, args.cell, horizon)  # refuses a horizon past the float range
     exact = simulate.consumption_curve(system, horizon, truncated=True)

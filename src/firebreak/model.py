@@ -226,18 +226,10 @@ class SideCheck(NamedTuple):
     doubling_violation: int | None = None    # 1-based barrier index
     conditions7_violation: int | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.doubling and self.conditions7
-
 
 class ValidationReport(NamedTuple):
     right: SideCheck
     left: SideCheck
-
-    @property
-    def all_ok(self) -> bool:
-        return self.right.ok and self.left.ok
 
 
 def _check_side(pairs: Sequence[tuple]) -> SideCheck:

@@ -110,17 +110,10 @@ def optimal_speed_closed_form() -> float:
 
 
 def optimize_beta_delta() -> Optimum:
-    """Minimize the equalized ratio over its one valley in [2.5, 10]; cross-check the radical forms."""
+    """Minimize the equalized ratio over its one valley in [2.5, 10]; the tests check it against the radical forms."""
     beta, v, iterations = golden_section_min(equalized_ratio, 2.5, 10.0)
     delta = delta_of_beta(beta)
     maxima = interlaced_maxima(beta, delta)
-    beta_closed = optimal_beta_closed_form()
-    v_closed = optimal_speed_closed_form()
-    if abs(beta - beta_closed) > 1e-6 or abs(v - v_closed) > 1e-6:
-        raise AssertionError(
-            f"search optimum (beta={beta}, v={v}) disagrees with the closed forms "
-            f"(beta={beta_closed}, v={v_closed})"
-        )
     return Optimum(beta=beta, delta=delta, v=v, achieved_maxima=maxima, iterations=iterations)
 
 

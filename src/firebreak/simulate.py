@@ -237,13 +237,6 @@ def _earliest_top(lat: _Lattice, back: int):
     return min(bounds) if bounds else None
 
 
-def _system_top(system: BarrierSystem, back: int):
-    """``_earliest_top`` of the system's own lattice, as a system number."""
-    lat = _scaled(system)
-    top = _earliest_top(lat, back)
-    return None if top is None else _number(lat.scale, top)
-
-
 def valid_horizon(system: BarrierSystem):
     """Time range over which a truncated prefix still matches the infinite system.
 
@@ -252,12 +245,9 @@ def valid_horizon(system: BarrierSystem):
     fewer than two verticals the last top itself is used; with none there is
     no structural bound and None is returned.
     """
-    return _system_top(system, 2)
-
-
-def default_horizon(system: BarrierSystem):
-    """Arrival at the earliest side's last top: the natural simulation span."""
-    return _system_top(system, 1)
+    lat = _scaled(system)
+    top = _earliest_top(lat, 2)
+    return None if top is None else _number(lat.scale, top)
 
 
 def _lattice(system: BarrierSystem, horizon=None, truncated: bool = False) -> _Lattice:

@@ -300,11 +300,14 @@ class TestOracle:
         want = "cell must be > 0 and finite, got inf" if cell == "inf" else "cell 1e+308 is larger than the horizon 171"
         assert want in err
 
-    @pytest.mark.parametrize("horizon", ["0", "-1"])
-    def test_horizon_not_above_zero_is_named(self, doc3, capsys, horizon):
-        # the grid's joint check said "cell size and horizon must be > 0 and the horizon finite"
+    @pytest.mark.parametrize("horizon, message", [
+        ("0", "horizon must be > 0, got 0"),  # the texts simulate, maxima and check print
+        ("-1", "horizon must be > 0, got -1"),
+        ("abc", "horizon: cannot parse rational 'abc'"),
+    ])
+    def test_horizon_not_above_zero_is_named(self, doc3, capsys, horizon, message):
         assert run(["oracle", "--system", str(doc3), "--cell", "1", "--horizon", horizon]) == 2
-        assert capsys.readouterr().err == f"error: horizon must be > 0 and finite, got {horizon}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
     @pytest.mark.parametrize("doc, argv, message", [

@@ -15,7 +15,7 @@ from firebreak import (
     ValidationError,
     build_scene,
     build_seventeen_ninths,
-    default_horizon,
+    consumption_curve,
     face_arrival_profiles,
     geodesic_distance,
     grid_arrival,
@@ -283,7 +283,7 @@ class TestProfiles:
     def test_face_reached_only_at_the_horizon_has_no_profile(self):
         # 17/9 at 3 cycles: the front reaches the top of right vertical 3 exactly at the default horizon
         system = build_seventeen_ninths(1, cycles=3)
-        horizon = default_horizon(system)
+        horizon = consumption_curve(system).total.end  # the default horizon
         assert horizon == 3231
         profiles = {(p.kind, p.index): p.points for p in face_arrival_profiles(system, "right", horizon)}
         assert profiles[("vertical_left", 3)][-1] == (2176, 3231)
@@ -435,14 +435,17 @@ def systems_with_top_horizons(draw, mode):
     """A system and a horizon at one of its top arrivals or its default horizon: breakpoints on the horizon."""
     system = draw(systems(mode))
     tops = [t for side in ("right", "left") for t in top_arrival_times(system, side)]
-    default = default_horizon(system)
-    return system, draw(st.sampled_from(tops + [default]) if default is not None else LENGTHS[mode])
+    if not tops:  # no verticals, so no default horizon
+        return system, draw(LENGTHS[mode])
+    return system, draw(st.sampled_from(tops + [consumption_curve(system).total.end]))
 
 
 class TestProfileContract:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([RATIONAL, FLOAT]).flatmap(systems_with_top_horizons))
     @example((build_seventeen_ninths(1, cycles=3), Fraction(3231)))  # the top of right vertical 3
+    # left vertical 5 is first met at 29 + 99.99999999999999, which rounds to its top's arrival, the horizon
+    @example((BarrierSystem(FLOAT, 0.0, (), ((1.0, 1.0),) * 3 + ((1.0, 99.99999999999999), (25.0, 100.0))), 129.0))
     def test_every_piece_changes_time_at_unit_slope(self, case):
         system, horizon = case
         for side in ("right", "left"):
@@ -465,10 +468,13 @@ class TestSingleRecurrence:
         for side in ("right", "left"):
             near = {p.index: p for p in face_arrival_profiles(system, side, horizon) if p.kind == "vertical_left"}
             heights = system.heights(side)
-            for i, (height, top) in enumerate(zip(heights, top_arrival_times(system, side)), start=1):
-                if top < horizon or (top == horizon and max(heights[: i - 1], default=0) < height):
+            tops = top_arrival_times(system, side)
+            for i, (foot, height, top) in enumerate(zip(system.feet(side), heights, tops), start=1):
+                clearance = max(heights[: i - 1], default=0)
+                reach = foot + clearance if clearance < height else top  # the front first meets the face, in floats too
+                if top <= horizon and reach < horizon:
                     assert tuple(map(typed, near[i].points[-1])) == (typed(height), typed(top))
-                elif top == horizon:  # met at its top, so reached only at the horizon: no profile
+                elif top == horizon:  # reached only at the horizon: no profile
                     assert i not in near
 
     @MODES

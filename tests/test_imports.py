@@ -223,3 +223,49 @@ def test_curve_storage_is_read_only_in_simulate():
         if isinstance(node, ast.Attribute) and node.attr in ("_lattice", "_points")
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("", "default_horizon"),  # the default horizon is consumption_curve(system).total.end
+    ("simulate", "default_horizon"),
+    ("SideCheck", "ok"),  # validate's report is read by its fields
+    ("ValidationReport", "all_ok"),
+], ids=["firebreak.default_horizon", "simulate.default_horizon", "SideCheck.ok", "ValidationReport.all_ok"])
+def test_second_answers_are_gone(owner, name):
+    assert not hasattr(getattr(firebreak, owner) if owner else firebreak, name)
+    assert name not in firebreak.__all__ and name not in dir(firebreak)
+
+
+def top_level_names(tree):
+    """The names a module binds at its top level by ``def``, ``class`` or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def imported_names(tree):
+    """The names a module binds by ``import``, ``from __future__`` aside."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names}
+
+
+def read_names(tree):
+    """The names and attributes a module reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)}
+
+
+def test_every_private_name_and_import_is_used():
+    # a private helper whose last caller went, or an import left behind, is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(SRC, "firebreak").glob("*.py"))}
+    everywhere = set().union(*(read_names(tree) | imported_names(tree) for tree in trees.values()))
+    unused = [(module, name) for module, tree in trees.items() for name in top_level_names(tree)
+              if name.startswith("_") and not name.startswith("__") and name not in everywhere]
+    assert unused == []
+    unread = {module: imported_names(tree) - read_names(tree) for module, tree in trees.items()}
+    assert {module: names for module, names in unread.items() if names} == {}

@@ -31,7 +31,6 @@ from firebreak import (
     check_speed,
     consumption_curve,
     curve_to_csv,
-    default_horizon,
     face_arrival_profiles,
     normalize_doubling,
     predict_intervals,
@@ -1338,4 +1337,8 @@ class TestHorizons:
         want_valid = min((times[-2] if len(times) > 1 else times[0] for times in tops), default=None)
         want_default = min((times[-1] for times in tops), default=None)
         assert typed(valid_horizon(system)) == typed(want_valid)
-        assert typed(default_horizon(system)) == typed(want_default)
+        if want_default is None:
+            with pytest.raises(ValueError, match="^system has no verticals; specify an explicit horizon$"):
+                consumption_curve(system)
+        else:  # the default horizon
+            assert typed(consumption_curve(system).total.end) == typed(want_default)
