@@ -58,10 +58,7 @@ def _horizon(args, system):
 
     if args.horizon is None:
         return None
-    try:  # named as the library names its speed and horizon
-        horizon = system.number(args.horizon)
-    except model.ValidationError as exc:
-        raise ValueError(f"horizon: {exc}") from None
+    horizon = model._positive(args.horizon, system.mode, "horizon")
     bound = simulate.valid_horizon(system)
     if not args.truncated and bound is not None and horizon > bound:
         raise ValueError(

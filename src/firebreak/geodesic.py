@@ -104,12 +104,9 @@ def _clip_points(points: list, horizon) -> list | None:
     """Restrict a piecewise-linear (param, time) chain to time <= horizon; None when no piece is left.
 
     Slopes are +-1, so a crossing parameter is exact in rational mode; a breakpoint on the horizon is its own.
-    A piece whose two times are equal, which float rounding can make, changes no time and is dropped.
     """
     clipped: list = []
     for (p0, t0), (p1, t1) in zip(points, points[1:]):
-        if t0 == t1:  # at an end of the chain: a chain has at most two pieces
-            continue
         if t0 <= horizon and not clipped:
             clipped.append((p0, t0))
         if t0 < horizon < t1:  # rising through the horizon
@@ -139,7 +136,8 @@ def face_arrival_profiles(system: BarrierSystem, side: str, horizon) -> list:
         if foot is None:
             break
         near = [(zero, foot + 2 * clearance), (height, top)]
-        if 0 < clearance < height:  # the front meets the face at the clearance height
+        # the front meets the face at the clearance height, unless in floats that time rounds to the top's
+        if 0 < clearance < height and foot + clearance < top:
             near.insert(1, (clearance, foot + clearance))
         for kind, index, chain in ((GROUND, i, [(pos, pos + 2 * clearance), (foot, foot + 2 * clearance)]),
                                    (VERTICAL_LEFT, i + 1, near),

@@ -230,6 +230,12 @@ class TestCheck:
         assert "truncated=True" not in err
         assert run(check + ["--truncated"]) == 0
 
+    @pytest.mark.parametrize("horizon, want", [("0", "horizon must be > 0, got 0"),
+                                               ("abc", "horizon: cannot parse rational 'abc'")])
+    def test_horizon_is_refused_before_the_speed(self, doc3, capsys, horizon, want):
+        assert run(["check", "--system", str(doc3), "--speed", "0", "--horizon", horizon]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+
     def test_number_past_the_float_range_is_usage_error(self, tmp_path, capsys):
         doc = tmp_path / "improved.json"
         run(["construct", "--type", "improved", "--cycles", "3", "--out", str(doc)])

@@ -440,12 +440,30 @@ def systems_with_top_horizons(draw, mode):
     return system, draw(st.sampled_from(tops + [consumption_curve(system).total.end]))
 
 
+# left vertical 5 is first met at 29 + 99.99999999999999, which rounds to its top's arrival, 129
+ROUNDED_MEETING = BarrierSystem(FLOAT, 0.0, (), ((1.0, 1.0),) * 3 + ((1.0, 99.99999999999999), (25.0, 100.0)))
+
+
+def assert_near_faces_end_at_their_tops(system, horizon):
+    """A near face first met before the horizon ends at its top when that is reached; one met only at it has none."""
+    for side in ("right", "left"):
+        near = {p.index: p for p in face_arrival_profiles(system, side, horizon) if p.kind == "vertical_left"}
+        heights = system.heights(side)
+        tops = top_arrival_times(system, side)
+        for i, (foot, height, top) in enumerate(zip(system.feet(side), heights, tops), start=1):
+            clearance = max(heights[: i - 1], default=0)
+            reach = foot + clearance if clearance < height else top  # the front first meets the face, in floats too
+            if top <= horizon and reach < horizon:
+                assert tuple(map(typed, near[i].points[-1])) == (typed(height), typed(top))
+            elif top == horizon:  # reached only at the horizon: no profile
+                assert i not in near
+
+
 class TestProfileContract:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([RATIONAL, FLOAT]).flatmap(systems_with_top_horizons))
     @example((build_seventeen_ninths(1, cycles=3), Fraction(3231)))  # the top of right vertical 3
-    # left vertical 5 is first met at 29 + 99.99999999999999, which rounds to its top's arrival, the horizon
-    @example((BarrierSystem(FLOAT, 0.0, (), ((1.0, 1.0),) * 3 + ((1.0, 99.99999999999999), (25.0, 100.0))), 129.0))
+    @example((ROUNDED_MEETING, 129.0))  # the top of left vertical 5
     def test_every_piece_changes_time_at_unit_slope(self, case):
         system, horizon = case
         for side in ("right", "left"):
@@ -464,18 +482,11 @@ class TestSingleRecurrence:
     @given(data=st.data())
     def test_top_arrival_ends_the_near_face(self, mode, data):
         system = data.draw(systems(mode))
-        horizon = data.draw(LENGTHS[mode]) * data.draw(st.sampled_from([1, 4, 20]))
-        for side in ("right", "left"):
-            near = {p.index: p for p in face_arrival_profiles(system, side, horizon) if p.kind == "vertical_left"}
-            heights = system.heights(side)
-            tops = top_arrival_times(system, side)
-            for i, (foot, height, top) in enumerate(zip(system.feet(side), heights, tops), start=1):
-                clearance = max(heights[: i - 1], default=0)
-                reach = foot + clearance if clearance < height else top  # the front first meets the face, in floats too
-                if top <= horizon and reach < horizon:
-                    assert tuple(map(typed, near[i].points[-1])) == (typed(height), typed(top))
-                elif top == horizon:  # reached only at the horizon: no profile
-                    assert i not in near
+        assert_near_faces_end_at_their_tops(system, data.draw(LENGTHS[mode]) * data.draw(st.sampled_from([1, 4, 20])))
+
+    @pytest.mark.parametrize("horizon", [129.0, 200.0])  # at the top of left vertical 5, and past it
+    def test_a_meeting_that_rounds_to_the_top_keeps_the_top(self, horizon):
+        assert_near_faces_end_at_their_tops(ROUNDED_MEETING, horizon)
 
     @MODES
     @settings(max_examples=100, deadline=None)
