@@ -33,22 +33,23 @@ def build_seventeen_ninths(head_start=1, cycles: int = 8) -> BarrierSystem:
         gaps left:     c_1 = s,   c_2 = 238 s, c_{i+1} = 7.5 d_i   (i >= 2)
         heights left:  d_1 = 34 s,             d_{i+1} = 4 b_{i+1} (i >= 1)
 
-    The recurrence runs on the integer coefficients of s/2 (b_i is even, so
-    7.5 b_i is one), and each length is one Fraction.
+    The recurrence runs on the integer coefficients of s (each b_i and d_i it
+    halves is even), and each length is one Fraction, with no gcd for a whole s.
     """
     if (cycles := model._whole(cycles, "cycles")) < 1:
         raise ValueError(f"cycles must be >= 1, got {model._shown(cycles)}")
     s = model._positive(head_start, RATIONAL, "head start", ValidationError)
-    a, b, c, d = [2], [34], [2], [68]
+    a, b, c, d = [1], [17], [1], [34]
     for i in range(1, cycles):
         b.append(4 * d[i - 1])
         d.append(4 * b[i])
-        a.append(68 if i == 1 else 15 * b[i - 1] // 2)
-        c.append(476 if i == 1 else 15 * d[i - 1] // 2)
-    p, q = s.numerator, 2 * s.denominator
+        a.append(34 if i == 1 else 15 * b[i - 1] // 2)
+        c.append(238 if i == 1 else 15 * d[i - 1] // 2)
+    p, q = s.numerator, s.denominator
 
     def sides(gaps, heights):
-        return tuple((Fraction(g * p, q), Fraction(h * p, q)) for g, h in zip(gaps, heights))
+        return tuple((Fraction(g * p), Fraction(h * p)) if q == 1 else (Fraction(g * p, q), Fraction(h * p, q))
+                     for g, h in zip(gaps, heights))
 
     return BarrierSystem(mode=RATIONAL, head_start=s, right=sides(a, b), left=sides(c, d))
 

@@ -92,10 +92,11 @@ def coerce_length(value, mode: str) -> Number:
     floats are rejected as lossy.  Float mode takes what float() does but a
     bool, and a "p/q" string, which it reads exactly and rounds once.
 
-    A Fraction is returned as it is, and "p" or "p/q" in ASCII digits, the
-    form documents write, is read with ``int``; any other string goes
-    through ``Fraction(str)``, with the same result, unless its exponent
-    would build a power of ten longer than ``int_digit_limit()``.
+    A Fraction is returned as it is, and "p" or "p/q" in ASCII digits (tested
+    as bytes, with no Unicode lookup), the form documents write, is read with
+    ``int``, or refused, shortened, when a part passes ``int_digit_limit()``;
+    any other string goes through ``Fraction(str)``, with the same result,
+    unless its exponent would build a power of ten longer than that limit.
     """
     if type(value) is Fraction and mode == RATIONAL:
         return value
@@ -105,10 +106,10 @@ def coerce_length(value, mode: str) -> Number:
         if isinstance(value, str):  # first: documents give strings, and Fraction's isinstance is an ABC check
             num, slash, den = value.partition("/")
             try:
-                if num.isascii() and num.isdecimal():
+                if num.isascii() and num.encode().isdigit():
                     if not slash:
                         return Fraction(int(num))
-                    if den.isascii() and den.isdecimal():
+                    if den.isascii() and den.encode().isdigit():
                         return Fraction(int(num), int(den))
                 # Fraction(str) builds the power of ten in full: 1e999999999 would take hours
                 _, e, exponent = value.lower().rpartition("e")
@@ -116,6 +117,10 @@ def coerce_length(value, mode: str) -> Number:
                 if slash or not (e and limit) or abs(int(exponent)) < limit:
                     return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
+                digits = max(len(num), len(den)) if value.isascii() and value.replace("/", "", 1).isdigit() else 0
+                if 0 < (limit := int_digit_limit()) < digits:  # int refused the digits: say why, not all of them
+                    raise ValidationError(f"cannot parse rational {value[:5] + '…' + value[-5:]!r} ({digits} digits): "
+                                          f"more digits than the limit of {limit} (sys.get_int_max_str_digits())") from exc
                 raise ValidationError(f"cannot parse rational {value!r}") from exc
             raise ValidationError(
                 f"cannot parse rational {value!r}: its power of ten has more digits than "
@@ -343,6 +348,8 @@ def _on_one_scale(*curves):
     Ints, Fractions and floats all read exactly through ``as_integer_ratio``."""
     ratios = [[(t.as_integer_ratio(), v.as_integer_ratio()) for t, v in points] for points in curves]
     scale = math.lcm(*(den for points in ratios for (_, dt), (_, dv) in points for den in (dt, dv)))
+    if scale == 1:  # every coordinate is whole: its numerator as it is
+        return scale, [[(nt, nv) for (nt, _), (nv, _) in points] for points in ratios]
     return scale, [[(nt * (scale // dt), nv * (scale // dv)) for (nt, dt), (nv, dv) in points] for points in ratios]
 
 

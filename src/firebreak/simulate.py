@@ -45,7 +45,7 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -231,10 +231,17 @@ def _scaled(system: BarrierSystem, horizon=None) -> _Lattice:
 
 
 def _earliest_top(lat: _Lattice, back: int):
-    """The earliest over the sides of each side's ``back``-th top from the end (its first when fewer)."""
-    tops = ([top for *_, top in _verticals(pairs, lat.zero)][:-1] for pairs in lat.pairs.values())  # not the ray
-    bounds = [times[max(len(times) - back, 0)] for times in tops if times]
-    return min(bounds) if bounds else None
+    """The earliest over the sides of each side's ``back``-th top from the end (its first when fewer).
+
+    Each is ``_verticals``' top in closed form: its foot adds the gaps in order (a float one rounds as there,
+    not as ``sum``'s compensated addition) and its clearance is the tallest height before it."""
+    bounds = []
+    for pairs in filter(None, lat.pairs.values()):
+        i = max(len(pairs) - back, 0)
+        *_, foot = accumulate(map(itemgetter(0), pairs[:i + 1]), initial=lat.zero)
+        height, clearance = pairs[i][1], max(map(itemgetter(1), pairs[:i]), default=lat.zero)
+        bounds.append(foot + 2 * clearance - height if clearance >= height else foot + height)
+    return min(bounds, default=None)
 
 
 def valid_horizon(system: BarrierSystem):

@@ -1,5 +1,6 @@
 """Generators: flat baseline, the 17/9 system, and the shifted interlacing."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from firebreak import (
     valid_horizon,
     validate,
 )
-from firebreak.model import coerce_length
+from firebreak.model import coerce_length, dumps
 
 
 class TestBuilderInputs:
@@ -99,7 +100,45 @@ def reference_seventeen_ninths(s, cycles):
     return tuple(zip(a, b)), tuple(zip(c, d))
 
 
+# sha256 of dumps(build_seventeen_ninths(h, cycles=c)), c in (1, 2, 3, 8, 64): each document, byte for byte
+SEVENTEEN_NINTHS_DIGESTS = {
+    1: ["65eaaac6e4dc7ebdf55be142f788e3dd360d22ffbfcd36fb644954879feca25e",
+        "a5ded986d35880c03d5bba41271b32ee1364b95d6dbd6203b78b5314ae787194",
+        "bf2c9f77cf34885d515f861a87dd6bd18e58f72c3b36dd30c8996d31a9f11405",
+        "6efbecdaccc5803d859d29610004d07ae7972d3d3d53010e397ba9428da2f603",
+        "e8277364c03459b6785f77e119bf09df89bf6548a4a2322a7c53b650456cf4a7"],
+    Fraction(7, 3): ["cc03922ee6e7c2b6d401c4bb8f9f6c1ddccd48e79a86c472868f0fa5b88a1d08",
+                     "0998fdaeaf262fe33113c551b08bcad1e530b2cd5a1c3e1b2bd48a99d01bf43a",
+                     "c98c926191d86fd63a11086aac8d0989aaf881d8565acaec7930862174e32786",
+                     "026294cb1f779321f478efa32a6a5d291c1ec8478c9acc1bfa6b1d7a0acad27e",
+                     "a74d649f0b60bfb09ce2a7bf73a576b6dbf327a0b233777ef94f8cc409555194"],
+    Fraction(1, 6): ["6831ed8223b95dea6a11c5106c0fb2ad8740c7b1548873f6029c19f247590062",
+                     "9a5b4c4711c4efaccc4944d4e347aaaeec4f6e14bf5ddc95c1ddebd8bfde7988",
+                     "a21c0359abae7ed865843b44da14507efde8d84391503dc2affedf88cfdc80c0",
+                     "9d61dc3fc0f8eecda9b5441341e9526bbcfb14673b8d8929b9458b2aaecd8ff7",
+                     "b871243ebbe208621e51ef638756349a2651eedde72526da88a1d9cd04c92f0d"],
+    Fraction(5, 2): ["0cbb4b1010645744af2ab73959a550cd302344792138d92d202146cc7e63b99f",
+                     "e5f935fc9e6b82b53ba206f269066cd92535e25a021c4f9505523a8cb13945f4",
+                     "5613a8db4decb1d6c209f023d2abb1349aa897608b1b472aaf4ca26364f358aa",
+                     "7eb6ce3daa0092144864244eab68bb598aa9c658bc6dfb39fc3496c35bd3a046",
+                     "98e3fa3b54f97ac5a7343c2c579583058ba90df4ff7d6a8efa07504ca5f18924"],
+    10**40: ["28f3e4573543f39f3cb7f2482e8b2980ee5ef322060bdef6ee79b4782bb6222b",
+             "8f1f22cff9e40927ece10b7c3dc939ff7f9399ec5b85d8c38eade9cf903b4094",
+             "32c3c014ea0143e85eda8ba4a0a143bb225de363c77a9229322f372815cd7686",
+             "1a5a3916305fe82d7176fbd50d75f35a1b8324c5cf4eaef5f4e8aedc58bcb7b3",
+             "be67618a4e77bc61897b9ca1aaa22dc13e99994c82c456e6b616864c04e3464d"],
+}
+
+
 class TestSeventeenNinths:
+    @pytest.mark.parametrize("head_start, cycles, digest", [
+        (h, c, digest) for h, digests in SEVENTEEN_NINTHS_DIGESTS.items()
+        for c, digest in zip((1, 2, 3, 8, 64), digests)
+    ])
+    def test_document_digests(self, head_start, cycles, digest):
+        text = dumps(build_seventeen_ninths(head_start, cycles=cycles))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @settings(max_examples=60, deadline=None)
     @given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).filter(bool), st.integers(1, 40))
     def test_matches_the_fraction_recurrence(self, head_start, cycles):

@@ -688,13 +688,40 @@ def small_exponent(text):
 class TestRationalReader:
     # digits, signs, separators and exponents that Fraction(str) reads, and non-ASCII digits
     @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet="0123456789/+-_ .e\u0663\u00b2", max_size=12).filter(small_exponent))
+    @given(st.text(alphabet="0123456789/+-_ .e\u0663\u00b2\uff11", max_size=12).filter(small_exponent))
     def test_matches_fraction_of_the_string(self, text):
         assert outcome(coerce_length, text, RATIONAL) == outcome(reference_rational, text)
 
     @pytest.mark.parametrize("text", ["17", "17/9", "0034/0012", "1/0", "7.5", "1.5e3", " 3/4", "+3", "1_000/3", "\u0663/4", "2\u00b2", "3/", "/3", ""])
     def test_pinned_strings(self, text):
         assert outcome(coerce_length, text, RATIONAL) == outcome(reference_rational, text)
+
+    @pytest.mark.parametrize("text", ["1234567890" * 60, "9876543210" * 60 + "/" + "3" * 600, "\uff11" * 600],
+                             ids=["n", "n/d", "fullwidth"])
+    def test_long_digit_strings(self, text):
+        assert outcome(coerce_length, text, RATIONAL) == outcome(reference_rational, text)
+
+    # int refuses more digits than the limit: the refusal says so, and shows the value shortened
+    LONG_DIGITS = [
+        ("9" * 5000, "cannot parse rational '99999\u202699999' (5000 digits): more digits than the limit of {} "
+                     "(sys.get_int_max_str_digits())"),
+        ("1/" + "7" * 5000, "cannot parse rational '1/777\u202677777' (5000 digits): more digits than the limit of {} "
+                            "(sys.get_int_max_str_digits())"),
+    ]
+
+    @pytest.mark.parametrize("text, message", LONG_DIGITS, ids=["n", "1/d"])
+    def test_too_many_digits_are_refused_naming_the_limit(self, text, message):
+        with pytest.raises(ValidationError) as info:
+            coerce_length(text, RATIONAL)
+        assert str(info.value) == message.format(sys.get_int_max_str_digits())
+
+    @pytest.mark.parametrize("text, message", LONG_DIGITS, ids=["n", "1/d"])
+    def test_a_document_with_too_many_digits_is_refused_by_its_label(self, text, message):
+        document = {"mode": RATIONAL, "head_start": "1", "right": [{"a": "1", "b": "1"}, {"a": "1", "b": text}],
+                    "left": []}
+        with pytest.raises(DocumentError) as info:
+            from_document(document)
+        assert str(info.value) == "right[2]: " + message.format(sys.get_int_max_str_digits())
 
     def test_python_without_a_digit_limit_reads_exponents(self, monkeypatch):
         # sys.get_int_max_str_digits first shipped in Python 3.10.7

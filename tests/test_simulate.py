@@ -1342,3 +1342,10 @@ class TestHorizons:
                 consumption_curve(system)
         else:  # the default horizon
             assert typed(consumption_curve(system).total.end) == typed(want_default)
+
+    def test_float_horizons_add_the_gaps_in_order(self):
+        # a foot is the gaps added one by one, as the sweep adds them; compensated summation
+        # (math.fsum, or sum from Python 3.12) would give 1.0000000000000008e+16 and 1.0000000000000016e+16
+        system = BarrierSystem(FLOAT, 0.0, ((1e16, 1.0), (1.0, 2.0), (1.0, 5.0), (1.0, 11.0)), ())
+        assert valid_horizon(system) == 1.0000000000000004e+16
+        assert consumption_curve(system).total.end == check_speed(system, 2).horizon == 1.0000000000000012e+16
